@@ -28,7 +28,7 @@ from .sympsolve import (SymplecticSystem, enumerate_all, find_symplectic,
                         iter_all, map_vector, transvection_matrix)
 from .synth import (CliffordSpec, SynthesisResult, build_system, fix_signs,
                     load_spec, normalizer_to_centralizer, realize, save_spec,
-                    synthesize)
+                    solution_count, synthesize)
 from .verify import (ConjugationReport, ReportRow, conjugate, conjugate_many,
                      dense_unitary, expected_images, induced_symplectic,
                      prepare_css_state, verify_solution)
@@ -54,7 +54,7 @@ __all__ = [
     "map_vector", "transvection_matrix",
     "CliffordSpec", "SynthesisResult", "build_system", "fix_signs",
     "load_spec", "normalizer_to_centralizer", "realize", "save_spec",
-    "synthesize",
+    "solution_count", "synthesize",
     "ConjugationReport", "ReportRow", "conjugate", "conjugate_many",
     "dense_unitary", "expected_images", "induced_symplectic",
     "prepare_css_state", "verify_solution",

@@ -18,7 +18,7 @@ from .codes import CssSpec, css_build, load_code, save_code
 from .decompose import decompose, factors_to_circuit
 from .gf2core import InfeasibleError, ParseError, load_matrix_text
 from .pauli import to_label
-from .synth import load_spec, synthesize
+from .synth import load_spec, solution_count, synthesize
 from .verify import verify_solution
 
 
@@ -44,11 +44,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="allow stabilizer generators to map across the group")
     syn.add_argument("--out", default=".", help="output directory")
     syn.add_argument("--jobs", type=int, default=1,
-                     help="parallel worker processes")
+                     help="parallel worker processes; min_depth splits its "
+                          "ranking of the solutions across them")
     syn.add_argument("--max-solutions", type=int, default=1 << 20,
                      help="abort if the solution count exceeds this")
     syn.add_argument("--dense", action="store_true",
-                     help="cross-check every solution with dense matrices")
+                     help="cross-check each returned circuit with dense "
+                          "matrices")
 
     ver = sub.add_parser("verify", help="check a circuit file")
     ver.add_argument("--code", required=True)
@@ -152,9 +154,8 @@ def _cmd_css(args) -> int:
 
 def _cmd_info(args) -> int:
     code = load_code(Path(args.code).read_text())
-    count = 1 << (code.k * (code.k + 1) // 2)
     print("m=%d k=%d logical=%d solutions-per-operator=%d"
-          % (code.m, code.k, code.n_logical, count))
+          % (code.m, code.k, code.n_logical, solution_count(code)))
     return 0
 
 

@@ -79,9 +79,7 @@ def expand(f: ElementaryFactor) -> np.ndarray:
     if f.kind == "OMEGA":
         return omega(m)
     if f.kind == "AQ":
-        out[:m, :m] = f.q
-        out[m:, m:] = invert(f.q).T
-        return out
+        return _aq_block(f.q, invert(f.q))
     if f.kind == "TR":
         out[:m, :m] = eye(m)
         out[m:, m:] = eye(m)
@@ -136,30 +134,37 @@ def decompose(f_in) -> list[ElementaryFactor]:
     for j in range(m - k):
         q2inv[:, k + j] = null_a[j]
 
-    b_prime = mul(q11inv, b_blk, invert(q2inv).T)
+    q2 = invert(q2inv)
+    b_prime = mul(q11inv, b_blk, q2.T)
     r_k = b_prime[:k, :k]
     e_blk = b_prime[:k, k:]
     b_mk = b_prime[k:, k:]
-    assert not b_prime[k:, :k].any() and np.array_equal(r_k, r_k.T), \
-        "symplectic input guarantees this shape"
+    if b_prime[k:, :k].any() or not np.array_equal(r_k, r_k.T):
+        raise RuntimeError("B block of a symplectic input lost its normal form")
 
     q12inv = eye(m)
     q12inv[k:, k:] = invert(b_mk)
     q13inv = eye(m)
     q13inv[:k, k:] = e_blk
     q1inv = mul(q13inv, q12inv, q11inv)
+    q1 = invert(q1inv)
 
     r2 = zeros((m, m))
     r2[:k, :k] = r_k
+    tr2 = f_tr(r2)
+    gk = f_gk(m, k)
 
-    mid = mul(_aq_mat(q1inv), f, _aq_mat(q2inv), _tr_mat(r2),
-              expand(f_gk(m, k)), omega(m))
+    mid = mul(_aq_block(q1inv, q1), f, _aq_block(q2inv, q2), expand(tr2),
+              expand(gk), omega(m))
     r1 = mid[m:, :m]
-    assert np.array_equal(mid[:m, :m], eye(m)) and not mid[:m, m:].any() \
-        and np.array_equal(mid[m:, m:], eye(m)) and np.array_equal(r1, r1.T)
+    if not (np.array_equal(mid[:m, :m], eye(m)) and not mid[:m, m:].any()
+            and np.array_equal(mid[m:, m:], eye(m))
+            and np.array_equal(r1, r1.T)):
+        raise RuntimeError("reduced input is not a lower T_R factor")
 
-    factors = [f_aq(invert(q1inv)), f_omega(m), f_tr(r1), f_gk(m, k),
-               f_tr(r2), f_aq(invert(q2inv))]
+    # q1 and q2 are inverses, hence invertible: f_aq's probe would be redundant
+    factors = [ElementaryFactor("AQ", m, q=q1), f_omega(m), f_tr(r1), gk, tr2,
+               ElementaryFactor("AQ", m, q=q2)]
     kept = [fct for fct in factors if not _is_identity(fct)]
     out: list[ElementaryFactor] = []
     for fct in kept:
@@ -171,7 +176,8 @@ def decompose(f_in) -> list[ElementaryFactor]:
     total = eye(2 * m)
     for fct in out:
         total = mul(total, expand(fct))
-    assert np.array_equal(total, f)
+    if not np.array_equal(total, f):
+        raise RuntimeError("factor product does not reproduce the input")
     return out
 
 
@@ -183,18 +189,12 @@ def _cancels(left: ElementaryFactor, right: ElementaryFactor) -> bool:
     return gk.k == gk.m
 
 
-def _aq_mat(q) -> np.ndarray:
+def _aq_block(q: np.ndarray, q_inv: np.ndarray) -> np.ndarray:
+    """A_Q = [[Q, 0], [0, Q^-T]] from Q and its known inverse."""
     m = q.shape[0]
     out = zeros((2 * m, 2 * m))
     out[:m, :m] = q
-    out[m:, m:] = invert(q).T
-    return out
-
-
-def _tr_mat(r) -> np.ndarray:
-    m = r.shape[0]
-    out = eye(2 * m)
-    out[:m, m:] = r
+    out[m:, m:] = q_inv.T
     return out
 
 

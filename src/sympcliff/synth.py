@@ -1,9 +1,9 @@
 """End-to-end synthesis of physical circuits for logical Clifford operators.
 
 Given a stabilizer code and requested images for its logical Paulis (and,
-under the normalize policy, for its stabilizer generators), every symplectic
-solution is enumerated, factored into gates, sign-corrected with a Pauli
-prefix, and verified exactly before being returned.
+under the normalize policy, for its stabilizer generators), the symplectic
+solutions are enumerated and factored into gates; every circuit returned is
+sign-corrected with a Pauli prefix and verified exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .gf2core import (InfeasibleError, ParseError, coset_leader, is_symplectic,
                       mul, omega, rank, solve_linear, symplectic_inner)
 from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
                     to_label)
-from .sympsolve import SymplecticSystem, enumerate_all, find_symplectic
+from .sympsolve import SymplecticSystem, enumerate_all, find_symplectic, iter_all
 from .verify import ConjugationReport, conjugate_many, expected_images, verify_solution
 
 POLICIES = ("centralize", "normalize")
@@ -138,10 +139,13 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
     err = []
     gam = []
     for (name, given, want), got in zip(rows, outs):
-        assert np.array_equal(gamma(got), gamma(want)), \
-            "row %s: circuit does not realize the requested symplectic map" % name
+        if not np.array_equal(gamma(got), gamma(want)):
+            raise ValueError("row %s: circuit does not realize the requested "
+                             "symplectic map" % name)
         diff = (got.kappa - want.kappa) % 4
-        assert diff in (0, 2)
+        if diff not in (0, 2):
+            raise RuntimeError("row %s: image of a Hermitian row is not "
+                               "Hermitian" % name)
         err.append(1 if diff else 0)
         gam.append(gamma(given))
     m = code.m
@@ -149,7 +153,9 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
         return raw, from_gamma(np.zeros(2 * m, dtype=np.uint8))
     mat = mul(np.vstack(gam), omega(m))
     sol = solve_linear(mat, np.array(err, dtype=np.uint8))
-    assert sol is not None, "code rows are independent, so this always solves"
+    if sol is None:
+        raise RuntimeError("no Pauli correction exists: the code's rows are "
+                           "not independent")
     cd = coset_leader(*sol)
     corr_gates = []
     for t in range(m):
@@ -183,8 +189,44 @@ def _realize_star(args):
     return realize(*args)
 
 
-def _min_depth_key(res: SynthesisResult):
-    return (res.depth, len(res.circuit.gates), serialize(res.circuit))
+def solution_count(code: StabilizerCode) -> int:
+    """Number of symplectic solutions for any operator spec on the code.
+
+    build_system pins every hyperbolic basis row except the partners of the
+    k stabilizer generators; the j-th of those ranges over an affine space
+    of dimension k - j + 1, so there are 2^(k(k+1)/2) solutions under
+    either policy.
+    """
+    return 1 << (code.k * (code.k + 1) // 2)
+
+
+def _min_depth_key(circ: Circuit):
+    return (depth(circ), len(circ.gates), serialize(circ))
+
+
+def _rank(code: StabilizerCode, spec: CliffordSpec, fs):
+    """(min_depth key, F) of the best solution in fs, or None when fs is empty.
+
+    Each F is factored without signs.  The sign correction only prepends
+    single-qubit Paulis: it cannot lower the depth, adds one gate per qubit
+    it touches, and leaves the circuit unchanged when it touches none.  So
+    the unsigned (depth, gates) pair bounds the signed key from below, and
+    fix_signs runs only when that bound does not exceed the best key so far.
+    """
+    best = None
+    for f in fs:
+        raw = factors_to_circuit(decompose(f), code.m)
+        if best is not None and (depth(raw), len(raw.gates)) > best[0][:2]:
+            continue
+        key = _min_depth_key(fix_signs(code, spec, raw)[0])
+        if best is None or key < best[0]:
+            best = (key, f)
+    return best
+
+
+def _rank_range(code: StabilizerCode, spec: CliffordSpec, start: int, stop: int):
+    """_rank over solutions start..stop-1 in iter_all order (one worker's share)."""
+    return _rank(code, spec, islice(iter_all(build_system(code, spec)), start, stop))
 
 
 def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
@@ -192,22 +234,36 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
                dense_check: bool = False) -> list[SynthesisResult]:
     """All verified circuit solutions ("all"), or the best one ("min_depth").
 
-    min_depth ties break on gate count, then serialized text, so the choice is
-    a deterministic function of the solution set.
+    min_depth ranks by depth, then gate count, then serialized text, so the
+    choice is a deterministic function of the solution set.  It streams the
+    solutions: each is factored into an unsigned circuit, only contenders for
+    the minimum are sign-fixed, and only the returned circuit is realized
+    with its final correction and verified.  With jobs > 1 each worker ranks
+    one contiguous range of solutions.  Raises ValueError before enumerating
+    anything when the solution count exceeds cap.
     """
     if mode not in ("all", "min_depth"):
         raise ValueError("mode must be 'all' or 'min_depth'")
     system = build_system(code, spec)
-    fs = enumerate_all(system, cap=cap)
-    tasks = [(code, spec, f, dense_check) for f in fs]
+    count = solution_count(code)
+    if count > cap:
+        raise ValueError("solution count exceeds cap %d" % cap)
+    if mode == "all":
+        tasks = [(code, spec, f, dense_check)
+                 for f in enumerate_all(system, cap=cap)]
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as ex:
+                return list(ex.map(_realize_star, tasks))
+        return [realize(*t) for t in tasks]
     if jobs > 1:
+        cuts = [count * i // jobs for i in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_realize_star, tasks))
+            ranked = list(ex.map(_rank_range, repeat(code), repeat(spec),
+                                 cuts[:-1], cuts[1:]))
     else:
-        results = [realize(*t) for t in tasks]
-    if mode == "min_depth":
-        return [min(results, key=_min_depth_key)]
-    return results
+        ranked = [_rank(code, spec, iter_all(system))]
+    _, best_f = min((r for r in ranked if r is not None), key=lambda r: r[0])
+    return [realize(code, spec, best_f, dense_check)]
 
 
 def normalizer_to_centralizer(code: StabilizerCode, f_n: np.ndarray) -> np.ndarray:

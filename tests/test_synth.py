@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import sympcliff as sc
+from sympcliff import synth
+from sympcliff.synth import _min_depth_key, _rank
 from conftest import FIXTURES
-from helpers import as_set, golden_solution_sets
+from helpers import as_set, bits, golden_solution_sets
 
 
 def _spec(name):
@@ -123,7 +127,8 @@ def test_fix_signs_prepends_the_smallest_correction(code642):
 
 
 def test_fix_signs_rejects_wrong_symplectic_action(code642):
-    with pytest.raises(AssertionError):
+    # an explicit raise, not an assert that python -O would strip
+    with pytest.raises(ValueError, match="does not realize"):
         sc.fix_signs(code642, _spec("cz12"), sc.circuit(6, []))
 
 
@@ -217,3 +222,90 @@ def test_load_spec_error_reporting():
         sc.load_spec("op a\nmapX 1 XX\nmapZ 1 ZZZ\n")
     with pytest.raises(sc.ParseError, match="line 2"):
         sc.load_spec("op a\nmapX one XX\n")
+
+
+def _signed_513_specs(seed, count):
+    """count seeded signed logical Cliffords on [[5,1,3]]: X and Z go to two
+    distinct members of {X, Z, Y} (all on the five qubits), each with a sign."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        x_img, z_img = rng.sample(["XXXXX", "ZZZZZ", "YYYYY"], 2)
+        out.append(sc.CliffordSpec(
+            name="signed%d" % i,
+            images_x={1: sc.from_label(rng.choice("+-") + x_img)},
+            images_z={1: sc.from_label(rng.choice("+-") + z_img)}))
+    return out
+
+
+_STREAMING_CASES = (
+    [("code642", _spec(name)) for name in
+     ("phase1", "cz12", "cnot21", "hadamard1", "swapxz")]
+    + [("code513", _spec("hadamard5q"))]
+    + [("code513", spec) for spec in _signed_513_specs(1803, 3)])
+
+
+@pytest.mark.parametrize("code_name, spec", _STREAMING_CASES,
+                         ids=[spec.name for _, spec in _STREAMING_CASES])
+def test_min_depth_streaming_matches_exhaustive_min(code_name, spec, request):
+    code = request.getfixturevalue(code_name)
+    best, = sc.synthesize(code, spec, mode="min_depth")
+    want = min(sc.synthesize(code, spec, mode="all"),
+               key=lambda r: _min_depth_key(r.circuit))
+    assert sc.serialize(best.circuit) == sc.serialize(want.circuit)
+    assert sc.to_label(best.pauli_correction) == sc.to_label(want.pauli_correction)
+    assert best.depth == want.depth
+    assert np.array_equal(best.f, want.f)
+    assert best.report.passed
+
+
+def test_min_depth_ties_reach_the_text_tie_break():
+    # on [[4,2,2]] two solutions of this action tie at depth 9 and 15 gates
+    # with no correction, so only their serialized text separates them; in
+    # either stream order the equal unsigned pair must not be pruned
+    code = sc.css_build(sc.CssSpec(hc=bits("1111")))
+    spec = sc.load_spec("op tie\nmapX 1 IXIX\nmapX 2 IZIZ\n"
+                        "mapZ 1 IIZZ\nmapZ 2 XXII\n")
+    fs = list(sc.iter_all(sc.build_system(code, spec)))
+    want = min(_min_depth_key(sc.realize(code, spec, f).circuit) for f in fs)
+    assert want[:2] == (9, 15)
+    for order in (fs, fs[::-1]):
+        assert _rank(code, spec, order)[0] == want
+
+
+def test_min_depth_parallel_jobs_match_serial(code513):
+    spec = _signed_513_specs(7, 1)[0]
+    serial, = sc.synthesize(code513, spec, mode="min_depth")
+    parallel, = sc.synthesize(code513, spec, mode="min_depth", jobs=2)
+    assert sc.serialize(parallel.circuit) == sc.serialize(serial.circuit)
+    assert sc.to_label(parallel.pauli_correction) \
+        == sc.to_label(serial.pauli_correction)
+    assert np.array_equal(parallel.f, serial.f)
+
+
+def test_min_depth_verifies_only_the_returned_circuit(code642, monkeypatch):
+    calls = []
+    real = synth.verify_solution
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "verify_solution", counting)
+    res, = sc.synthesize(code642, _spec("hadamard1"), mode="min_depth")
+    assert res.report.passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["all", "min_depth"])
+def test_over_cap_is_refused_before_enumerating(mode, monkeypatch):
+    hamming7 = sc.css_build(sc.CssSpec(hc=bits("1010101", "0110011", "0001111")))
+    assert sc.solution_count(hamming7) == 1 << 21
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(synth, "iter_all", refuse)
+    monkeypatch.setattr(synth, "enumerate_all", refuse)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        sc.synthesize(hamming7, sc.CliffordSpec(), mode=mode)

@@ -14,10 +14,9 @@ from .codes import (CssSpec, StabilizerCode, css_build, derive_logical_z,
                     load_code, logical_x_gamma, logical_z_gamma, make_code,
                     save_code, stab_gamma, validate_code)
 from .decompose import (ElementaryFactor, decompose, expand, f_aq, f_gk,
-                        f_omega, f_omega_tr_omega, f_tr, factor_to_gates,
-                        factors_to_circuit)
+                        f_omega, f_tr, factor_to_gates, factors_to_circuit)
 from .gf2core import (InfeasibleError, ParseError, SingularMatrixError,
-                      asbits, coset_leader, invert, is_symplectic,
+                      asbits, coset_leader, gram, invert, is_symplectic,
                       lex_min_nonzero, load_matrix_text, lu_decompose, mul,
                       nullspace, omega, rank, rref, save_matrix_text,
                       solve_linear, sp_group_order, symplectic_gram_schmidt,
@@ -42,9 +41,9 @@ __all__ = [
     "logical_x_gamma", "logical_z_gamma", "make_code", "save_code",
     "stab_gamma", "validate_code",
     "ElementaryFactor", "decompose", "expand", "f_aq", "f_gk", "f_omega",
-    "f_omega_tr_omega", "f_tr", "factor_to_gates", "factors_to_circuit",
+    "f_tr", "factor_to_gates", "factors_to_circuit",
     "InfeasibleError", "ParseError", "SingularMatrixError", "asbits",
-    "coset_leader", "invert", "is_symplectic", "lex_min_nonzero",
+    "coset_leader", "gram", "invert", "is_symplectic", "lex_min_nonzero",
     "load_matrix_text", "lu_decompose", "mul", "nullspace", "omega", "rank",
     "rref", "save_matrix_text", "solve_linear", "sp_group_order",
     "symplectic_gram_schmidt", "symplectic_inner",

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, ParseError, asbits, coset_leader, mul,
-                      nullspace, rank, rref, solve_linear)
-from .pauli import PauliOperator, commutes, from_label, gamma, pauli_e, to_label
+from .gf2core import (InfeasibleError, ParseError, asbits, coset_leader, gram,
+                      mul, nullspace, rank, rref, solve_linear)
+from .pauli import PauliOperator, from_label, gamma, pauli_e, to_label
 
 
 @dataclass(frozen=True)
@@ -55,56 +55,49 @@ def validate_code(code: StabilizerCode) -> None:
     if len(code.logical_x) != n or len(code.logical_z) != n:
         raise ValueError("need %d logical X and Z operators, got %d and %d"
                          % (n, len(code.logical_x), len(code.logical_z)))
-    if code.k:
-        g = np.vstack([gamma(s) for s in code.stabilizers])
-        if rank(g) != code.k:
-            raise ValueError("stabilizer generators are dependent")
-    for j1 in range(code.k):
-        for j2 in range(j1 + 1, code.k):
-            if not commutes(code.stabilizers[j1], code.stabilizers[j2]):
-                raise ValueError("stabilizer %d anticommutes with stabilizer %d"
-                                 % (j1 + 1, j2 + 1))
-    for i, p in enumerate(list(code.logical_x) + list(code.logical_z)):
-        side = "logicalX" if i < n else "logicalZ"
-        num = i % n + 1 if n else 0
-        for j, s in enumerate(code.stabilizers):
-            if not commutes(p, s):
-                raise ValueError("%s %d anticommutes with stabilizer %d"
-                                 % (side, num, j + 1))
-    for i1 in range(n):
-        for i2 in range(n):
-            want_anti = i1 == i2
-            if commutes(code.logical_x[i1], code.logical_z[i2]) == want_anti:
-                raise ValueError(
-                    "logicalX %d vs logicalZ %d: wrong commutation" % (i1 + 1, i2 + 1))
-            if i1 < i2:
-                if not commutes(code.logical_x[i1], code.logical_x[i2]):
-                    raise ValueError("logicalX %d anticommutes with logicalX %d"
-                                     % (i1 + 1, i2 + 1))
-                if not commutes(code.logical_z[i1], code.logical_z[i2]):
-                    raise ValueError("logicalZ %d anticommutes with logicalZ %d"
-                                     % (i1 + 1, i2 + 1))
-    rows = [gamma(p) for p in paulis]
-    if rows and rank(np.vstack(rows)) != len(rows):
+    k = code.k
+    rows = _gamma_rows(paulis, code.m)
+    if rank(rows[:k]) != k:
+        raise ValueError("stabilizer generators are dependent")
+    g = gram(rows)
+    bad = np.argwhere(np.triu(g[:k, :k], 1))
+    if bad.size:
+        raise ValueError("stabilizer %d anticommutes with stabilizer %d"
+                         % tuple(bad[0] + 1))
+    bad = np.argwhere(g[k:, :k])
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError("%s %d anticommutes with stabilizer %d"
+                         % ("logicalX" if i < n else "logicalZ", i % n + 1, j + 1))
+    lx, lz = slice(k, k + n), slice(k + n, None)
+    bad = np.argwhere(np.stack([g[lx, lz] != np.eye(n, dtype=np.uint8),
+                                np.triu(g[lx, lx], 1), np.triu(g[lz, lz], 1)], axis=2))
+    if bad.size:
+        i1, i2, kind = bad[0] + (1, 1, 0)
+        raise ValueError(
+            ("logicalX %d vs logicalZ %d: wrong commutation",
+             "logicalX %d anticommutes with logicalX %d",
+             "logicalZ %d anticommutes with logicalZ %d")[kind] % (i1, i2))
+    if rank(rows) != rows.shape[0]:
         raise ValueError("stabilizers and logicals are not independent")
 
 
+def _gamma_rows(paulis, m: int) -> np.ndarray:
+    """Binary rows of the given Paulis as a t x 2m matrix, also when t = 0."""
+    rows = [gamma(p) for p in paulis]
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * m)
+
+
 def stab_gamma(code: StabilizerCode) -> np.ndarray:
-    if not code.k:
-        return np.zeros((0, 2 * code.m), dtype=np.uint8)
-    return np.vstack([gamma(s) for s in code.stabilizers])
+    return _gamma_rows(code.stabilizers, code.m)
 
 
 def logical_x_gamma(code: StabilizerCode) -> np.ndarray:
-    if not code.logical_x:
-        return np.zeros((0, 2 * code.m), dtype=np.uint8)
-    return np.vstack([gamma(p) for p in code.logical_x])
+    return _gamma_rows(code.logical_x, code.m)
 
 
 def logical_z_gamma(code: StabilizerCode) -> np.ndarray:
-    if not code.logical_z:
-        return np.zeros((0, 2 * code.m), dtype=np.uint8)
-    return np.vstack([gamma(p) for p in code.logical_z])
+    return _gamma_rows(code.logical_z, code.m)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .circuit import Circuit, Gate, circuit, gate
 from .gf2core import (asbits, eye, invert, is_symplectic, lu_decompose, mul,
                       nullspace, omega, rref, zeros)
 
-FACTOR_KINDS = ("OMEGA", "AQ", "TR", "GK", "OMEGA_TR_OMEGA")
+FACTOR_KINDS = ("OMEGA", "AQ", "TR", "GK")
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,6 @@ def f_gk(m: int, k: int) -> ElementaryFactor:
     return ElementaryFactor("GK", m, k=k)
 
 
-def f_omega_tr_omega(r) -> ElementaryFactor:
-    r = _check_symmetric(r)
-    return ElementaryFactor("OMEGA_TR_OMEGA", r.shape[0], r=r)
-
-
 def expand(f: ElementaryFactor) -> np.ndarray:
     """The 2m x 2m symplectic matrix of one factor."""
     m = f.m
@@ -84,11 +79,6 @@ def expand(f: ElementaryFactor) -> np.ndarray:
         out[:m, :m] = eye(m)
         out[m:, m:] = eye(m)
         out[:m, m:] = f.r
-        return out
-    if f.kind == "OMEGA_TR_OMEGA":
-        out[:m, :m] = eye(m)
-        out[m:, m:] = eye(m)
-        out[m:, :m] = f.r
         return out
     if f.kind == "GK":
         u_k = zeros((m, m))
@@ -105,7 +95,7 @@ def expand(f: ElementaryFactor) -> np.ndarray:
 def _is_identity(f: ElementaryFactor) -> bool:
     if f.kind == "AQ":
         return bool(np.array_equal(f.q, eye(f.m)))
-    if f.kind in ("TR", "OMEGA_TR_OMEGA"):
+    if f.kind == "TR":
         return not f.r.any()
     if f.kind == "GK":
         return f.k == 0
@@ -217,9 +207,6 @@ def factor_to_gates(f: ElementaryFactor) -> list[Gate]:
         return [gate("H", q) for q in range(1, f.k + 1)]
     if f.kind == "TR":
         return _tr_gates(f.r)
-    if f.kind == "OMEGA_TR_OMEGA":
-        h_all = [gate("H", q) for q in range(1, m + 1)]
-        return h_all + _tr_gates(f.r) + h_all
     if f.kind == "AQ":
         perm, low, up = lu_decompose(f.q)
         gates = []

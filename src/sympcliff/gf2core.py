@@ -55,20 +55,29 @@ def omega(m: int) -> np.ndarray:
     return w
 
 
+def gram(a, b=None) -> np.ndarray:
+    """Symplectic Gram matrix: entry (i, j) is <a_i, b_j>; b defaults to a.
+
+    Rows have even length 2m.  Every commutation invariant is a comparison
+    on this matrix: F is symplectic iff gram(F) = Omega, and x_i F = y_i
+    can hold only if gram(X) = gram(Y).
+    """
+    a = asbits(a)
+    b = a if b is None else asbits(b)
+    m = a.shape[1] // 2
+    return mul(a[:, :m], b[:, m:].T) ^ mul(a[:, m:], b[:, :m].T)
+
+
 def symplectic_inner(x, y) -> int:
     """Symplectic inner product of two rows of even length 2m."""
-    x = asbits(x).ravel()
-    y = asbits(y).ravel()
-    m = x.shape[0] // 2
-    return int(x[:m] @ y[m:].astype(np.int64) + x[m:] @ y[:m].astype(np.int64)) % 2
+    return int(gram(asbits(x).reshape(1, -1), asbits(y).reshape(1, -1))[0, 0])
 
 
 def is_symplectic(f) -> bool:
     f = asbits(f)
     if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] % 2:
         return False
-    w = omega(f.shape[0] // 2)
-    return bool(np.array_equal(mul(f, w, f.T), w))
+    return bool(np.array_equal(gram(f), omega(f.shape[0] // 2)))
 
 
 def rref(m_in) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -242,14 +251,15 @@ def symplectic_gram_schmidt(seed, m: int | None = None) -> list[tuple[np.ndarray
         raise InfeasibleError("seed vectors are linearly dependent")
 
     partner = [None] * n
-    for i in range(n):
-        mates = [j for j in range(n) if j != i and symplectic_inner(vecs[i], vecs[j])]
-        if len(mates) > 1:
-            raise InfeasibleError(
-                "seed vector %d pairs with %d others; Gram pattern is not a matching"
-                % (i, len(mates)))
-        if mates:
-            partner[i] = mates[0]
+    if n:
+        for i, row in enumerate(gram(np.vstack(vecs))):
+            mates = np.flatnonzero(row)
+            if mates.size > 1:
+                raise InfeasibleError(
+                    "seed vector %d pairs with %d others; Gram pattern is not a matching"
+                    % (i, mates.size))
+            if mates.size:
+                partner[i] = int(mates[0])
 
     slots: list[list[np.ndarray | None]] = []
     seen = [False] * n
@@ -290,13 +300,10 @@ def symplectic_gram_schmidt(seed, m: int | None = None) -> list[tuple[np.ndarray
         fixed.append(v)
         slots.append([u, v])
 
-    out = [(p[0], p[1]) for p in slots]
-    for a in range(m):
-        for b in range(m):
-            assert symplectic_inner(out[a][0], out[b][1]) == (1 if a == b else 0)
-            assert symplectic_inner(out[a][0], out[b][0]) == 0
-            assert symplectic_inner(out[a][1], out[b][1]) == 0
-    return out
+    basis = np.array([p[0] for p in slots] + [p[1] for p in slots], dtype=np.uint8)
+    if basis.size and not np.array_equal(gram(basis), w):
+        raise RuntimeError("completed basis is not hyperbolic")
+    return [(p[0], p[1]) for p in slots]
 
 
 def sp_group_order(m: int) -> int:

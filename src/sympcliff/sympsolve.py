@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, asbits, coset_leader, eye, invert, mul,
-                      omega, rank, solve_linear, symplectic_gram_schmidt,
+from .gf2core import (InfeasibleError, asbits, coset_leader, eye, gram, invert,
+                      mul, omega, rank, solve_linear, symplectic_gram_schmidt,
                       symplectic_inner, zeros)
 
 
@@ -39,27 +39,28 @@ def map_vector(x, y) -> list[np.ndarray]:
     y = asbits(y).ravel()
     if not x.any() or not y.any():
         raise InfeasibleError("transvections move only nonzero vectors")
-    if np.array_equal(x, y):
+    return _step(x, y, [])
+
+
+def _step(xt: np.ndarray, y: np.ndarray, prev_ys: list[np.ndarray]) -> list[np.ndarray]:
+    """Transvection vectors taking xt to y while fixing the earlier targets:
+    [] when xt == y, [xt + y] when <xt, y> = 1, else [w + y, xt + w]."""
+    if np.array_equal(xt, y):
         return []
-    if symplectic_inner(x, y) == 1:
-        return [x ^ y]
-    w = _choose_w(x, y, [])
-    return [w ^ y, x ^ w]
+    if symplectic_inner(xt, y) == 1:
+        return [xt ^ y]
+    w = _choose_w(xt, y, prev_ys)
+    return [w ^ y, xt ^ w]
 
 
 def _choose_w(xt: np.ndarray, y: np.ndarray, prev_ys: list[np.ndarray]) -> np.ndarray:
     """Smallest w with <xt, w> = <y, w> = 1 and <y_j, w> = <y_j, y> for earlier
     targets y_j, so fixing this constraint disturbs none before it."""
-    m = xt.shape[0] // 2
-    w_form = omega(m)
-    rows = [mul(xt.reshape(1, -1), w_form).ravel(),
-            mul(y.reshape(1, -1), w_form).ravel()]
-    rhs = [1, 1]
-    for yj in prev_ys:
-        rows.append(mul(yj.reshape(1, -1), w_form).ravel())
-        rhs.append(symplectic_inner(yj, y))
-    sol = solve_linear(np.vstack(rows), np.array(rhs, dtype=np.uint8))
-    assert sol is not None, "intermediate vector system must be solvable"
+    rows = np.vstack([xt, y] + prev_ys)
+    rhs = np.concatenate([[1, 1], gram(rows[2:], y.reshape(1, -1)).ravel()])
+    sol = solve_linear(mul(rows, omega(xt.shape[0] // 2)), rhs)
+    if sol is None:
+        raise RuntimeError("intermediate vector system is not solvable")
     return coset_leader(*sol)
 
 
@@ -100,20 +101,24 @@ class SymplecticSystem:
         return len(self.xs)
 
 
+def _matrices(system: SymplecticSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and targets stacked as t x 2m matrices, also when t = 0."""
+    shape = (len(system), 2 * system.m)
+    return (np.array(system.xs, dtype=np.uint8).reshape(shape),
+            np.array(system.ys, dtype=np.uint8).reshape(shape))
+
+
 def _validate(system: SymplecticSystem) -> None:
     t = len(system)
-    if t == 0:
-        return
-    if rank(np.vstack(system.xs)) != t:
+    xs, ys = _matrices(system)
+    if rank(xs) != t:
         raise InfeasibleError("source vectors are linearly dependent")
-    if rank(np.vstack(system.ys)) != t:
+    if rank(ys) != t:
         raise InfeasibleError("target vectors are linearly dependent")
-    for i in range(t):
-        for j in range(i + 1, t):
-            if symplectic_inner(system.xs[i], system.xs[j]) != \
-                    symplectic_inner(system.ys[i], system.ys[j]):
-                raise InfeasibleError(
-                    "constraints %d and %d have incompatible inner products" % (i, j))
+    bad = np.argwhere(np.triu(gram(xs) != gram(ys), 1))
+    if bad.size:
+        raise InfeasibleError(
+            "constraints %d and %d have incompatible inner products" % tuple(bad[0]))
 
 
 def find_symplectic(system: SymplecticSystem, return_transvections: bool = False):
@@ -129,19 +134,12 @@ def find_symplectic(system: SymplecticSystem, return_transvections: bool = False
     hs: list[np.ndarray] = []
     for i in range(len(system)):
         xt = mul(system.xs[i].reshape(1, -1), f).ravel()
-        y = system.ys[i]
-        if np.array_equal(xt, y):
-            continue
-        if symplectic_inner(xt, y) == 1:
-            new = [xt ^ y]
-        else:
-            w = _choose_w(xt, y, system.ys[:i])
-            new = [w ^ y, xt ^ w]
-        for h in new:
+        for h in _step(xt, system.ys[i], system.ys[:i]):
             f = mul(f, transvection_matrix(h))
             hs.append(h)
-    for x, y in zip(system.xs, system.ys):
-        assert np.array_equal(mul(x.reshape(1, -1), f).ravel(), y)
+    xs, ys = _matrices(system)
+    if not np.array_equal(mul(xs, f), ys):
+        raise RuntimeError("transvection chain does not satisfy the system")
     if return_transvections:
         return f, hs
     return f
@@ -194,11 +192,10 @@ def iter_all(system: SymplecticSystem):
     basis_inv = invert(basis)
     a = mul(basis, f0)
 
-    pinned = np.zeros(two_m, dtype=bool)
-    for x in system.xs:
-        hits = [r for r in range(two_m) if np.array_equal(basis[r], x)]
-        assert len(hits) == 1, "every source vector must be a basis row"
-        pinned[hits[0]] = True
+    hits = (_matrices(system)[0][:, None] == basis).all(axis=2)
+    if (hits.sum(axis=1) != 1).any():
+        raise RuntimeError("a source vector is not exactly one basis row")
+    pinned = hits.any(axis=0)
     free_rows = [r for r in range(two_m) if not pinned[r]]
 
     b = a.copy()

@@ -16,10 +16,11 @@ from itertools import islice, repeat
 import numpy as np
 
 from .circuit import Circuit, circuit, depth, gate, serialize
-from .codes import StabilizerCode, logical_x_gamma, logical_z_gamma, stab_gamma
+from .codes import (StabilizerCode, _gamma_rows, logical_x_gamma, logical_z_gamma,
+                    stab_gamma)
 from .decompose import ElementaryFactor, decompose, factors_to_circuit
-from .gf2core import (InfeasibleError, ParseError, coset_leader, is_symplectic,
-                      mul, omega, rank, solve_linear, symplectic_inner)
+from .gf2core import (InfeasibleError, ParseError, coset_leader, gram,
+                      is_symplectic, mul, omega, rank, solve_linear)
 from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
                     to_label)
 from .sympsolve import SymplecticSystem, enumerate_all, find_symplectic, iter_all
@@ -98,6 +99,17 @@ def _check_spec(code: StabilizerCode, spec: CliffordSpec) -> None:
                     "generator product is %s" % (j, to_label(target), want))
 
 
+def _layout(lx: list, stabs: list, lz: list) -> tuple[list, list[tuple[str, int]]]:
+    """Constraint order (logical X, stabilizers, logical Z) and the hyperbolic
+    basis role of each entry: logical pair i fills slot i, and stabilizer j
+    the u side of slot n + j."""
+    n, k = len(lx), len(stabs)
+    roles = ([("u", i) for i in range(1, n + 1)]
+             + [("u", n + j) for j in range(1, k + 1)]
+             + [("v", i) for i in range(1, n + 1)])
+    return list(lx) + list(stabs) + list(lz), roles
+
+
 def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
     """Constraint system whose solutions are exactly the symplectic matrices
     realizing the requested logical action.
@@ -109,21 +121,15 @@ def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
     _check_spec(code, spec)
     n, k = code.n_logical, code.k
     rows = expected_images(code, spec)
-    srows, xrows, zrows = rows[:k], rows[k:k + n], rows[k + n:]
-    ordered = xrows + srows + zrows
-    xs = [gamma(given) for _, given, _ in ordered]
-    ys = [gamma(want) for _, _, want in ordered]
-    roles = ([("u", i) for i in range(1, n + 1)]
-             + [("u", n + j) for j in range(1, k + 1)]
-             + [("v", i) for i in range(1, n + 1)])
-    names = [name for name, _, _ in ordered]
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            if symplectic_inner(xs[i], xs[j]) != symplectic_inner(ys[i], ys[j]):
-                raise InfeasibleError(
-                    "images of %s and %s change their commutation relation"
-                    % (names[i], names[j]))
-    return SymplecticSystem(code.m, xs, ys, roles)
+    ordered, roles = _layout(rows[k:k + n], rows[:k], rows[k + n:])
+    xs = _gamma_rows([given for _, given, _ in ordered], code.m)
+    ys = _gamma_rows([want for _, _, want in ordered], code.m)
+    bad = np.argwhere(np.triu(gram(xs) != gram(ys), 1))
+    if bad.size:
+        i, j = bad[0]
+        raise InfeasibleError("images of %s and %s change their commutation "
+                              "relation" % (ordered[i][0], ordered[j][0]))
+    return SymplecticSystem(code.m, list(xs), list(ys), roles)
 
 
 def fix_signs(code: StabilizerCode, spec: CliffordSpec,
@@ -290,12 +296,8 @@ def normalizer_to_centralizer(code: StabilizerCode, f_n: np.ndarray) -> np.ndarr
     if rank(kmat) != k:
         raise ValueError("stabilizer image map is not invertible")
     lx, lz = logical_x_gamma(code), logical_z_gamma(code)
-    n = code.n_logical
-    xs = list(lx) + list(sg) + list(lz)
-    ys = list(lx) + list(mul(kmat, sg)) + list(lz)
-    roles = ([("u", i) for i in range(1, n + 1)]
-             + [("u", n + j) for j in range(1, k + 1)]
-             + [("v", i) for i in range(1, n + 1)])
+    xs, roles = _layout(lx, sg, lz)
+    ys, _ = _layout(lx, mul(kmat, sg), lz)
     h = find_symplectic(SymplecticSystem(code.m, xs, ys, roles))
     return mul(h, f_n)
 

@@ -98,7 +98,8 @@ def induced_symplectic(circ: Circuit) -> tuple[np.ndarray, np.ndarray]:
     for g in circ.gates:
         a, b, k = _apply_gate_batch(g, a, b, k)
     kappa_e = (k - (a.astype(np.int64) * b).sum(axis=1)) % 4
-    assert not (kappa_e % 2).any()
+    if (kappa_e % 2).any():
+        raise RuntimeError("image of a Hermitian row is not Hermitian")
     signs = np.where(kappa_e == 0, 1, -1).astype(np.int64)
     return np.hstack([a, b]), signs
 

@@ -43,6 +43,25 @@ def test_make_code_rejects_wrong_pairing():
                      [sc.from_label("IZ"), sc.from_label("ZI")])
 
 
+@pytest.mark.parametrize("m, stabs, lx, lz, message", [
+    # the logical row is the outer loop: a stabilizer-first scan would name
+    # logicalX 2 vs stabilizer 1
+    (4, ["IIZI", "IIIZ"], ["XIIX", "IXXI"], ["ZIII", "IZII"],
+     "logicalX 1 anticommutes with stabilizer 2"),
+    # pair (1, 1) is checked before pair (1, 2)
+    (2, [], ["XI", "ZX"], ["IZ", "ZI"],
+     "logicalX 1 vs logicalZ 1: wrong commutation"),
+    # all three relations of pair (1, 2) come before any of pair (2, 1)
+    (2, [], ["XI", "YX"], ["ZI", "IZ"],
+     "logicalX 1 anticommutes with logicalX 2"),
+])
+def test_make_code_names_the_first_bad_pair(m, stabs, lx, lz, message):
+    with pytest.raises(ValueError) as err:
+        sc.make_code(m, [sc.from_label(p) for p in stabs],
+                     [sc.from_label(p) for p in lx], [sc.from_label(p) for p in lz])
+    assert str(err.value) == message
+
+
 def test_loaded_fixture_shape(code642, code513):
     assert (code642.m, code642.k, code642.n_logical) == (6, 2, 4)
     assert (code513.m, code513.k, code513.n_logical) == (5, 4, 1)

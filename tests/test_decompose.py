@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sympcliff as sc
-from helpers import B_CZ, B_PHASE, CNOT21_A, as_set, bits, golden_solution_sets
+from helpers import B_PHASE, CNOT21_A, as_set, bits, golden_solution_sets
 
 
 def rand_symplectic(rng, m):
@@ -31,15 +31,6 @@ def test_expand_tr_phase_block():
     assert np.array_equal(f[:6, 6:], B_PHASE)
     assert not f[6:, :6].any()
     assert np.array_equal(f[6:, 6:], np.eye(6, dtype=np.uint8))
-
-
-def test_expand_inverse_type_blocks():
-    r = B_CZ ^ B_CZ.T | B_PHASE  # any symmetric matrix works here
-    r = (r | r.T).astype(np.uint8)
-    f = sc.expand(sc.f_omega_tr_omega(r))
-    assert np.array_equal(f[:6, :6], np.eye(6, dtype=np.uint8))
-    assert np.array_equal(f[6:, :6], r)
-    assert not f[:6, 6:].any()
 
 
 def test_factor_constructors_validate():

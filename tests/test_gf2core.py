@@ -35,6 +35,51 @@ def test_symplectic_inner_published_pair():
     assert sc.symplectic_inner(u1, v1) == 1
 
 
+@st.composite
+def gf2_rows(draw, rows, cols):
+    data = draw(st.lists(st.integers(0, 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(data, dtype=np.uint8).reshape(rows, cols)
+
+
+@st.composite
+def row_pair(draw):
+    two_m = 2 * draw(st.integers(1, 32))
+    return (draw(gf2_rows(draw(st.integers(0, 5)), two_m)),
+            draw(gf2_rows(draw(st.integers(0, 5)), two_m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_pair())
+def test_gram_entries_are_symplectic_inner_products(pair):
+    a, b = pair
+    m = a.shape[1] // 2
+    g = sc.gram(a, b)
+    assert g.shape == (a.shape[0], b.shape[0])
+    for i in range(a.shape[0]):
+        for j in range(b.shape[0]):
+            by_hand = (int(a[i, :m] @ b[j, m:]) + int(a[i, m:] @ b[j, :m])) % 2
+            assert g[i, j] == by_hand == sc.symplectic_inner(a[i], b[j])
+    assert np.array_equal(sc.gram(a), sc.gram(a, a))
+
+
+@st.composite
+def square_or_symplectic(draw):
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(gf2_rows(2 * m, 2 * m))
+    f = np.eye(2 * m, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 6))):
+        f = sc.mul(f, sc.transvection_matrix(draw(gf2_rows(1, 2 * m))))
+    return f
+
+
+@settings(max_examples=80, deadline=None)
+@given(square_or_symplectic())
+def test_is_symplectic_matches_the_defining_product(f):
+    w = sc.omega(f.shape[0] // 2)
+    assert sc.is_symplectic(f) == np.array_equal(sc.mul(f, w, f.T), w)
+
+
 def test_rank_identity():
     assert sc.rank(np.eye(4, dtype=np.uint8)) == 4
 

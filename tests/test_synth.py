@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympcliff as sc
 from sympcliff import synth
@@ -66,6 +68,15 @@ def test_build_system_rejects_commutation_change(code642):
     spec = sc.CliffordSpec(images_x={1: sc.from_label("ZIIIII")})
     with pytest.raises(sc.InfeasibleError):
         sc.build_system(code642, spec)
+
+
+def test_build_system_names_the_first_bad_pair_in_constraint_order(code642):
+    # Z1 -> IIIIIZ breaks its relations with X1 and with S1; the constraint
+    # order (logical X, stabilizers, logical Z) puts X1 first
+    spec = sc.CliffordSpec(images_z={1: sc.from_label("IIIIIZ")})
+    with pytest.raises(sc.InfeasibleError) as err:
+        sc.build_system(code642, spec)
+    assert str(err.value) == "images of X1 and Z1 change their commutation relation"
 
 
 def test_build_system_rows_and_roles(code642):
@@ -309,3 +320,32 @@ def test_over_cap_is_refused_before_enumerating(mode, monkeypatch):
     monkeypatch.setattr(synth, "enumerate_all", refuse)
     with pytest.raises(ValueError, match="exceeds cap"):
         sc.synthesize(hamming7, sc.CliffordSpec(), mode=mode)
+
+
+def _random_symplectic(rng, m):
+    f = np.eye(2 * m, dtype=np.uint8)
+    for _ in range(2 * m + 2):
+        f = sc.mul(f, sc.transvection_matrix(rng.integers(0, 2, 2 * m, dtype=np.uint8)))
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 32), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_random_code_from_a_symplectic_basis_always_verifies(m, share, seed):
+    """Rows u_1..u_m, v_1..v_m of a random symplectic matrix give a code:
+    the last k u rows stabilize, the other pairs are logical X and Z.  A
+    random logical Clifford with random signs must give a verified circuit."""
+    rng = np.random.default_rng(seed)
+    k = round(share * m)
+    n = m - k
+    basis = _random_symplectic(rng, m)
+    lx, stabs, lz = basis[:n], basis[n:m], basis[m:m + n]
+    code = sc.make_code(m, [sc.from_gamma(r) for r in stabs],
+                        [sc.from_gamma(r) for r in lx], [sc.from_gamma(r) for r in lz])
+    images = sc.mul(_random_symplectic(rng, n), np.vstack([lx, lz])) if n else []
+    signs = rng.integers(0, 2, 2 * n) * 2
+    spec = sc.CliffordSpec(
+        images_x={i + 1: sc.from_gamma(images[i], signs[i]) for i in range(n)},
+        images_z={i + 1: sc.from_gamma(images[n + i], signs[n + i]) for i in range(n)})
+    f = sc.find_symplectic(sc.build_system(code, spec))
+    assert sc.realize(code, spec, f).report.passed

@@ -107,6 +107,8 @@ def parse(text: str, m: int | None = None) -> Circuit:
     if header_m is None and m is None:
         raise ParseError("qubit count unknown: no header and no m argument")
     use_m = header_m if header_m is not None else m
+    if use_m < 1:
+        raise ParseError("qubit count must be at least 1, got %d" % use_m)
     try:
         return circuit(use_m, gates)
     except ValueError as exc:

@@ -268,6 +268,8 @@ def load_code(text: str) -> StabilizerCode:
         try:
             if toks[0] == "qubits":
                 m = int(toks[1])
+                if m < 1:
+                    raise ParseError("qubit count must be at least 1, got %d" % m)
             elif toks[0] == "stabilizer":
                 stabs.append(from_label(toks[1], m))
             elif toks[0] in ("logicalX", "logicalZ"):
@@ -284,7 +286,8 @@ def load_code(text: str) -> StabilizerCode:
         raise ParseError("missing qubits line")
     n = m - len(stabs)
     for name, d in (("logicalX", lx), ("logicalZ", lz)):
-        if sorted(d) != list(range(1, n + 1)):
+        # lengths first: n comes from the file and may be huge
+        if len(d) != n or sorted(d) != list(range(1, n + 1)):
             raise ParseError("%s indices must be exactly 1..%d" % (name, n))
     try:
         return make_code(m, stabs, [lx[i] for i in range(1, n + 1)],

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gf2core import (InfeasibleError, asbits, coset_leader, eye, gram, invert,
-                      mul, omega, rank, solve_linear, symplectic_gram_schmidt,
-                      symplectic_inner, zeros)
+                      mul, omega, rank, solve_linear, sp_group_order,
+                      symplectic_gram_schmidt, symplectic_inner, zeros)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -68,15 +68,13 @@ def _choose_w(xt: np.ndarray, y: np.ndarray, prev_ys: list[np.ndarray]) -> np.nd
 class SymplecticSystem:
     """Constraints x_i F = y_i over Sp(2m, F2).
 
-    basis_roles optionally names the hyperbolic-basis slot of each source
-    vector as ("u", i) or ("v", i) with 1-based i; when omitted, roles are
-    inferred from the symplectic Gram pattern of the sources.
+    The hyperbolic-basis slot of each source vector is inferred from the
+    symplectic Gram pattern of the sources, in the given order.
     """
 
     m: int
     xs: list[np.ndarray] = field(default_factory=list)
     ys: list[np.ndarray] = field(default_factory=list)
-    basis_roles: list[tuple[str, int]] | None = None
 
     def __post_init__(self):
         self.xs = [asbits(x).ravel() for x in self.xs]
@@ -86,16 +84,6 @@ class SymplecticSystem:
         for v in self.xs + self.ys:
             if v.shape != (2 * self.m,):
                 raise ValueError("constraint vectors must have length 2m")
-        if self.basis_roles is not None:
-            if len(self.basis_roles) != len(self.xs):
-                raise ValueError("basis_roles length mismatch")
-            seen = set()
-            for side, slot in self.basis_roles:
-                if side not in ("u", "v") or not 1 <= slot <= self.m:
-                    raise ValueError("bad basis role (%r, %r)" % (side, slot))
-                if (side, slot) in seen:
-                    raise ValueError("duplicate basis role (%r, %r)" % (side, slot))
-                seen.add((side, slot))
 
     def __len__(self):
         return len(self.xs)
@@ -145,59 +133,34 @@ def find_symplectic(system: SymplecticSystem, return_transvections: bool = False
     return f
 
 
-def _seed_order(system: SymplecticSystem) -> tuple[list[np.ndarray], list[int]]:
-    """Sources ordered for basis completion, plus for each its original index.
-
-    With explicit roles, order is by slot with the u side first; otherwise the
-    given order stands.
-    """
-    idx = list(range(len(system)))
-    if system.basis_roles is not None:
-        idx.sort(key=lambda i: (system.basis_roles[i][1],
-                                system.basis_roles[i][0] != "u"))
-    return [system.xs[i] for i in idx], idx
-
-
-def _basis_for(system: SymplecticSystem) -> np.ndarray:
-    """A full hyperbolic basis (rows u_1..u_m, v_1..v_m) containing every x_i."""
-    seeds, idx = _seed_order(system)
-    pairs = symplectic_gram_schmidt(seeds, m=system.m)
-    if system.basis_roles is not None:
-        # a slot whose only constrained side is v came out of completion with
-        # the seed on the u side; flip it back
-        by_slot: dict[int, set[str]] = {}
-        for side, slot in system.basis_roles:
-            by_slot.setdefault(slot, set()).add(side)
-        slot_keys = sorted(by_slot)
-        for pos, slot in enumerate(slot_keys):
-            if by_slot[slot] == {"v"}:
-                pairs[pos] = (pairs[pos][1], pairs[pos][0])
-    return np.vstack([p[0] for p in pairs] + [p[1] for p in pairs])
-
-
-def iter_all(system: SymplecticSystem):
-    """Yield every F in Sp(2m, F2) satisfying the system, depth first.
-
-    Sources are embedded in a hyperbolic basis; each basis row not pinned by a
-    constraint ranges over the affine set allowed by the rows already chosen.
-    Branches whose affine system turns inconsistent are pruned, which is what
-    keeps the sweep exact when a slot is free on both sides (a naive
-    2^{alpha(alpha+1)/2} count overshoots there: for m = 2 with only
-    u1 -> u1, v1 -> v1 pinned, 6 solutions exist, not 8).
-    """
+def _frame(system: SymplecticSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One solution f0, a full hyperbolic basis (rows u_1..u_m, v_1..v_m)
+    containing every x_i, and which basis rows the constraints pin."""
     f0 = find_symplectic(system)
-    basis = _basis_for(system)
-    two_m = 2 * system.m
-    w_form = omega(system.m)
-    basis_inv = invert(basis)
-    a = mul(basis, f0)
-
+    pairs = symplectic_gram_schmidt(system.xs, m=system.m)
+    basis = np.vstack([p[0] for p in pairs] + [p[1] for p in pairs])
     hits = (_matrices(system)[0][:, None] == basis).all(axis=2)
     if (hits.sum(axis=1) != 1).any():
         raise RuntimeError("a source vector is not exactly one basis row")
-    pinned = hits.any(axis=0)
-    free_rows = [r for r in range(two_m) if not pinned[r]]
+    return f0, basis, hits.any(axis=0)
 
+
+def _count(pinned: np.ndarray) -> int:
+    """Solution count from the pinned basis rows: with alpha slots free on
+    both sides and h slots with one side pinned, |Sp(2 alpha)| times
+    2^(h(h+1)/2 + 2 alpha h)."""
+    m = pinned.shape[0] // 2
+    sides = pinned[:m].astype(int) + pinned[m:]
+    alpha, h = int((sides == 0).sum()), int((sides == 1).sum())
+    return sp_group_order(alpha) << (h * (h + 1) // 2 + 2 * alpha * h)
+
+
+def _sweep(f0: np.ndarray, basis: np.ndarray, pinned: np.ndarray):
+    two_m = basis.shape[0]
+    w_form = omega(two_m // 2)
+    basis_inv = invert(basis)
+    a = mul(basis, f0)
+    free_rows = [r for r in range(two_m) if not pinned[r]]
     b = a.copy()
 
     def rec(pos: int):
@@ -229,12 +192,23 @@ def iter_all(system: SymplecticSystem):
     yield from rec(0)
 
 
+def iter_all(system: SymplecticSystem):
+    """Yield every F in Sp(2m, F2) satisfying the system, depth first.
+
+    Sources are embedded in a hyperbolic basis; each basis row not pinned by a
+    constraint ranges over the affine set allowed by the rows already chosen.
+    Branches whose affine system turns inconsistent are pruned, which is what
+    keeps the sweep exact when a slot is free on both sides (a naive
+    2^{alpha(alpha+1)/2} count overshoots there: for m = 2 with only
+    u1 -> u1, v1 -> v1 pinned, 6 solutions exist, not 8).
+    """
+    yield from _sweep(*_frame(system))
+
+
 def enumerate_all(system: SymplecticSystem, cap: int = 1 << 20) -> list[np.ndarray]:
-    """All solutions, materialized.  Raises when the count exceeds cap
-    (use iter_all to stream beyond)."""
-    out = []
-    for f in iter_all(system):
-        out.append(f)
-        if len(out) > cap:
-            raise ValueError("solution count exceeds cap %d" % cap)
-    return out
+    """All solutions, materialized.  Raises before enumerating anything when
+    the count exceeds cap (use iter_all to stream beyond)."""
+    frame = _frame(system)
+    if _count(frame[2]) > cap:
+        raise ValueError("solution count exceeds cap %d" % cap)
+    return list(_sweep(*frame))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .codes import (StabilizerCode, _gamma_rows, logical_x_gamma, logical_z_gamm
                     stab_gamma)
 from .decompose import ElementaryFactor, decompose, factors_to_circuit
 from .gf2core import (InfeasibleError, ParseError, coset_leader, gram,
-                      is_symplectic, mul, omega, rank, solve_linear)
+                      is_symplectic, mul, omega, rank, solve_linear, zeros)
 from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
                     to_label)
-from .sympsolve import SymplecticSystem, enumerate_all, find_symplectic, iter_all
+from .sympsolve import SymplecticSystem, find_symplectic
 from .verify import ConjugationReport, conjugate_many, expected_images, verify_solution
 
 POLICIES = ("centralize", "normalize")
@@ -99,15 +99,11 @@ def _check_spec(code: StabilizerCode, spec: CliffordSpec) -> None:
                     "generator product is %s" % (j, to_label(target), want))
 
 
-def _layout(lx: list, stabs: list, lz: list) -> tuple[list, list[tuple[str, int]]]:
-    """Constraint order (logical X, stabilizers, logical Z) and the hyperbolic
-    basis role of each entry: logical pair i fills slot i, and stabilizer j
-    the u side of slot n + j."""
-    n, k = len(lx), len(stabs)
-    roles = ([("u", i) for i in range(1, n + 1)]
-             + [("u", n + j) for j in range(1, k + 1)]
-             + [("v", i) for i in range(1, n + 1)])
-    return list(lx) + list(stabs) + list(lz), roles
+def _layout(lx: list, stabs: list, lz: list) -> list:
+    """Constraint order: logical X, stabilizers, logical Z.  Basis completion
+    then puts logical pair i in slot i and stabilizer j on the u side of
+    slot n + j."""
+    return list(lx) + list(stabs) + list(lz)
 
 
 def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
@@ -121,7 +117,7 @@ def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
     _check_spec(code, spec)
     n, k = code.n_logical, code.k
     rows = expected_images(code, spec)
-    ordered, roles = _layout(rows[k:k + n], rows[:k], rows[k + n:])
+    ordered = _layout(rows[k:k + n], rows[:k], rows[k + n:])
     xs = _gamma_rows([given for _, given, _ in ordered], code.m)
     ys = _gamma_rows([want for _, _, want in ordered], code.m)
     bad = np.argwhere(np.triu(gram(xs) != gram(ys), 1))
@@ -129,7 +125,7 @@ def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
         i, j = bad[0]
         raise InfeasibleError("images of %s and %s change their commutation "
                               "relation" % (ordered[i][0], ordered[j][0]))
-    return SymplecticSystem(code.m, list(xs), list(ys), roles)
+    return SymplecticSystem(code.m, list(xs), list(ys))
 
 
 def fix_signs(code: StabilizerCode, spec: CliffordSpec,
@@ -191,10 +187,6 @@ def realize(code: StabilizerCode, spec: CliffordSpec, f: np.ndarray,
                            report=report)
 
 
-def _realize_star(args):
-    return realize(*args)
-
-
 def solution_count(code: StabilizerCode) -> int:
     """Number of symplectic solutions for any operator spec on the code.
 
@@ -204,6 +196,27 @@ def solution_count(code: StabilizerCode) -> int:
     either policy.
     """
     return 1 << (code.k * (code.k + 1) // 2)
+
+
+def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
+    """Solutions start..stop-1 of the code's system in closed form.
+
+    Every solution is (I + Omega Sg^T S Sg) f0 for one symmetric k x k
+    binary S (Sg = stab_gamma(code), f0 any solution): the shift is
+    symplectic because the stabilizers commute, fixes every source row
+    because each commutes with every stabilizer, and is distinct for
+    distinct S.  Index i sets the upper triangle of S, row-major, from its
+    bits, most significant first; index 0 is S = 0, which gives f0.
+    """
+    sg = stab_gamma(code)
+    k = code.k
+    left = mul(omega(code.m), sg.T)
+    right = mul(sg, f0)
+    rows, cols = np.triu_indices(k)
+    for i in range(start, stop):
+        s = zeros((k, k))
+        s[rows, cols] = [(i >> b) & 1 for b in reversed(range(rows.size))]
+        yield f0 ^ mul(left, s | s.T, right)
 
 
 def _min_depth_key(circ: Circuit):
@@ -230,9 +243,18 @@ def _rank(code: StabilizerCode, spec: CliffordSpec, fs):
     return best
 
 
-def _rank_range(code: StabilizerCode, spec: CliffordSpec, start: int, stop: int):
-    """_rank over solutions start..stop-1 in iter_all order (one worker's share)."""
-    return _rank(code, spec, islice(iter_all(build_system(code, spec)), start, stop))
+def _rank_range(code: StabilizerCode, spec: CliffordSpec, f0: np.ndarray,
+                start: int, stop: int):
+    """_rank over solutions start..stop-1 (one worker's share)."""
+    return _rank(code, spec, _solutions(code, f0, start, stop))
+
+
+def _map(jobs: int, fn, *args) -> list:
+    """list(map(fn, *args)), over jobs worker processes when jobs > 1."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            return list(ex.map(fn, *args))
+    return list(map(fn, *args))
 
 
 def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
@@ -240,12 +262,15 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
                dense_check: bool = False) -> list[SynthesisResult]:
     """All verified circuit solutions ("all"), or the best one ("min_depth").
 
+    The solutions are f0 = find_symplectic(build_system(code, spec)) shifted
+    in closed form by every symmetric k x k binary S (see _solutions);
+    "all" lists them in S-index order, so the first result is f0.
     min_depth ranks by depth, then gate count, then serialized text, so the
     choice is a deterministic function of the solution set.  It streams the
     solutions: each is factored into an unsigned circuit, only contenders for
     the minimum are sign-fixed, and only the returned circuit is realized
     with its final correction and verified.  With jobs > 1 each worker ranks
-    one contiguous range of solutions.  Raises ValueError before enumerating
+    one contiguous range of S indices.  Raises ValueError before enumerating
     anything when the solution count exceeds cap.
     """
     if mode not in ("all", "min_depth"):
@@ -254,20 +279,14 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     count = solution_count(code)
     if count > cap:
         raise ValueError("solution count exceeds cap %d" % cap)
+    f0 = find_symplectic(system)
     if mode == "all":
-        tasks = [(code, spec, f, dense_check)
-                 for f in enumerate_all(system, cap=cap)]
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                return list(ex.map(_realize_star, tasks))
-        return [realize(*t) for t in tasks]
-    if jobs > 1:
-        cuts = [count * i // jobs for i in range(jobs + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            ranked = list(ex.map(_rank_range, repeat(code), repeat(spec),
-                                 cuts[:-1], cuts[1:]))
-    else:
-        ranked = [_rank(code, spec, iter_all(system))]
+        return _map(jobs, realize, repeat(code), repeat(spec),
+                    _solutions(code, f0, 0, count), repeat(dense_check))
+    parts = max(jobs, 1)
+    cuts = [count * i // parts for i in range(parts + 1)]
+    ranked = _map(jobs, _rank_range, repeat(code), repeat(spec), repeat(f0),
+                  cuts[:-1], cuts[1:])
     _, best_f = min((r for r in ranked if r is not None), key=lambda r: r[0])
     return [realize(code, spec, best_f, dense_check)]
 
@@ -296,9 +315,8 @@ def normalizer_to_centralizer(code: StabilizerCode, f_n: np.ndarray) -> np.ndarr
     if rank(kmat) != k:
         raise ValueError("stabilizer image map is not invertible")
     lx, lz = logical_x_gamma(code), logical_z_gamma(code)
-    xs, roles = _layout(lx, sg, lz)
-    ys, _ = _layout(lx, mul(kmat, sg), lz)
-    h = find_symplectic(SymplecticSystem(code.m, xs, ys, roles))
+    h = find_symplectic(SymplecticSystem(code.m, _layout(lx, sg, lz),
+                                         _layout(lx, mul(kmat, sg), lz)))
     return mul(h, f_n)
 
 

@@ -90,6 +90,12 @@ def test_parse_header_mismatch():
         sc.parse("qubits 3\nH 1\n", m=4)
 
 
+def test_parse_rejects_a_qubit_count_below_one():
+    for text, m in (("qubits -3\n", None), ("qubits 0\n", None), ("", -3)):
+        with pytest.raises(sc.ParseError, match="at least 1"):
+            sc.parse(text, m)
+
+
 def test_parse_reports_line_number():
     with pytest.raises(sc.ParseError) as err:
         sc.parse("qubits 3\nH 1\nFLIP 2\n")

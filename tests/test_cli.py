@@ -23,6 +23,16 @@ def test_info_five_qubit_code(capsys):
         "m=5 k=4 logical=1 solutions-per-operator=1024\n"
 
 
+@pytest.mark.parametrize("count", [10**20, -3])
+def test_info_rejects_impossible_qubit_counts(count, tmp_path, capsys):
+    path = tmp_path / "bad.code"
+    path.write_text("qubits %d\n" % count)
+    assert main(["info", "--code", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_synth_min_depth_writes_one_file(tmp_path, capsys):
     rc = main(["synth", "--code", CODE642,
                "--spec", str(FIXTURES / "phase1.spec"), "--out", str(tmp_path)])

@@ -173,6 +173,12 @@ def test_load_requires_complete_logical_indices():
         sc.load_code(text)
 
 
+@pytest.mark.parametrize("count", [10**20, -3, 0])
+def test_load_rejects_impossible_qubit_counts(count):
+    with pytest.raises(sc.ParseError):
+        sc.load_code("qubits %d\n" % count)
+
+
 def test_gamma_row_helpers(code642):
     sg = sc.stab_gamma(code642)
     assert sg.shape == (2, 12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sympcliff as sc
+from sympcliff import sympsolve
 from helpers import as_set, golden_solution_sets
 
 
@@ -148,16 +149,28 @@ def test_enumerate_matches_brute_force_on_random_systems(sp4):
         take = sorted(rng.choice(4, size=int(rng.integers(0, 5)), replace=False))
         xs = [basis[i] for i in take]
         ys = [sc.mul(x.reshape(1, -1), fstar).ravel() for x in xs]
-        sols = sc.enumerate_all(sc.SymplecticSystem(2, xs, ys))
+        system = sc.SymplecticSystem(2, xs, ys)
+        sols = sc.enumerate_all(system)
         brute = [f for f in sp4
                  if all(np.array_equal(sc.mul(x.reshape(1, -1), f).ravel(), y)
                         for x, y in zip(xs, ys))]
         assert as_set(sols) == as_set(brute)
+        assert sympsolve._count(sympsolve._frame(system)[2]) == len(brute)
 
 
 def test_enumerate_respects_cap():
     with pytest.raises(ValueError):
         sc.enumerate_all(sc.SymplecticSystem(2, [], []), cap=100)
+
+
+def test_enumerate_refuses_before_walking(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(sympsolve, "_sweep", refuse)
+    # |Sp(6, F2)| = 1,451,520 solutions
+    with pytest.raises(ValueError, match="exceeds cap"):
+        sc.enumerate_all(sc.SymplecticSystem(3, [], []))
 
 
 def test_iter_all_is_lazy_and_consistent():
@@ -175,11 +188,6 @@ def test_system_validation_errors():
         sc.SymplecticSystem(2, [e[0]], [])
     with pytest.raises(ValueError):
         sc.SymplecticSystem(2, [e[0][:3]], [e[0][:3]])
-    with pytest.raises(ValueError):
-        sc.SymplecticSystem(2, [e[0]], [e[0]], [("u", 3)])
-    with pytest.raises(ValueError):
-        sc.SymplecticSystem(2, [e[0], e[1]], [e[0], e[1]],
-                            [("u", 1), ("u", 1)])
 
 
 def test_golden_phase_system_solution_set(code642):

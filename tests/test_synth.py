@@ -79,11 +79,8 @@ def test_build_system_names_the_first_bad_pair_in_constraint_order(code642):
     assert str(err.value) == "images of X1 and Z1 change their commutation relation"
 
 
-def test_build_system_rows_and_roles(code642):
+def test_build_system_rows(code642):
     system = sc.build_system(code642, _spec("phase1"))
-    assert system.basis_roles == (
-        [("u", i) for i in range(1, 5)] + [("u", 5), ("u", 6)]
-        + [("v", i) for i in range(1, 5)])
     pairs = {(x.tobytes(), y.tobytes()) for x, y in zip(system.xs, system.ys)}
     src = sc.gamma(sc.from_label("XXIIII"))
     dst = sc.gamma(sc.from_label("XYIIIZ"))
@@ -96,6 +93,23 @@ def test_golden_solution_sets(code642):
         assert len(results) == 8
         assert as_set([r.f for r in results]) == as_set(want)
         assert all(r.report.passed for r in results)
+
+
+@pytest.mark.parametrize("name", ["phase1", "cz12", "cnot21", "hadamard1", "swapxz"])
+def test_all_mode_lists_the_closed_form_from_find_symplectic(code642, name):
+    spec = _spec(name)
+    system = sc.build_system(code642, spec)
+    f0 = sc.find_symplectic(system)
+    sg = sc.stab_gamma(code642)
+    # index bits, most significant first, set S[0,0], S[0,1] = S[1,0], S[1,1]
+    want = []
+    for i in range(8):
+        s = np.array([[i >> 2 & 1, i >> 1 & 1], [i >> 1 & 1, i & 1]], np.uint8)
+        want.append(f0 ^ sc.mul(sc.omega(6), sg.T, s, sg, f0))
+    results = sc.synthesize(code642, spec, mode="all")
+    assert np.array_equal(results[0].f, f0)
+    assert [r.f.tolist() for r in results] == [f.tolist() for f in want]
+    assert as_set(want) == as_set(sc.iter_all(system))
 
 
 def test_identity_spec_contains_identity_solution(code642):
@@ -316,8 +330,7 @@ def test_over_cap_is_refused_before_enumerating(mode, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(synth, "iter_all", refuse)
-    monkeypatch.setattr(synth, "enumerate_all", refuse)
+    monkeypatch.setattr(synth, "_solutions", refuse)
     with pytest.raises(ValueError, match="exceeds cap"):
         sc.synthesize(hamming7, sc.CliffordSpec(), mode=mode)
 
@@ -329,14 +342,12 @@ def _random_symplectic(rng, m):
     return f
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 32), st.floats(0, 1), st.integers(0, 2**32 - 1))
-def test_random_code_from_a_symplectic_basis_always_verifies(m, share, seed):
+def _random_code_and_spec(rng, m, k, normalize=False):
     """Rows u_1..u_m, v_1..v_m of a random symplectic matrix give a code:
-    the last k u rows stabilize, the other pairs are logical X and Z.  A
-    random logical Clifford with random signs must give a verified circuit."""
-    rng = np.random.default_rng(seed)
-    k = round(share * m)
+    the last k u rows stabilize, the other pairs are logical X and Z.  The
+    spec is a random logical Clifford with random signs; under normalize it
+    also sends each generator to a product of generators, through a random
+    invertible k x k matrix."""
     n = m - k
     basis = _random_symplectic(rng, m)
     lx, stabs, lz = basis[:n], basis[n:m], basis[m:m + n]
@@ -344,8 +355,44 @@ def test_random_code_from_a_symplectic_basis_always_verifies(m, share, seed):
                         [sc.from_gamma(r) for r in lx], [sc.from_gamma(r) for r in lz])
     images = sc.mul(_random_symplectic(rng, n), np.vstack([lx, lz])) if n else []
     signs = rng.integers(0, 2, 2 * n) * 2
+    stab_images = {}
+    if normalize and k:
+        mix = np.zeros((k, k), dtype=np.uint8)
+        while sc.rank(mix) < k:
+            mix = rng.integers(0, 2, (k, k), dtype=np.uint8)
+        for j in range(k):
+            prod = None
+            for l in np.flatnonzero(mix[j]):
+                s = code.stabilizers[l]
+                prod = s if prod is None else sc.multiply(prod, s)
+            stab_images[j + 1] = prod
     spec = sc.CliffordSpec(
         images_x={i + 1: sc.from_gamma(images[i], signs[i]) for i in range(n)},
-        images_z={i + 1: sc.from_gamma(images[n + i], signs[n + i]) for i in range(n)})
+        images_z={i + 1: sc.from_gamma(images[n + i], signs[n + i]) for i in range(n)},
+        stab_images=stab_images, policy="normalize" if normalize else "centralize")
+    return code, spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 32), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_random_code_from_a_symplectic_basis_always_verifies(m, share, seed):
+    """A random logical Clifford on a random code must give a verified circuit."""
+    code, spec = _random_code_and_spec(np.random.default_rng(seed), m, round(share * m))
     f = sc.find_symplectic(sc.build_system(code, spec))
     assert sc.realize(code, spec, f).report.passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_closed_form_solutions_are_the_iter_all_set(m, k, normalize, seed):
+    code, spec = _random_code_and_spec(np.random.default_rng(seed), m, min(k, m),
+                                       normalize)
+    system = sc.build_system(code, spec)
+    f0 = sc.find_symplectic(system)
+    count = sc.solution_count(code)
+    closed = list(synth._solutions(code, f0, 0, count))
+    assert np.array_equal(closed[0], f0)
+    assert len(as_set(closed)) == count
+    assert as_set(closed) == as_set(sc.iter_all(system))
+    tail = list(synth._solutions(code, f0, 1, count))
+    assert [f.tobytes() for f in tail] == [f.tobytes() for f in closed[1:]]

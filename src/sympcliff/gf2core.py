@@ -1,11 +1,20 @@
 """Dense linear algebra over GF(2) and the binary symplectic group Sp(2m, F2).
 
 Vectors are rows and matrices act on the right (x -> x @ F), so row i of a
-matrix is the image of basis vector e_i.  Entries live in numpy uint8 arrays
-holding 0/1; phase bookkeeping never touches this module.
+matrix is the image of basis vector e_i.  Every function takes and returns
+numpy uint8 arrays holding 0/1; phase bookkeeping never touches this module.
+
+Inside the elimination kernels (rref, rank, invert, nullspace, solve_linear,
+coset_leader, lex_min_nonzero, lu_decompose) each row is packed into one
+Python int, bit c holding column c, so a row operation is one integer XOR,
+as in the packed tableau rows of CHP and Stim.  Products (mul) run in float64
+through BLAS.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -39,11 +48,17 @@ def eye(n: int) -> np.ndarray:
 
 
 def mul(*mats) -> np.ndarray:
-    """Product of GF(2) matrices, left to right."""
-    out = np.asarray(mats[0], dtype=np.int64)
+    """Product of GF(2) matrices, left to right.
+
+    Each operand is reduced mod 2 and multiplied in float64 through BLAS.
+    That is exact: every entry of a product of 0/1 matrices is an integer
+    no larger than the inner dimension, far below 2^53.  The parity is then
+    taken on int64, where it is cheaper than a float remainder.
+    """
+    out = asbits(mats[0])
     for m in mats[1:]:
-        out = out @ np.asarray(m, dtype=np.int64)
-        out %= 2
+        prod = out.astype(np.float64) @ asbits(m).astype(np.float64)
+        out = prod.astype(np.int64) & 1
     return out.astype(np.uint8)
 
 
@@ -80,39 +95,70 @@ def is_symplectic(f) -> bool:
     return bool(np.array_equal(gram(f), omega(f.shape[0] // 2)))
 
 
+def _pack(m: np.ndarray) -> list[int]:
+    """Rows of a 2-D 0/1 uint8 array as ints, bit c holding column c."""
+    rows, cols = m.shape
+    nb = (cols + 7) // 8
+    if not nb:
+        return [0] * rows
+    buf = np.packbits(m, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i:i + nb], "little") for i in range(0, rows * nb, nb)]
+
+
+def _unpack(rows: list[int], cols: int) -> np.ndarray:
+    """Inverse of _pack: a (len(rows), cols) uint8 array of bits 0..cols-1."""
+    nb = (cols + 7) // 8
+    buf = b"".join(r.to_bytes(nb, "little") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nb)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def _eliminate(rows: list[int], cols: int) -> list[int]:
+    """Gauss-Jordan elimination of packed rows, in place, on bits 0..cols-1.
+
+    The pivot for each column is the first row at or below the current one
+    with a 1 there.  Bits from cols up ride along with every row operation,
+    so a caller that puts the identity there reads the transform T back.
+    Returns the pivot columns in ascending order.
+    """
+    mask = (1 << cols) - 1
+    pivots: list[int] = []
+    for pr in range(len(rows)):
+        # rows from pr on are zero left of the next pivot column, so the
+        # lowest bit of their union is that column
+        below = reduce(or_, rows[pr:]) & mask
+        if not below:
+            break
+        bit = below & -below
+        piv = pr
+        while not rows[piv] & bit:
+            piv += 1
+        p = rows[piv]
+        rows[piv] = rows[pr]
+        rows[:] = [r ^ p if r & bit else r for r in rows]
+        rows[pr] = p
+        pivots.append(bit.bit_length() - 1)
+    return pivots
+
+
 def rref(m_in) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Reduced row echelon form.
 
     Returns (R, pivots, T) with T @ m_in = R, T invertible, and pivots the
     pivot column indices in ascending order.
     """
-    r = asbits(m_in).copy()
-    rows, cols = r.shape
-    t = eye(rows)
-    pivots: list[int] = []
-    pr = 0
-    for c in range(cols):
-        if pr == rows:
-            break
-        hit = np.nonzero(r[pr:, c])[0]
-        if hit.size == 0:
-            continue
-        piv = pr + int(hit[0])
-        if piv != pr:
-            r[[pr, piv]] = r[[piv, pr]]
-            t[[pr, piv]] = t[[piv, pr]]
-        sel = r[:, c].astype(bool).copy()
-        sel[pr] = False
-        if sel.any():
-            r[sel] ^= r[pr]
-            t[sel] ^= t[pr]
-        pivots.append(c)
-        pr += 1
-    return r, pivots, t
+    m = asbits(m_in)
+    rows, cols = m.shape
+    packed = [r | 1 << (cols + i) for i, r in enumerate(_pack(m))]
+    pivots = _eliminate(packed, cols)
+    mask = (1 << cols) - 1
+    return (_unpack([r & mask for r in packed], cols), pivots,
+            _unpack([r >> cols for r in packed], rows))
 
 
 def rank(m_in) -> int:
-    return len(rref(m_in)[1])
+    m = asbits(m_in)
+    return len(_eliminate(_pack(m), m.shape[1]))
 
 
 def invert(m_in) -> np.ndarray:
@@ -121,29 +167,30 @@ def invert(m_in) -> np.ndarray:
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise SingularMatrixError("matrix is not square")
-    r, pivots, t = rref(m)
-    if len(pivots) != n:
+    packed = [r | 1 << (n + i) for i, r in enumerate(_pack(m))]
+    if len(_eliminate(packed, n)) != n:
         raise SingularMatrixError("matrix is singular over GF(2)")
-    return t
+    return _unpack([r >> n for r in packed], n)
 
 
 def nullspace(m_in) -> np.ndarray:
     """Right nullspace basis {x : M x^T = 0}, rows in reduced echelon form.
 
-    Shape is (d, cols); d may be zero.
+    Shape is (d, cols); d may be zero.  Eliminating with the columns in
+    reverse order makes each reduced row's pivot its last 1.  Every other
+    column f then gives the vector e_f plus the pivots of the rows with a 1
+    at f, all right of f, so these vectors by ascending f are already the
+    reduced echelon form.
     """
     m = asbits(m_in)
     cols = m.shape[1]
-    r, pivots, _ = rref(m)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    rev = _pack(m[:, ::-1])  # bit g holds column cols - 1 - g
+    pivots = _eliminate(rev, cols)
+    free = sorted(set(range(cols)).difference(pivots))
     basis = zeros((len(free), cols))
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for row, c in enumerate(pivots):
-            basis[i, c] = r[row, f]
-    if len(free) > 1:
-        basis = rref(basis)[0]
-    return basis
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = _unpack(rev[:len(pivots)], cols)[:, free].T
+    return basis[::-1, ::-1].copy()
 
 
 def solve_linear(m_in, rhs) -> tuple[np.ndarray, np.ndarray] | None:
@@ -158,13 +205,14 @@ def solve_linear(m_in, rhs) -> tuple[np.ndarray, np.ndarray] | None:
     rows, cols = m.shape
     if b.shape[0] != rows:
         raise ValueError("rhs length does not match row count")
-    r, pivots, t = rref(m)
-    c = mul(t, b.reshape(-1, 1)).ravel()
-    if c[len(pivots):].any():
+    # rhs rides along as bit cols, where it ends up as T @ rhs
+    packed = [r | bi << cols for r, bi in zip(_pack(m), b.tolist())]
+    pivots = _eliminate(packed, cols)
+    if any(r >> cols for r in packed[len(pivots):]):
         return None
     x = zeros(cols)
     for row, pc in enumerate(pivots):
-        x[pc] = c[row]
+        x[pc] = packed[row] >> cols
     return x, nullspace(m)
 
 
@@ -175,13 +223,16 @@ def coset_leader(x, basis) -> np.ndarray:
     is optimal: any other coset element first differs from the result at its
     earliest flipped pivot, where it holds a 1.
     """
-    y = asbits(x).copy().ravel()
-    reduced = rref(asbits(basis))[0] if np.size(basis) else asbits(basis)
-    for row in reduced:
-        nz = np.nonzero(row)[0]
-        if nz.size and y[nz[0]]:
-            y ^= row
-    return y
+    y = asbits(x).ravel()
+    cols = y.shape[0]
+    acc = _pack(y.reshape(1, cols))[0]
+    if np.size(basis):
+        reduced = _pack(asbits(basis))
+        _eliminate(reduced, cols)
+        for r in reduced:
+            if acc & r & -r:
+                acc ^= r
+    return _unpack([acc], cols)[0]
 
 
 def lex_min_nonzero(basis) -> np.ndarray:
@@ -193,8 +244,10 @@ def lex_min_nonzero(basis) -> np.ndarray:
     b = asbits(basis)
     if b.shape[0] == 0 or not b.any():
         raise InfeasibleError("span is trivial")
-    reduced, pivots, _ = rref(b)
-    return reduced[len(pivots) - 1].copy()
+    cols = b.shape[1]
+    reduced = _pack(b)
+    pivots = _eliminate(reduced, cols)
+    return _unpack([reduced[len(pivots) - 1]], cols)[0]
 
 
 def lu_decompose(q_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -203,26 +256,26 @@ def lu_decompose(q_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (perm, L, U) with Q[perm, :] = L @ U, L unit lower triangular and
     U unit upper triangular (over GF(2) the pivots are all 1).
     """
-    a = asbits(q_in).copy()
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
+    q = asbits(q_in)
+    n = q.shape[0]
+    if q.ndim != 2 or q.shape[1] != n:
         raise SingularMatrixError("matrix is not square")
-    perm = np.arange(n)
+    a = _pack(q)
+    perm = list(range(n))
     for c in range(n):
-        hit = np.nonzero(a[c:, c])[0]
-        if hit.size == 0:
+        bit = 1 << c
+        piv = next((r for r in range(c, n) if a[r] & bit), None)
+        if piv is None:
             raise SingularMatrixError("matrix is singular over GF(2)")
-        piv = c + int(hit[0])
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            perm[[c, piv]] = perm[[piv, c]]
+        a[c], a[piv] = a[piv], a[c]
+        perm[c], perm[piv] = perm[piv], perm[c]
+        right = a[c] >> (c + 1) << (c + 1)
         for r in range(c + 1, n):
-            if a[r, c]:
-                a[r, c + 1:] ^= a[c, c + 1:]
-                # a[r, c] stays 1: it is the stored multiplier L[r, c]
-    low = np.tril(a, -1)
-    up = np.triu(a, 0)
-    return perm, (low ^ eye(n)), up
+            if a[r] & bit:
+                a[r] ^= right  # a[r] keeps bit c: the multiplier L[r, c]
+    low = [(a[r] & ((1 << r) - 1)) | 1 << r for r in range(n)]
+    up = [a[r] >> r << r for r in range(n)]
+    return np.array(perm, dtype=np.intp), _unpack(low, n), _unpack(up, n)
 
 
 def symplectic_gram_schmidt(seed, m: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -118,12 +118,15 @@ def find_symplectic(system: SymplecticSystem, return_transvections: bool = False
     InfeasibleError for dependent or inner-product-incompatible inputs.
     """
     _validate(system)
-    f = eye(2 * system.m)
+    m = system.m
+    f = eye(2 * m)
     hs: list[np.ndarray] = []
     for i in range(len(system)):
         xt = mul(system.xs[i].reshape(1, -1), f).ravel()
         for h in _step(xt, system.ys[i], system.ys[:i]):
-            f = mul(f, transvection_matrix(h))
+            # F F_h = F + (F Omega h^T) h, and Omega h^T is h with its
+            # halves swapped: a rank-1 update in place of a full product
+            f ^= mul(f, np.concatenate([h[m:], h[:m]]).reshape(-1, 1)) * h
             hs.append(h)
     xs, ys = _matrices(system)
     if not np.array_equal(mul(xs, f), ys):

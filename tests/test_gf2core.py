@@ -80,6 +80,12 @@ def test_is_symplectic_matches_the_defining_product(f):
     assert sc.is_symplectic(f) == np.array_equal(sc.mul(f, w, f.T), w)
 
 
+def test_mul_reduces_a_single_operand_mod_2():
+    out = sc.mul(np.array([[2, 3, 256, 257]]))
+    assert out.dtype == np.uint8
+    assert out.tolist() == [[0, 1, 0, 1]]
+
+
 def test_rank_identity():
     assert sc.rank(np.eye(4, dtype=np.uint8)) == 4
 

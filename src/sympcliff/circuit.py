@@ -115,15 +115,31 @@ def parse(text: str, m: int | None = None) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
+def _score(pairs) -> tuple[int, int]:
+    """(depth, gate count) of (kind, qubits) pairs in execution order.
+
+    Depth is the greedy stage count: a gate starts right after the latest
+    prior gate sharing one of its qubits (a PERMUTE lists, and so shares,
+    every qubit).  No commutation-based reordering.
+    """
+    stage: dict[int, int] = {}
+    get = stage.get
+    deepest = count = 0
+    for _, qs in pairs:
+        count += 1
+        s = 1
+        for q in qs:
+            t = get(q, 0)
+            if t >= s:
+                s = t + 1
+        for q in qs:
+            stage[q] = s
+        if s > deepest:
+            deepest = s
+    return deepest, count
+
+
 def depth(c: Circuit) -> int:
     """Greedy stage count: a gate starts right after the latest prior gate
     sharing one of its qubits.  No commutation-based reordering."""
-    stage: dict[int, int] = {}
-    deepest = 0
-    for g in c.gates:
-        qs = range(1, c.m + 1) if g.kind == "PERMUTE" else g.qubits
-        s = 1 + max((stage.get(q, 0) for q in qs), default=0)
-        for q in qs:
-            stage[q] = s
-        deepest = max(deepest, s)
-    return deepest
+    return _score((g.kind, g.qubits) for g in c.gates)[0]

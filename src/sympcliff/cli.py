@@ -119,9 +119,10 @@ def _cmd_decompose(args) -> int:
     circ = factors_to_circuit(factors, f.shape[0] // 2)
     kinds = " ".join(x.kind + ("(%d)" % x.k if x.k is not None else "")
                      for x in factors)
-    print("factors: %s" % (kinds or "(identity)"))
     if args.out:
         Path(args.out).write_text(save_circuit_text(circ))
+    print("factors: %s" % (kinds or "(identity)"))
+    if args.out:
         print("wrote %s" % args.out)
     else:
         sys.stdout.write(save_circuit_text(circ))
@@ -171,7 +172,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ParseError, InfeasibleError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, InfeasibleError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -8,13 +8,14 @@ Inside the elimination kernels (rref, rank, invert, nullspace, solve_linear,
 coset_leader, lex_min_nonzero, lu_decompose) each row is packed into one
 Python int, bit c holding column c, so a row operation is one integer XOR,
 as in the packed tableau rows of CHP and Stim.  Products (mul) run in float64
-through BLAS.
+through BLAS.  The private packed kernels (_eliminate, _inverse, _lu,
+_mul_rows, _transpose) also serve decompose's factoring core directly.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from operator import or_, xor
 
 import numpy as np
 
@@ -161,16 +162,55 @@ def rank(m_in) -> int:
     return len(_eliminate(_pack(m), m.shape[1]))
 
 
+def _inverse(rows: list[int], n: int) -> list[int]:
+    """Inverse of an n x n matrix of packed rows; raises SingularMatrixError."""
+    packed = [r | 1 << (n + i) for i, r in enumerate(rows)]
+    if len(_eliminate(packed, n)) != n:
+        raise SingularMatrixError("matrix is singular over GF(2)")
+    return [r >> n for r in packed]
+
+
+def _transpose(rows: list[int], cols: int) -> list[int]:
+    """Packed columns of packed rows: bit i of column c is bit c of row i."""
+    if not rows:
+        return [0] * cols
+    # zip reads the binary strings (row last to first, bit cols - 1 first)
+    # one character position, that is one column, at a time
+    fmt = "0%db" % cols
+    return [int("".join(t), 2)
+            for t in zip(*[format(r, fmt) for r in reversed(rows)])][::-1]
+
+
+def _mul_rows(xs: list[int], rows: list[int]) -> list[int]:
+    """Packed product X M: row i is the XOR of the rows of M at the set bits
+    of xs[i], which must lie below len(rows).
+
+    Each group of five rows of M gets a table of its 32 XOR combinations
+    (an all-zero group is skipped), so a product row costs one lookup per
+    five columns of X.  Five keeps a matrix of up to five rows to a single
+    table and, at 31 rows, balances building the tables against the
+    lookups.
+    """
+    out = None
+    for g in range(0, len(rows), 5):
+        group = rows[g:g + 5]
+        if not any(group):
+            continue
+        tab = [0]
+        for r in group:
+            tab += [v ^ r for v in tab]
+        part = [tab[x >> g & 31] for x in xs]
+        out = part if out is None else list(map(xor, out, part))
+    return [0] * len(xs) if out is None else out
+
+
 def invert(m_in) -> np.ndarray:
     """Inverse of a square GF(2) matrix; raises SingularMatrixError if singular."""
     m = asbits(m_in)
     n = m.shape[0]
     if m.ndim != 2 or m.shape[1] != n:
         raise SingularMatrixError("matrix is not square")
-    packed = [r | 1 << (n + i) for i, r in enumerate(_pack(m))]
-    if len(_eliminate(packed, n)) != n:
-        raise SingularMatrixError("matrix is singular over GF(2)")
-    return _unpack([r >> n for r in packed], n)
+    return _unpack(_inverse(_pack(m), n), n)
 
 
 def nullspace(m_in) -> np.ndarray:
@@ -250,17 +290,12 @@ def lex_min_nonzero(basis) -> np.ndarray:
     return _unpack([reduced[len(pivots) - 1]], cols)[0]
 
 
-def lu_decompose(q_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-pivoted LU factorization of an invertible GF(2) matrix.
+def _lu(a: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
+    """Row-pivoted LU of an n x n matrix of packed rows, consumed in place.
 
-    Returns (perm, L, U) with Q[perm, :] = L @ U, L unit lower triangular and
-    U unit upper triangular (over GF(2) the pivots are all 1).
+    Returns (perm, L, U) with L and U as packed rows; the pivot for column c
+    is the first row at or below row c with a 1 there.
     """
-    q = asbits(q_in)
-    n = q.shape[0]
-    if q.ndim != 2 or q.shape[1] != n:
-        raise SingularMatrixError("matrix is not square")
-    a = _pack(q)
     perm = list(range(n))
     for c in range(n):
         bit = 1 << c
@@ -275,6 +310,20 @@ def lu_decompose(q_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 a[r] ^= right  # a[r] keeps bit c: the multiplier L[r, c]
     low = [(a[r] & ((1 << r) - 1)) | 1 << r for r in range(n)]
     up = [a[r] >> r << r for r in range(n)]
+    return perm, low, up
+
+
+def lu_decompose(q_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-pivoted LU factorization of an invertible GF(2) matrix.
+
+    Returns (perm, L, U) with Q[perm, :] = L @ U, L unit lower triangular and
+    U unit upper triangular (over GF(2) the pivots are all 1).
+    """
+    q = asbits(q_in)
+    n = q.shape[0]
+    if q.ndim != 2 or q.shape[1] != n:
+        raise SingularMatrixError("matrix is not square")
+    perm, low, up = _lu(_pack(q), n)
     return np.array(perm, dtype=np.intp), _unpack(low, n), _unpack(up, n)
 
 

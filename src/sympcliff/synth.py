@@ -15,11 +15,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import Circuit, circuit, depth, gate, serialize
+from .circuit import Circuit, Gate, _score, circuit, depth, gate, serialize
 from .codes import (StabilizerCode, _gamma_rows, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
-from .decompose import ElementaryFactor, decompose, factors_to_circuit
-from .gf2core import (InfeasibleError, ParseError, coset_leader, gram,
+from .decompose import (ElementaryFactor, _emit, _factor, decompose,
+                        factors_to_circuit)
+from .gf2core import (InfeasibleError, ParseError, _pack, coset_leader, gram,
                       is_symplectic, mul, omega, rank, solve_linear, zeros)
 from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
                     to_label)
@@ -223,20 +224,31 @@ def _min_depth_key(circ: Circuit):
     return (depth(circ), len(circ.gates), serialize(circ))
 
 
+def _unsigned(f: np.ndarray, m: int) -> tuple[list, tuple[int, int]]:
+    """F's unsigned circuit as (kind, qubits) gate pairs, with its
+    (depth, gates) pair, from the packed factoring core and gate emitter:
+    no factor objects, Gates or circuit are built."""
+    pairs = list(_emit(_factor(_pack(f), m), m))
+    return pairs, _score(pairs)
+
+
 def _rank(code: StabilizerCode, spec: CliffordSpec, fs):
     """(min_depth key, F) of the best solution in fs, or None when fs is empty.
 
-    Each F is factored without signs.  The sign correction only prepends
-    single-qubit Paulis: it cannot lower the depth, adds one gate per qubit
-    it touches, and leaves the circuit unchanged when it touches none.  So
-    the unsigned (depth, gates) pair bounds the signed key from below, and
-    fix_signs runs only when that bound does not exceed the best key so far.
+    Each F is factored without signs (see _unsigned).  The sign correction
+    only prepends single-qubit Paulis: it cannot lower the depth, adds one
+    gate per qubit it touches, and leaves the circuit unchanged when it
+    touches none.  So the unsigned (depth, gates) pair bounds the signed key
+    from below, and only a solution whose bound does not exceed the best key
+    so far becomes a circuit and is sign-fixed.
     """
+    m = code.m
     best = None
     for f in fs:
-        raw = factors_to_circuit(decompose(f), code.m)
-        if best is not None and (depth(raw), len(raw.gates)) > best[0][:2]:
+        pairs, bound = _unsigned(f, m)
+        if best is not None and bound > best[0][:2]:
             continue
+        raw = circuit(m, [Gate(kind, qs) for kind, qs in pairs])
         key = _min_depth_key(fix_signs(code, spec, raw)[0])
         if best is None or key < best[0]:
             best = (key, f)
@@ -267,11 +279,13 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     "all" lists them in S-index order, so the first result is f0.
     min_depth ranks by depth, then gate count, then serialized text, so the
     choice is a deterministic function of the solution set.  It streams the
-    solutions: each is factored into an unsigned circuit, only contenders for
-    the minimum are sign-fixed, and only the returned circuit is realized
-    with its final correction and verified.  With jobs > 1 each worker ranks
-    one contiguous range of S indices.  Raises ValueError before enumerating
-    anything when the solution count exceeds cap.
+    solutions: each is factored on packed rows into unsigned gate pairs and
+    scored by (depth, gates) with no circuit built, only contenders for the
+    minimum become circuits and are sign-fixed, and only the returned
+    circuit goes through the public decompose, is realized with its final
+    correction and verified.  With jobs > 1 each worker ranks one contiguous
+    range of S indices.  Raises ValueError before enumerating anything when
+    the solution count exceeds cap.
     """
     if mode not in ("all", "min_depth"):
         raise ValueError("mode must be 'all' or 'min_depth'")

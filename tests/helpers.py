@@ -1,9 +1,13 @@
 """Matrix literals shared across test modules, including the four published
-eight-element solution sets for the [[6,4,2]] code's logical gates."""
+eight-element solution sets for the [[6,4,2]] code's logical gates; the
+numpy reference implementations that sympcliff's packed kernels are checked
+against; and a hypothesis strategy for random symplectic matrices."""
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 I6 = np.eye(6, dtype=np.uint8)
 Z6 = np.zeros((6, 6), dtype=np.uint8)
@@ -179,3 +183,191 @@ def ref_lu_decompose(q_in):
                 a[r, c + 1:] ^= a[c, c + 1:]
     low = np.tril(a, -1) ^ np.eye(n, dtype=np.uint8)
     return perm, low, np.triu(a, 0)
+
+
+# Reference factoring: the numpy decomposition (rref, nullspace, invert and
+# mul on m x m blocks, checked products of expanded 2m x 2m factors), its
+# gate emission through validated gate() calls, and the greedy depth over
+# Gate objects.  sympcliff's packed factoring core and emitter must agree
+# with these factor for factor and gate for gate.
+
+def _ref_aq_block(q, q_inv):
+    m = q.shape[0]
+    out = np.zeros((2 * m, 2 * m), dtype=np.uint8)
+    out[:m, :m] = q
+    out[m:, m:] = q_inv.T
+    return out
+
+
+def _ref_is_identity(f) -> bool:
+    if f.kind == "AQ":
+        return bool(np.array_equal(f.q, np.eye(f.m, dtype=np.uint8)))
+    if f.kind == "TR":
+        return not f.r.any()
+    if f.kind == "GK":
+        return f.k == 0
+    return False
+
+
+def _ref_cancels(left, right) -> bool:
+    if {left.kind, right.kind} != {"OMEGA", "GK"}:
+        return False
+    gk = left if left.kind == "GK" else right
+    return gk.k == gk.m
+
+
+def ref_decompose(f_in):
+    import sympcliff as sc
+    f = sc.asbits(f_in)
+    if not sc.is_symplectic(f):
+        raise ValueError("input matrix is not symplectic")
+    m = f.shape[0] // 2
+    eye = np.eye(m, dtype=np.uint8)
+    a_blk = f[:m, :m]
+    b_blk = f[:m, m:]
+    r_a, pivots, q11inv = sc.rref(a_blk)
+    k = len(pivots)
+    q2inv = np.zeros((m, m), dtype=np.uint8)
+    for j, c in enumerate(pivots):
+        q2inv[c, j] = 1
+    null_a = sc.nullspace(a_blk)
+    for j in range(m - k):
+        q2inv[:, k + j] = null_a[j]
+    q2 = sc.invert(q2inv)
+    b_prime = sc.mul(q11inv, b_blk, q2.T)
+    r_k = b_prime[:k, :k]
+    e_blk = b_prime[:k, k:]
+    b_mk = b_prime[k:, k:]
+    if b_prime[k:, :k].any() or not np.array_equal(r_k, r_k.T):
+        raise RuntimeError("B block of a symplectic input lost its normal form")
+    q12inv = eye.copy()
+    q12inv[k:, k:] = sc.invert(b_mk)
+    q13inv = eye.copy()
+    q13inv[:k, k:] = e_blk
+    q1inv = sc.mul(q13inv, q12inv, q11inv)
+    q1 = sc.invert(q1inv)
+    r2 = np.zeros((m, m), dtype=np.uint8)
+    r2[:k, :k] = r_k
+    tr2 = sc.f_tr(r2)
+    gk = sc.f_gk(m, k)
+    mid = sc.mul(_ref_aq_block(q1inv, q1), f, _ref_aq_block(q2inv, q2),
+                 sc.expand(tr2), sc.expand(gk), sc.omega(m))
+    r1 = mid[m:, :m]
+    if not (np.array_equal(mid[:m, :m], eye) and not mid[:m, m:].any()
+            and np.array_equal(mid[m:, m:], eye)
+            and np.array_equal(r1, r1.T)):
+        raise RuntimeError("reduced input is not a lower T_R factor")
+    factors = [sc.ElementaryFactor("AQ", m, q=q1), sc.f_omega(m), sc.f_tr(r1),
+               gk, tr2, sc.ElementaryFactor("AQ", m, q=q2)]
+    out = []
+    for fct in factors:
+        if _ref_is_identity(fct):
+            continue
+        if out and _ref_cancels(out[-1], fct):
+            out.pop()
+            continue
+        out.append(fct)
+    total = np.eye(2 * m, dtype=np.uint8)
+    for fct in out:
+        total = sc.mul(total, sc.expand(fct))
+    if not np.array_equal(total, f):
+        raise RuntimeError("factor product does not reproduce the input")
+    return out
+
+
+def ref_factor_to_gates(f):
+    from sympcliff import gate, lu_decompose
+    m = f.m
+    if f.kind == "OMEGA":
+        return [gate("H", q) for q in range(1, m + 1)]
+    if f.kind == "GK":
+        return [gate("H", q) for q in range(1, f.k + 1)]
+    if f.kind == "TR":
+        gates = [gate("P", i + 1) for i in range(m) if f.r[i, i]]
+        for i in range(m):
+            for j in range(i + 1, m):
+                if f.r[i, j]:
+                    gates.append(gate("CZ", i + 1, j + 1))
+        return gates
+    if f.kind == "AQ":
+        perm, low, up = lu_decompose(f.q)
+        gates = []
+        image = np.argsort(perm)
+        if not np.array_equal(image, np.arange(m)):
+            gates.append(gate("PERMUTE", *(int(i) + 1 for i in image)))
+        for c in range(1, m):
+            for t in range(c):
+                if low[c, t]:
+                    gates.append(gate("CNOT", c + 1, t + 1))
+        for c in range(m - 2, -1, -1):
+            for t in range(c + 1, m):
+                if up[c, t]:
+                    gates.append(gate("CNOT", c + 1, t + 1))
+        return gates
+    raise ValueError("unknown factor kind %r" % f.kind)
+
+
+def ref_depth(c) -> int:
+    stage: dict[int, int] = {}
+    deepest = 0
+    for g in c.gates:
+        qs = range(1, c.m + 1) if g.kind == "PERMUTE" else g.qubits
+        s = 1 + max((stage.get(q, 0) for q in qs), default=0)
+        for q in qs:
+            stage[q] = s
+        deepest = max(deepest, s)
+    return deepest
+
+
+# Random symplectic matrices
+
+SYMPLECTIC_FAMILIES = ("identity", "omega", "tr", "aq_tr_aq", "aq_omega_tr",
+                       "lower_tr", "transvections")
+
+
+def bit_arrays(rows, cols):
+    return arrays(np.uint8, (rows, cols), elements=st.integers(0, 1))
+
+
+def _symmetric(draw, m):
+    s = draw(bit_arrays(m, m))
+    return np.triu(s) | np.triu(s, 1).T
+
+
+def _invertible(draw, m):
+    eye = np.eye(m, dtype=np.uint8)
+    low = np.tril(draw(bit_arrays(m, m)), -1) | eye
+    up = np.triu(draw(bit_arrays(m, m)), 1) | eye
+    return ref_mul(low, up)[list(draw(st.permutations(range(m))))]
+
+
+@st.composite
+def symplectic(draw, max_m=12, families=SYMPLECTIC_FAMILIES):
+    """A symplectic 2m x 2m matrix, 1 <= m <= max_m, from families that reach
+    every branch of the factoring: the identity (every factor dropped),
+    Omega (rank-0 A block, nothing else), a pure T_R and A_Q T_R A_Q (rank-m
+    A block, where Omega and G_m cancel), A_Q Omega T_R (rank-0 A block),
+    Omega T_R Omega (a lower T_R: rank m without the cancellation) and
+    products of random transvections (any rank)."""
+    import sympcliff as sc
+    m = draw(st.integers(1, max_m))
+    family = draw(st.sampled_from(families))
+    aq = lambda: sc.expand(sc.f_aq(_invertible(draw, m)))  # noqa: E731
+    tr = lambda: sc.expand(sc.f_tr(_symmetric(draw, m)))  # noqa: E731
+    if family == "identity":
+        return np.eye(2 * m, dtype=np.uint8)
+    if family == "omega":
+        return sc.omega(m)
+    if family == "tr":
+        return tr()
+    if family == "aq_tr_aq":
+        return ref_mul(aq(), tr(), aq())
+    if family == "aq_omega_tr":
+        return ref_mul(aq(), sc.omega(m), tr())
+    if family == "lower_tr":
+        return ref_mul(sc.omega(m), tr(), sc.omega(m))
+    f = np.eye(2 * m, dtype=np.uint8)
+    for h in draw(st.lists(arrays(np.uint8, 2 * m, elements=st.integers(0, 1)),
+                           max_size=3 * m)):
+        f = ref_mul(f, sc.transvection_matrix(h))
+    return f

@@ -80,6 +80,25 @@ def test_synth_unreadable_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["info_on_a_directory",
+                                  "synth_out_on_an_existing_file",
+                                  "decompose_out_on_a_directory"])
+def test_os_errors_exit_2(case, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = {"info_on_a_directory": ["info", "--code", str(tmp_path)],
+            "synth_out_on_an_existing_file":
+                ["synth", "--code", CODE642, "--spec",
+                 str(FIXTURES / "phase1.spec"), "--out", str(taken)],
+            "decompose_out_on_a_directory":
+                ["decompose", "--matrix", str(FIXTURES / "omega6.mat"),
+                 "--out", str(tmp_path)]}[case]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_synth_solution_cap(tmp_path, capsys):
     rc = main(["synth", "--code", CODE642,
                "--spec", str(FIXTURES / "phase1.spec"),

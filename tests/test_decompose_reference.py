@@ -1,0 +1,93 @@
+"""The packed factoring core and gate emitter against the numpy reference in
+helpers (ref_decompose, ref_factor_to_gates, ref_depth).
+
+Inputs are random symplectic matrices with m up to 12 from
+helpers.symplectic, whose families reach every branch of the factoring.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sympcliff as sc
+from helpers import (ref_decompose, ref_depth, ref_factor_to_gates, ref_mul,
+                     symplectic)
+
+
+def _assert_same_factors(got, want):
+    assert [(g.kind, g.m, g.k) for g in got] == [(w.kind, w.m, w.k) for w in want]
+    for g, w in zip(got, want):
+        for attr in ("q", "r"):
+            a, b = getattr(g, attr), getattr(w, attr)
+            assert (a is None) == (b is None)
+            if b is not None:
+                assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symplectic())
+def test_decompose_and_gates_match_reference(f):
+    m = f.shape[0] // 2
+    factors = sc.decompose(f)
+    want = ref_decompose(f)
+    _assert_same_factors(factors, want)
+    for got_f, want_f in zip(factors, want):
+        assert sc.factor_to_gates(got_f) == ref_factor_to_gates(want_f)
+    circ = sc.factors_to_circuit(factors, m)
+    assert list(circ.gates) == [g for w in want for g in ref_factor_to_gates(w)]
+    for g in circ.gates:
+        assert g == sc.gate(g.kind, *g.qubits)
+    assert sc.depth(circ) == ref_depth(circ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symplectic(max_m=6), st.data())
+def test_flipped_bits_raise_what_the_reference_raises(f, data):
+    # a flipped bit usually breaks symplecticity, which must be refused with
+    # the reference's error; a matrix that stays symplectic must factor alike
+    n = f.shape[0]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = f.copy()
+    for i, j in data.draw(st.lists(cells, min_size=1, max_size=3)):
+        g[i, j] ^= 1
+    try:
+        want = ref_decompose(g)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            sc.decompose(g)
+        assert str(got.value) == str(exc)
+        return
+    _assert_same_factors(sc.decompose(g), want)
+
+
+def test_families_reach_the_cancellation_and_both_ranks():
+    # A_Q T_R A_Q has a rank-m A block and no T_R between Omega and G_m, so
+    # both are dropped; Omega T_R Omega keeps them
+    rng = np.random.default_rng(5)
+    m = 4
+    q = np.eye(m, dtype=np.uint8)[[2, 0, 3, 1]]
+    q[0] ^= q[1]
+    r = rng.integers(0, 2, (m, m), dtype=np.uint8)
+    r = np.triu(r) | np.triu(r, 1).T
+    aq, tr = sc.expand(sc.f_aq(q)), sc.expand(sc.f_tr(r))
+    assert [f.kind for f in sc.decompose(ref_mul(aq, tr, aq))] == ["AQ", "TR"]
+    lower = sc.decompose(ref_mul(sc.omega(m), tr, sc.omega(m)))
+    assert [(f.kind, f.k) for f in lower] == [("OMEGA", None), ("TR", None),
+                                              ("GK", m)]
+    zero_a = sc.decompose(ref_mul(aq, sc.omega(m), tr))
+    assert [f.kind for f in zero_a] == ["AQ", "OMEGA", "TR"]
+
+
+def test_decompose_rejects_the_empty_matrix():
+    with pytest.raises(ValueError):
+        sc.decompose(np.zeros((0, 0), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4), (4,)])
+def test_decompose_rejects_shapes_that_are_not_2m_square(shape):
+    with pytest.raises(ValueError):
+        sc.decompose(np.zeros(shape, dtype=np.uint8))

@@ -11,7 +11,7 @@ import sympcliff as sc
 from sympcliff import synth
 from sympcliff.synth import _min_depth_key, _rank
 from conftest import FIXTURES
-from helpers import as_set, bits, golden_solution_sets
+from helpers import as_set, bits, golden_solution_sets, symplectic
 
 
 def _spec(name):
@@ -296,6 +296,17 @@ def test_min_depth_ties_reach_the_text_tie_break():
     assert want[:2] == (9, 15)
     for order in (fs, fs[::-1]):
         assert _rank(code, spec, order)[0] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(symplectic(max_m=8))
+def test_rank_key_is_depth_and_length_of_the_public_circuit(f):
+    # _rank orders unsigned solutions by this pair before any sign fix
+    m = f.shape[0] // 2
+    c = sc.factors_to_circuit(sc.decompose(f), m)
+    pairs, key = synth._unsigned(f, m)
+    assert key == (sc.depth(c), len(c.gates))
+    assert [sc.Gate(kind, qs) for kind, qs in pairs] == list(c.gates)
 
 
 def test_min_depth_parallel_jobs_match_serial(code513):

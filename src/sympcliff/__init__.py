@@ -16,11 +16,10 @@ from .codes import (CssSpec, StabilizerCode, css_build, derive_logical_z,
 from .decompose import (ElementaryFactor, decompose, expand, f_aq, f_gk,
                         f_omega, f_tr, factor_to_gates, factors_to_circuit)
 from .gf2core import (InfeasibleError, ParseError, SingularMatrixError,
-                      asbits, coset_leader, gram, invert, is_symplectic,
-                      lex_min_nonzero, load_matrix_text, lu_decompose, mul,
-                      nullspace, omega, rank, rref, save_matrix_text,
-                      solve_linear, sp_group_order, symplectic_gram_schmidt,
-                      symplectic_inner)
+                      asbits, gram, invert, is_symplectic, load_matrix_text,
+                      lu_decompose, mul, nullspace, omega, rank, rref,
+                      save_matrix_text, solve_linear, sp_group_order,
+                      symplectic_gram_schmidt, symplectic_inner)
 from .pauli import (PauliOperator, commutes, dense, from_gamma, from_label,
                     gamma, identity, multiply, pauli_d, pauli_e, to_label)
 from .sympsolve import (SymplecticSystem, enumerate_all, find_symplectic,
@@ -43,9 +42,9 @@ __all__ = [
     "ElementaryFactor", "decompose", "expand", "f_aq", "f_gk", "f_omega",
     "f_tr", "factor_to_gates", "factors_to_circuit",
     "InfeasibleError", "ParseError", "SingularMatrixError", "asbits",
-    "coset_leader", "gram", "invert", "is_symplectic", "lex_min_nonzero",
-    "load_matrix_text", "lu_decompose", "mul", "nullspace", "omega", "rank",
-    "rref", "save_matrix_text", "solve_linear", "sp_group_order",
+    "gram", "invert", "is_symplectic", "load_matrix_text", "lu_decompose",
+    "mul", "nullspace", "omega", "rank", "rref", "save_matrix_text",
+    "solve_linear", "sp_group_order",
     "symplectic_gram_schmidt", "symplectic_inner",
     "PauliOperator", "commutes", "dense", "from_gamma", "from_label", "gamma",
     "identity", "multiply", "pauli_d", "pauli_e", "to_label",

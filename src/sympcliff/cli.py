@@ -83,10 +83,10 @@ def _cmd_synth(args) -> int:
     elif args.normalize:
         spec = dataclasses.replace(spec, policy="normalize")
     mode = "all" if args.all else "min_depth"
-    results = synthesize(code, spec, mode=mode, cap=args.max_solutions,
-                         jobs=args.jobs, dense_check=args.dense)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    results = synthesize(code, spec, mode=mode, cap=args.max_solutions,
+                         jobs=args.jobs, dense_check=args.dense)
     if mode == "all":
         width = len(str(len(results)))
         names = ["%s_%0*d.circ" % (spec.name, width, i)

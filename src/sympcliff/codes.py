@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, ParseError, asbits, coset_leader, gram,
-                      mul, nullspace, rank, rref, solve_linear)
+from .gf2core import (InfeasibleError, ParseError, asbits, gram, mul, nullspace,
+                      rank, solve_linear)
 from .pauli import PauliOperator, from_label, gamma, pauli_e, to_label
 
 
@@ -134,21 +134,20 @@ def _extend_basis(base: np.ndarray, candidates: np.ndarray, count: int) -> np.nd
 
 def _paired_z_rows(gx: np.ndarray, container: np.ndarray) -> np.ndarray:
     """Rows z_j in rowspan(container) with gx z_j^T = e_j, each the
-    lexicographically smallest choice."""
-    m_mat = mul(gx, container.T)
+    lexicographically smallest choice.
+
+    z lies in rowspan(container) iff it is orthogonal to the container's
+    nullspace, so each row is one solve with those rows appended to gx.
+    """
+    mat = np.vstack([gx, nullspace(container)])
     out = []
     for j in range(gx.shape[0]):
-        rhs = np.zeros(gx.shape[0], dtype=np.uint8)
+        rhs = np.zeros(mat.shape[0], dtype=np.uint8)
         rhs[j] = 1
-        sol = solve_linear(m_mat, rhs)
+        sol = solve_linear(mat, rhs)
         if sol is None:
             raise InfeasibleError("no paired Z representative for row %d" % (j + 1))
-        part, null = sol
-        vec = mul(part.reshape(1, -1), container).ravel()
-        dirs = mul(null, container)
-        if dirs.shape[0]:
-            dirs = rref(dirs)[0]
-        out.append(coset_leader(vec, dirs))
+        out.append(sol[0])
     if not out:
         return np.zeros((0, container.shape[1]), dtype=np.uint8)
     return np.vstack(out)

@@ -5,11 +5,11 @@ matrix is the image of basis vector e_i.  Every function takes and returns
 numpy uint8 arrays holding 0/1; phase bookkeeping never touches this module.
 
 Inside the elimination kernels (rref, rank, invert, nullspace, solve_linear,
-coset_leader, lex_min_nonzero, lu_decompose) each row is packed into one
-Python int, bit c holding column c, so a row operation is one integer XOR,
-as in the packed tableau rows of CHP and Stim.  Products (mul) run in float64
-through BLAS.  The private packed kernels (_eliminate, _inverse, _lu,
-_mul_rows, _transpose) also serve decompose's factoring core directly.
+lu_decompose) each row is packed into one Python int, bit c holding column
+c, so a row operation is one integer XOR, as in the packed tableau rows of
+CHP and Stim.  Products (mul) run in float64 through BLAS.  The private
+packed kernels (_eliminate, _inverse, _lu, _mul_rows, _transpose) also serve
+decompose's factoring core directly.
 """
 
 from __future__ import annotations
@@ -213,81 +213,56 @@ def invert(m_in) -> np.ndarray:
     return _unpack(_inverse(_pack(m), n), n)
 
 
+def _null_basis(rev: list[int], pivots: list[int], cols: int) -> np.ndarray:
+    """Reduced nullspace basis read off a reverse-order elimination.
+
+    rev holds the reduced rows with bit g for column cols - 1 - g and pivots
+    as _eliminate returned them.  Each reduced row's pivot is its last 1, so
+    every other column f gives the vector e_f plus the pivots of the rows
+    with a 1 at f, all right of f; these vectors by ascending f are already
+    the reduced echelon form.
+    """
+    free = sorted(set(range(cols)).difference(pivots))
+    mask = (1 << cols) - 1
+    basis = zeros((len(free), cols))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = _unpack([r & mask for r in rev[:len(pivots)]], cols)[:, free].T
+    return basis[::-1, ::-1].copy()
+
+
 def nullspace(m_in) -> np.ndarray:
     """Right nullspace basis {x : M x^T = 0}, rows in reduced echelon form.
 
-    Shape is (d, cols); d may be zero.  Eliminating with the columns in
-    reverse order makes each reduced row's pivot its last 1.  Every other
-    column f then gives the vector e_f plus the pivots of the rows with a 1
-    at f, all right of f, so these vectors by ascending f are already the
-    reduced echelon form.
+    Shape is (d, cols); d may be zero.
     """
     m = asbits(m_in)
     cols = m.shape[1]
     rev = _pack(m[:, ::-1])  # bit g holds column cols - 1 - g
-    pivots = _eliminate(rev, cols)
-    free = sorted(set(range(cols)).difference(pivots))
-    basis = zeros((len(free), cols))
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = _unpack(rev[:len(pivots)], cols)[:, free].T
-    return basis[::-1, ::-1].copy()
+    return _null_basis(rev, _eliminate(rev, cols), cols)
 
 
 def solve_linear(m_in, rhs) -> tuple[np.ndarray, np.ndarray] | None:
     """Solve M x = rhs over GF(2) for the column vector x (given as a row).
 
-    Returns (particular, nullspace_basis) with the basis rows in reduced
-    echelon form, or None when the system is inconsistent.  The particular
-    solution has all free variables set to zero.
+    Returns (x, nullspace(M)), x the lexicographically smallest solution
+    (column 0 most significant), or None when the system is inconsistent.
+    One elimination runs with the columns in reverse order and rhs riding in
+    bit cols, so each reduced row's pivot is its last 1 and depends only on
+    the free columns before it: setting every free column to 0 is then the
+    smallest choice at each free column in turn.
     """
     m = asbits(m_in)
     b = asbits(rhs).ravel()
     rows, cols = m.shape
     if b.shape[0] != rows:
         raise ValueError("rhs length does not match row count")
-    # rhs rides along as bit cols, where it ends up as T @ rhs
-    packed = [r | bi << cols for r, bi in zip(_pack(m), b.tolist())]
-    pivots = _eliminate(packed, cols)
-    if any(r >> cols for r in packed[len(pivots):]):
+    rev = [r | bi << cols for r, bi in zip(_pack(m[:, ::-1]), b.tolist())]
+    pivots = _eliminate(rev, cols)
+    if any(r >> cols for r in rev[len(pivots):]):
         return None
     x = zeros(cols)
-    for row, pc in enumerate(pivots):
-        x[pc] = packed[row] >> cols
-    return x, nullspace(m)
-
-
-def coset_leader(x, basis) -> np.ndarray:
-    """Lexicographically smallest vector in x + rowspan(basis).
-
-    After reducing the basis, zeroing each pivot position in ascending order
-    is optimal: any other coset element first differs from the result at its
-    earliest flipped pivot, where it holds a 1.
-    """
-    y = asbits(x).ravel()
-    cols = y.shape[0]
-    acc = _pack(y.reshape(1, cols))[0]
-    if np.size(basis):
-        reduced = _pack(asbits(basis))
-        _eliminate(reduced, cols)
-        for r in reduced:
-            if acc & r & -r:
-                acc ^= r
-    return _unpack([acc], cols)[0]
-
-
-def lex_min_nonzero(basis) -> np.ndarray:
-    """Lexicographically smallest nonzero vector in rowspan(basis).
-
-    In reduced form, any combination containing a row with an earlier pivot
-    has its leading 1 earlier, so the last reduced row wins.
-    """
-    b = asbits(basis)
-    if b.shape[0] == 0 or not b.any():
-        raise InfeasibleError("span is trivial")
-    cols = b.shape[1]
-    reduced = _pack(b)
-    pivots = _eliminate(reduced, cols)
-    return _unpack([reduced[len(pivots) - 1]], cols)[0]
+    x[pivots] = [r >> cols for r in rev[:len(pivots)]]
+    return x[::-1].copy(), _null_basis(rev, pivots, cols)
 
 
 def _lu(a: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
@@ -384,10 +359,9 @@ def symplectic_gram_schmidt(seed, m: int | None = None) -> list[tuple[np.ndarray
         sol = solve_linear(mat, target_products)
         if sol is None:
             raise InfeasibleError("seed cannot be extended to a symplectic basis")
-        part, null = sol
-        if nonzero_only and not part.any():
-            return lex_min_nonzero(null)
-        return coset_leader(part, null)
+        # fixed holds whole pairs only, so the nullspace is nonempty and its
+        # last reduced row is its smallest nonzero vector
+        return sol[1][-1] if nonzero_only else sol[0]
 
     for pair in slots:
         if pair[1] is None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, asbits, coset_leader, eye, gram, invert,
-                      mul, omega, rank, solve_linear, sp_group_order,
+from .gf2core import (InfeasibleError, asbits, eye, gram, invert, mul, omega,
+                      rank, solve_linear, sp_group_order,
                       symplectic_gram_schmidt, symplectic_inner, zeros)
 
 
@@ -61,7 +61,7 @@ def _choose_w(xt: np.ndarray, y: np.ndarray, prev_ys: list[np.ndarray]) -> np.nd
     sol = solve_linear(mul(rows, omega(xt.shape[0] // 2)), rhs)
     if sol is None:
         raise RuntimeError("intermediate vector system is not solvable")
-    return coset_leader(*sol)
+    return sol[0]
 
 
 @dataclass
@@ -199,7 +199,9 @@ def iter_all(system: SymplecticSystem):
     """Yield every F in Sp(2m, F2) satisfying the system, depth first.
 
     Sources are embedded in a hyperbolic basis; each basis row not pinned by a
-    constraint ranges over the affine set allowed by the rows already chosen.
+    constraint ranges over the affine set allowed by the rows already chosen,
+    in increasing lexicographic order (the lex-min solution offset by every
+    combination of the reduced nullspace rows, first row most significant).
     Branches whose affine system turns inconsistent are pruned, which is what
     keeps the sweep exact when a slot is free on both sides (a naive
     2^{alpha(alpha+1)/2} count overshoots there: for m = 2 with only

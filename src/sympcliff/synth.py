@@ -8,6 +8,7 @@ sign-corrected with a Pauli prefix and verified exactly.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ from .codes import (StabilizerCode, _gamma_rows, logical_x_gamma, logical_z_gamm
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit, _factor, decompose,
                         factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _pack, coset_leader, gram,
-                      is_symplectic, mul, omega, rank, solve_linear, zeros)
+from .gf2core import (InfeasibleError, ParseError, _pack, gram, is_symplectic,
+                      mul, omega, rank, solve_linear, zeros)
 from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
                     to_label)
 from .sympsolve import SymplecticSystem, find_symplectic
@@ -159,7 +160,7 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
     if sol is None:
         raise RuntimeError("no Pauli correction exists: the code's rows are "
                            "not independent")
-    cd = coset_leader(*sol)
+    cd = sol[0]
     corr_gates = []
     for t in range(m):
         c, d = int(cd[t]), int(cd[m + t])
@@ -261,10 +262,10 @@ def _rank_range(code: StabilizerCode, spec: CliffordSpec, f0: np.ndarray,
     return _rank(code, spec, _solutions(code, f0, start, stop))
 
 
-def _map(jobs: int, fn, *args) -> list:
-    """list(map(fn, *args)), over jobs worker processes when jobs > 1."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+def _map(workers: int, fn, *args) -> list:
+    """list(map(fn, *args)), over worker processes when workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, *args))
     return list(map(fn, *args))
 
@@ -283,9 +284,11 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     scored by (depth, gates) with no circuit built, only contenders for the
     minimum become circuits and are sign-fixed, and only the returned
     circuit goes through the public decompose, is realized with its final
-    correction and verified.  With jobs > 1 each worker ranks one contiguous
-    range of S indices.  Raises ValueError before enumerating anything when
-    the solution count exceeds cap.
+    correction and verified.  With jobs > 1 the work runs on
+    min(jobs, cpu count) worker processes (the pool starts them all at
+    once), and min_depth gives each one contiguous range of S indices.
+    Raises ValueError before enumerating anything when the solution count
+    exceeds cap.
     """
     if mode not in ("all", "min_depth"):
         raise ValueError("mode must be 'all' or 'min_depth'")
@@ -294,12 +297,12 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     if count > cap:
         raise ValueError("solution count exceeds cap %d" % cap)
     f0 = find_symplectic(system)
+    workers = max(min(jobs, os.cpu_count() or 1), 1)
     if mode == "all":
-        return _map(jobs, realize, repeat(code), repeat(spec),
+        return _map(workers, realize, repeat(code), repeat(spec),
                     _solutions(code, f0, 0, count), repeat(dense_check))
-    parts = max(jobs, 1)
-    cuts = [count * i // parts for i in range(parts + 1)]
-    ranked = _map(jobs, _rank_range, repeat(code), repeat(spec), repeat(f0),
+    cuts = [count * i // workers for i in range(workers + 1)]
+    ranked = _map(workers, _rank_range, repeat(code), repeat(spec), repeat(f0),
                   cuts[:-1], cuts[1:])
     _, best_f = min((r for r in ranked if r is not None), key=lambda r: r[0])
     return [realize(code, spec, best_f, dense_check)]

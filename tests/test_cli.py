@@ -99,6 +99,20 @@ def test_os_errors_exit_2(case, tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_synth_checks_out_before_synthesizing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthesize ran before --out was checked")
+
+    monkeypatch.setattr("sympcliff.cli.synthesize", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["synth", "--code", CODE642, "--spec",
+                 str(FIXTURES / "phase1.spec"), "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_synth_solution_cap(tmp_path, capsys):
     rc = main(["synth", "--code", CODE642,
                "--spec", str(FIXTURES / "phase1.spec"),

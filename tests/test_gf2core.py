@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,20 +185,30 @@ def test_solve_feasible_systems_round_trip(m, xbits):
     assert ns.shape[0] == m.shape[1] - sc.rank(m)
 
 
-def test_coset_leader_is_lex_min_over_whole_coset():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        basis = rng.integers(0, 2, size=(3, 6), dtype=np.uint8)
-        x = rng.integers(0, 2, size=6, dtype=np.uint8)
-        leader = sc.coset_leader(x, basis)
-        coset = []
-        for sel in range(8):
-            v = x.copy()
-            for j in range(3):
-                if (sel >> j) & 1:
-                    v = v ^ basis[j]
-            coset.append(tuple(int(b) for b in v))
-        assert tuple(int(b) for b in leader) == min(coset)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_linear_is_lex_min_over_every_solution(data):
+    rows, cols = data.draw(st.integers(0, 6)), data.draw(st.integers(0, 10))
+    flat = data.draw(st.lists(st.integers(0, 1), min_size=rows * cols,
+                              max_size=rows * cols))
+    m = np.array(flat, np.uint8).reshape(rows, cols)
+    rhs = np.array(data.draw(st.lists(st.integers(0, 1), min_size=rows,
+                                      max_size=rows)), np.uint8)
+    # every x in lex order, column 0 most significant
+    every = np.array(list(itertools.product((0, 1), repeat=cols)),
+                     np.uint8).reshape(1 << cols, cols)
+    hits = every[((every.astype(int) @ m.T.astype(int)) % 2 == rhs).all(axis=1)]
+    sol = sc.solve_linear(m, rhs)
+    assert (sol is None) == (hits.shape[0] == 0)
+    if sol is None:
+        return
+    x, ns = sol
+    assert np.array_equal(x, hits[0])
+    spans = {tuple(np.bitwise_xor.reduce(ns[list(sel)], axis=0)
+                   if any(sel) else np.zeros(cols, np.uint8))
+             for sel in itertools.product((False, True), repeat=ns.shape[0])}
+    assert spans == {tuple(h ^ x) for h in hits}
+    assert len(spans) == 1 << ns.shape[0]
 
 
 def test_lu_identity():

@@ -319,6 +319,41 @@ def test_min_depth_parallel_jobs_match_serial(code513):
     assert np.array_equal(parallel.f, serial.f)
 
 
+def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
+    # a fake pool that records its size and maps in this process, so no
+    # worker process starts whatever jobs asks for
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *args):
+            out = list(map(fn, *args))
+            self.tasks += len(out)
+            return out
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
+    spec = _spec("hadamard5q")
+    best, = sc.synthesize(code513, spec, mode="min_depth", jobs=100000)
+    assert [(p.max_workers, p.tasks) for p in pools] == [(3, 3)]
+    sc.synthesize(code642, _spec("phase1"), mode="all", jobs=100000)
+    assert [(p.max_workers, p.tasks) for p in pools[1:]] == [(3, 8)]
+    # an unknown cpu count runs serially, and three ranges pick the same winner
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
+    serial, = sc.synthesize(code513, spec, mode="min_depth", jobs=100000)
+    assert sc.serialize(serial.circuit) == sc.serialize(best.circuit)
+    assert len(pools) == 2
+
+
 def test_min_depth_verifies_only_the_returned_circuit(code642, monkeypatch):
     calls = []
     real = synth.verify_solution

@@ -97,6 +97,20 @@ def test_solve_linear_matches_reference(data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_coset_leader_and_lex_min_nonzero_match_reference(data):
+    # A system whose solution set is the coset x + span(basis): its rows
+    # span the annihilator of the basis, so its nullspace is span(basis).
+    basis = data.draw(matrices())
+    x = data.draw(bit_arrays(1, basis.shape[1])).ravel()
+    m = ref_nullspace(basis)
+    leader, null = sc.solve_linear(m, ref_mul(m, x.reshape(-1, 1)).ravel())
+    assert_same(leader, ref_coset_leader(x, basis))
+    got = null[-1] if null.shape[0] else sc.InfeasibleError
+    assert_same(got, outcome(ref_lex_min_nonzero, basis))
+
+
+@settings(max_examples=150, deadline=None)
 @given(squares())
 def test_invert_and_lu_decompose_match_reference(q):
     assert_same(outcome(sc.invert, q), outcome(ref_invert, q))

@@ -9,7 +9,8 @@ lu_decompose) each row is packed into one Python int, bit c holding column
 c, so a row operation is one integer XOR, as in the packed tableau rows of
 CHP and Stim.  Products (mul) run in float64 through BLAS.  The private
 packed kernels (_eliminate, _inverse, _lu, _mul_rows, _transpose) also serve
-decompose's factoring core directly.
+decompose's factoring core directly, and a growing reduced echelon form
+(_echelon_insert, _echelon_solve) serves sympsolve's transvection chain.
 """
 
 from __future__ import annotations
@@ -140,6 +141,67 @@ def _eliminate(rows: list[int], cols: int) -> list[int]:
         rows[pr] = p
         pivots.append(bit.bit_length() - 1)
     return pivots
+
+
+def _echelon_insert(ech: list[tuple[int, int]], row: int) -> None:
+    """Add a packed row to a reduced echelon form, in place.
+
+    ech holds (pivot bit, row) pairs: each pivot is its row's highest set
+    bit, and no other row has a 1 there.  A row already in the span is
+    dropped.
+    """
+    for bit, e in ech:
+        if row & bit:
+            row ^= e
+    if row:
+        bit = 1 << (row.bit_length() - 1)
+        ech[:] = [(p, e ^ row) if e & bit else (p, e) for p, e in ech]
+        ech.append((bit, row))
+
+
+def _echelon_solve(ech: list[tuple[int, int]], y: int,
+                   extra: list[tuple[int, int]]) -> int | None:
+    """Lexicographically smallest packed w (column 0 most significant) with
+    parity(e & w) = parity(e & y) for every stored row e of ech and
+    parity(row & w) = rhs for every extra (row, rhs) pair; None when the
+    system is inconsistent.
+
+    The stored right-hand sides are linear in e, so a stored row needs no
+    transform carried.  Each extra row is reduced against ech and the extras
+    before it, which keeps every pivot on its row's highest set bit; then
+    each pivot's value depends only on the free columns below it, and every
+    free column at 0 is the lex-min choice, as in solve_linear.  The new
+    pivots take their right-hand sides z; each stored row e, which has a 1
+    at no other stored pivot, then takes parity(e & (y ^ z)) without being
+    back-reduced.
+    """
+    new: list[tuple[int, int, int]] = []
+    for row, rhs in extra:
+        start = row
+        for bit, e in ech:
+            if row & bit:
+                row ^= e
+        rhs ^= ((row ^ start) & y).bit_count() & 1
+        for bit, u, s in new:
+            if row & bit:
+                row ^= u
+                rhs ^= s
+        if not row:
+            if rhs:
+                return None
+            continue
+        bit = 1 << (row.bit_length() - 1)
+        new = [(p, u ^ row, s ^ rhs) if u & bit else (p, u, s) for p, u, s in new]
+        new.append((bit, row, rhs))
+    w = 0
+    for bit, _, s in new:
+        if s:
+            w |= bit
+    yz = y ^ w
+    for bit, e in ech:
+        if (e & yz).bit_count() & 1:
+            w |= bit
+    return w
 
 
 def rref(m_in) -> tuple[np.ndarray, list[int], np.ndarray]:

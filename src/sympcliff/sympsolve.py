@@ -2,9 +2,12 @@
 
 A constraint system asks for F in Sp(2m, F2) with x_i F = y_i for given row
 pairs.  One solution comes from a chain of at most 2t symplectic transvections
-(t = constraint count); the full solution set comes from a depth-first sweep
-over the images of the unconstrained half of a hyperbolic basis containing
-the x_i.
+(t = constraint count), run on packed rows (one Python int per row, bit c
+holding column c, as in gf2core): each transvection is a rank-1 update of
+F's rows, and the intermediate vectors come from one reduced
+echelon form of the targets that grows by one row per constraint.  The full
+solution set comes from a depth-first sweep over the images of the
+unconstrained half of a hyperbolic basis containing the x_i.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, asbits, eye, gram, invert, mul, omega,
-                      rank, solve_linear, sp_group_order,
-                      symplectic_gram_schmidt, symplectic_inner, zeros)
+from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve, _pack,
+                      _unpack, asbits, eye, gram, invert, mul, omega, rank,
+                      solve_linear, sp_group_order, symplectic_gram_schmidt,
+                      zeros)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -24,6 +28,8 @@ def transvection_matrix(h) -> np.ndarray:
     h = 0 gives the identity; every transvection is an involution.
     """
     h = asbits(h).ravel()
+    if h.shape[0] % 2:
+        raise ValueError("transvection vector must have even length 2m")
     m = h.shape[0] // 2
     w = mul(h.reshape(1, -1), omega(m)).ravel()
     return eye(2 * m) ^ np.outer(w, h)
@@ -32,36 +38,41 @@ def transvection_matrix(h) -> np.ndarray:
 def map_vector(x, y) -> list[np.ndarray]:
     """Transvection vectors (at most two) whose product maps x to y.
 
-    Both inputs must be nonzero.  Returns [] when x == y, [x + y] when
-    <x, y> = 1, else [w + y, x + w] for the smallest valid intermediate w.
+    Both inputs must be nonzero and of the same even length.  Returns [] when
+    x == y, [x + y] when <x, y> = 1, else [w + y, x + w] for the smallest
+    valid intermediate w.
     """
     x = asbits(x).ravel()
     y = asbits(y).ravel()
+    if x.shape != y.shape or x.shape[0] % 2:
+        raise ValueError("x and y must have the same even length 2m, got %d and %d"
+                         % (x.shape[0], y.shape[0]))
     if not x.any() or not y.any():
         raise InfeasibleError("transvections move only nonzero vectors")
-    return _step(x, y, [])
+    px, py = _pack(np.vstack([x, y]))
+    return list(_unpack(_step(px, py, [], x.shape[0] // 2), x.shape[0]))
 
 
-def _step(xt: np.ndarray, y: np.ndarray, prev_ys: list[np.ndarray]) -> list[np.ndarray]:
-    """Transvection vectors taking xt to y while fixing the earlier targets:
-    [] when xt == y, [xt + y] when <xt, y> = 1, else [w + y, xt + w]."""
-    if np.array_equal(xt, y):
+def _swap(v: int, m: int) -> int:
+    """v Omega for a packed row of 2m bits: its halves exchanged."""
+    return v >> m | (v & ((1 << m) - 1)) << m
+
+
+def _step(xt: int, y: int, ech: list[tuple[int, int]], m: int) -> list[int]:
+    """Packed transvection vectors taking xt to y while fixing the earlier
+    targets, whose rows y_j Omega ech holds in reduced echelon form:
+    [] when xt == y, [xt + y] when <xt, y> = 1, else [w + y, xt + w] for the
+    smallest w with <xt, w> = <y, w> = 1 and <y_j, w> = <y_j, y>, so fixing
+    this constraint disturbs none before it."""
+    if xt == y:
         return []
-    if symplectic_inner(xt, y) == 1:
+    yw = _swap(y, m)
+    if (xt & yw).bit_count() & 1:
         return [xt ^ y]
-    w = _choose_w(xt, y, prev_ys)
-    return [w ^ y, xt ^ w]
-
-
-def _choose_w(xt: np.ndarray, y: np.ndarray, prev_ys: list[np.ndarray]) -> np.ndarray:
-    """Smallest w with <xt, w> = <y, w> = 1 and <y_j, w> = <y_j, y> for earlier
-    targets y_j, so fixing this constraint disturbs none before it."""
-    rows = np.vstack([xt, y] + prev_ys)
-    rhs = np.concatenate([[1, 1], gram(rows[2:], y.reshape(1, -1)).ravel()])
-    sol = solve_linear(mul(rows, omega(xt.shape[0] // 2)), rhs)
-    if sol is None:
+    w = _echelon_solve(ech, y, [(_swap(xt, m), 1), (yw, 1)])
+    if w is None:
         raise RuntimeError("intermediate vector system is not solvable")
-    return sol[0]
+    return [w ^ y, xt ^ w]
 
 
 @dataclass
@@ -77,6 +88,8 @@ class SymplecticSystem:
     ys: list[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError("m must be nonnegative, got %d" % self.m)
         self.xs = [asbits(x).ravel() for x in self.xs]
         self.ys = [asbits(y).ravel() for y in self.ys]
         if len(self.xs) != len(self.ys):
@@ -113,26 +126,36 @@ def find_symplectic(system: SymplecticSystem, return_transvections: bool = False
     """One F in Sp(2m, F2) satisfying the system, via <= 2t transvections.
 
     Each constraint is fixed by one transvection when <x_i F, y_i> = 1 and by
-    two otherwise; the intermediate vector is chosen so earlier constraints
-    stay satisfied.  Empty system returns the identity.  Raises
+    two otherwise; the intermediate vector is the lex-smallest one that keeps
+    the earlier constraints satisfied.  F and the targets stay packed: x_i F
+    is the XOR of F's rows at the set bits of x_i, each transvection is a
+    rank-1 update of F's rows, and each target enters one growing echelon
+    form once its constraint is fixed.  Empty system returns the identity.  Raises
     InfeasibleError for dependent or inner-product-incompatible inputs.
     """
     _validate(system)
     m = system.m
-    f = eye(2 * m)
-    hs: list[np.ndarray] = []
-    for i in range(len(system)):
-        xt = mul(system.xs[i].reshape(1, -1), f).ravel()
-        for h in _step(xt, system.ys[i], system.ys[:i]):
-            # F F_h = F + (F Omega h^T) h, and Omega h^T is h with its
-            # halves swapped: a rank-1 update in place of a full product
-            f ^= mul(f, np.concatenate([h[m:], h[:m]]).reshape(-1, 1)) * h
-            hs.append(h)
     xs, ys = _matrices(system)
+    f = [1 << c for c in range(2 * m)]
+    ech: list[tuple[int, int]] = []
+    hs: list[int] = []
+    for x, y in zip(_pack(xs), _pack(ys)):
+        xt = 0
+        while x:
+            low = x & -x
+            xt ^= f[low.bit_length() - 1]
+            x ^= low
+        for h in _step(xt, y, ech, m):
+            # F F_h = F + (F Omega h^T) h: row r gains h when <r, h> = 1
+            hw = _swap(h, m)
+            f = [r ^ h if (r & hw).bit_count() & 1 else r for r in f]
+            hs.append(h)
+        _echelon_insert(ech, _swap(y, m))
+    f = _unpack(f, 2 * m)
     if not np.array_equal(mul(xs, f), ys):
         raise RuntimeError("transvection chain does not satisfy the system")
     if return_transvections:
-        return f, hs
+        return f, list(_unpack(hs, 2 * m))
     return f
 
 

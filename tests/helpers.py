@@ -319,6 +319,51 @@ def ref_depth(c) -> int:
     return deepest
 
 
+# Reference transvection chain: the numpy find_symplectic, which re-solves
+# the intermediate-vector system from scratch at every step with
+# solve_linear.  sympcliff's packed chain must agree with it matrix for
+# matrix and transvection for transvection.
+
+def _ref_choose_w(xt, y, prev_ys):
+    import sympcliff as sc
+    rows = np.vstack([xt, y] + prev_ys)
+    rhs = np.concatenate([[1, 1], sc.gram(rows[2:], y.reshape(1, -1)).ravel()])
+    sol = sc.solve_linear(sc.mul(rows, sc.omega(xt.shape[0] // 2)), rhs)
+    if sol is None:
+        raise RuntimeError("intermediate vector system is not solvable")
+    return sol[0]
+
+
+def _ref_step(xt, y, prev_ys):
+    import sympcliff as sc
+    if np.array_equal(xt, y):
+        return []
+    if sc.symplectic_inner(xt, y) == 1:
+        return [xt ^ y]
+    w = _ref_choose_w(xt, y, prev_ys)
+    return [w ^ y, xt ^ w]
+
+
+def ref_find_symplectic(system, return_transvections=False):
+    import sympcliff as sc
+    from sympcliff.sympsolve import _matrices, _validate
+    _validate(system)
+    m = system.m
+    f = np.eye(2 * m, dtype=np.uint8)
+    hs = []
+    for i in range(len(system)):
+        xt = sc.mul(system.xs[i].reshape(1, -1), f).ravel()
+        for h in _ref_step(xt, system.ys[i], system.ys[:i]):
+            f ^= sc.mul(f, np.concatenate([h[m:], h[:m]]).reshape(-1, 1)) * h
+            hs.append(h)
+    xs, ys = _matrices(system)
+    if not np.array_equal(sc.mul(xs, f), ys):
+        raise RuntimeError("transvection chain does not satisfy the system")
+    if return_transvections:
+        return f, hs
+    return f
+
+
 # Random symplectic matrices
 
 SYMPLECTIC_FAMILIES = ("identity", "omega", "tr", "aq_tr_aq", "aq_omega_tr",

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
+from sympcliff.gf2core import _echelon_insert, _echelon_solve, _unpack
 from helpers import bits
 
 
@@ -209,6 +210,41 @@ def test_solve_linear_is_lex_min_over_every_solution(data):
              for sel in itertools.product((False, True), repeat=ns.shape[0])}
     assert spans == {tuple(h ^ x) for h in hits}
     assert len(spans) == 1 << ns.shape[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_solve_matches_solve_linear(data):
+    width = data.draw(st.sampled_from((2, 8, 62, 64)))
+    word = st.integers(0, (1 << width) - 1)
+    inserted = data.draw(st.lists(word, max_size=width))
+    ech = []
+    for row in inserted:
+        _echelon_insert(ech, row)
+    # reduced echelon: each pivot is its row's highest bit, in no other row
+    for bit, e in ech:
+        assert bit == 1 << (e.bit_length() - 1)
+        assert [o & bit != 0 for _, o in ech].count(True) == 1
+    assert len(ech) == sc.rank(_unpack(inserted, width))
+    y = data.draw(word)
+    extra = []
+    for _ in range(2):
+        # a combination of earlier rows, plus possibly a random word: the
+        # system is often inconsistent or redundant, also at width 64
+        pool = inserted + [row for row, _ in extra]
+        pick = data.draw(st.lists(st.booleans(), min_size=len(pool),
+                                  max_size=len(pool)))
+        row = data.draw(st.just(0) | word)
+        for r in itertools.compress(pool, pick):
+            row ^= r
+        extra.append((row, data.draw(st.integers(0, 1))))
+    got = _echelon_solve(ech, y, extra)
+    rows = [row for row, _ in extra] + inserted
+    rhs = [b for _, b in extra] + [(row & y).bit_count() & 1 for row in inserted]
+    want = sc.solve_linear(_unpack(rows, width), np.array(rhs, np.uint8))
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(_unpack([got], width)[0], want[0])
 
 
 def test_lu_identity():

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import sympcliff as sc
 from sympcliff import sympsolve
-from helpers import as_set, golden_solution_sets
+from helpers import (as_set, golden_solution_sets, ref_find_symplectic,
+                     symplectic)
 
 
 def test_transvection_of_zero_is_identity():
@@ -63,6 +67,23 @@ def test_map_vector_thousand_random_pairs():
             f = sc.mul(f, sc.transvection_matrix(h))
         assert np.array_equal(sc.mul(x.reshape(1, -1), f).ravel(), y)
         done += 1
+
+
+def test_map_vector_rejects_mismatched_or_odd_lengths():
+    with pytest.raises(ValueError, match="same even length"):
+        sc.map_vector([1, 0], [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="same even length"):
+        sc.map_vector([1, 0, 1], [0, 1, 1])
+
+
+def test_transvection_matrix_rejects_odd_length():
+    with pytest.raises(ValueError, match="even length"):
+        sc.transvection_matrix([1, 0, 1])
+
+
+def test_system_rejects_negative_m():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sc.SymplecticSystem(-1)
 
 
 def test_find_symplectic_empty_system():
@@ -196,3 +217,100 @@ def test_golden_phase_system_solution_set(code642):
     system = sc.build_system(code642, spec)
     sols = sc.enumerate_all(system)
     assert as_set(sols) == as_set(golden_solution_sets()["phase1"])
+
+
+def _vec(bits):
+    return np.array([int(c) for c in bits], np.uint8)
+
+
+@st.composite
+def general_system(draw):
+    """(m, xs, ys) with 1 <= m <= 8: sources are distinct rows of a random
+    symplectic matrix in random order, targets their images under a product
+    of random transvections (few transvections leave many rows fixed)."""
+    basis = draw(symplectic(max_m=8))
+    m = basis.shape[0] // 2
+    fstar = np.eye(2 * m, dtype=np.uint8)
+    for h in draw(st.lists(arrays(np.uint8, 2 * m, elements=st.integers(0, 1)),
+                           max_size=3 * m)):
+        fstar = sc.mul(fstar, sc.transvection_matrix(h))
+    order = draw(st.permutations(range(2 * m)))
+    xs = [basis[i] for i in order[:draw(st.integers(0, 2 * m))]]
+    return m, xs, [sc.mul(x.reshape(1, -1), fstar).ravel() for x in xs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(general_system())
+@example((3, [], []))  # t = 0
+@example((2, [_vec("1000"), _vec("0010")], [_vec("1000"), _vec("0010")]))  # x = y
+@example((1, [_vec("10")], [_vec("01")]))  # <x, y> = 1: one transvection
+@example((2, [_vec("1000")], [_vec("0100")]))  # <x, y> = 0: two transvections
+@example((2, [_vec("1000"), _vec("0100")], [_vec("0100"), _vec("1000")]))
+def test_find_symplectic_matches_numpy_oracle(case):
+    system = sc.SymplecticSystem(*case)
+    f, hs = sc.find_symplectic(system, return_transvections=True)
+    ref_f, ref_hs = ref_find_symplectic(system, return_transvections=True)
+    assert (f.dtype, f.shape, f.tobytes()) == (ref_f.dtype, ref_f.shape, ref_f.tobytes())
+    assert [(h.dtype, h.shape, h.tobytes()) for h in hs] == \
+        [(h.dtype, h.shape, h.tobytes()) for h in ref_hs]
+
+
+def _outcome(fn, system):
+    try:
+        return "solved", fn(system).tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_find_symplectic_errors_match_numpy_oracle(data):
+    # arbitrary targets: mostly dependent or commutation-incompatible
+    m = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(1, 2 * m))
+    vec = arrays(np.uint8, 2 * m, elements=st.integers(0, 1))
+    system = sc.SymplecticSystem(m, data.draw(st.lists(vec, min_size=t, max_size=t)),
+                                 data.draw(st.lists(vec, min_size=t, max_size=t)))
+    assert _outcome(sc.find_symplectic, system) == _outcome(ref_find_symplectic, system)
+
+
+@pytest.mark.parametrize("xs, ys", [
+    (["1000", "1000"], ["1000", "0100"]),  # dependent sources
+    (["1000", "0100"], ["1000", "1000"]),  # dependent targets
+    (["1000", "0010"], ["1000", "0100"]),  # commutation changes
+])
+def test_find_symplectic_rejections_match_numpy_oracle(xs, ys):
+    system = sc.SymplecticSystem(2, [_vec(x) for x in xs], [_vec(y) for y in ys])
+    got = _outcome(sc.find_symplectic, system)
+    assert got[0] is sc.InfeasibleError
+    assert got == _outcome(ref_find_symplectic, system)
+
+
+def _hamming_parity(r):
+    return np.array([[(c >> i) & 1 for c in range(1, 1 << r)] for i in range(r)],
+                    dtype=np.uint8)
+
+
+@pytest.mark.parametrize("r", (3, 4, 5))
+def test_find_symplectic_on_hamming_codes_matches_oracle_and_realizes(r):
+    # [[7,1,3]], [[15,7,3]] and [[31,21,3]]: m up to 31, t up to 52
+    code = sc.css_build(sc.CssSpec(hc=_hamming_parity(r)))
+    n = code.n_logical
+    logical = np.vstack([sc.logical_x_gamma(code), sc.logical_z_gamma(code)])
+    rng = np.random.default_rng(1000 + r)
+    for trial in range(3):
+        g = np.eye(2 * n, dtype=np.uint8)
+        for _ in range(3 * n + 1):
+            g = sc.mul(g, sc.transvection_matrix(
+                rng.integers(0, 2, size=2 * n, dtype=np.uint8)))
+        images = sc.mul(g, logical)
+        signs = 2 * rng.integers(0, 2, size=2 * n)
+        spec = sc.CliffordSpec(
+            name="hamming%d_%d" % (r, trial),
+            images_x={i + 1: sc.from_gamma(images[i], signs[i]) for i in range(n)},
+            images_z={i + 1: sc.from_gamma(images[n + i], signs[n + i])
+                      for i in range(n)})
+        system = sc.build_system(code, spec)
+        f = sc.find_symplectic(system)
+        assert f.tobytes() == ref_find_symplectic(system).tobytes()
+        assert sc.realize(code, spec, f).report.passed

@@ -26,7 +26,8 @@ from .gf2core import (InfeasibleError, ParseError, _pack, gram, is_symplectic,
 from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
                     to_label)
 from .sympsolve import SymplecticSystem, find_symplectic
-from .verify import ConjugationReport, conjugate_many, expected_images, verify_solution
+from .verify import (ConjugationReport, _mismatches, expected_images,
+                     verify_solution)
 
 POLICIES = ("centralize", "normalize")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -136,27 +137,29 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
 
     The raw circuit already realizes the right binary symplectic map; each
     row's sign error is linear in the correction's commutation with the row's
-    input, so one GF(2) solve fixes all rows at once.
+    input, so one GF(2) solve fixes all rows at once.  The rows go through
+    verify's bit-sliced conjugation pass and are compared with the wanted
+    rows in packed form; the first failing row in expected_images order
+    names the error.
     """
     rows = expected_images(code, spec)
-    outs = conjugate_many(raw, [given for _, given, _ in rows])
-    err = []
-    gam = []
-    for (name, given, want), got in zip(rows, outs):
-        if not np.array_equal(gamma(got), gamma(want)):
+    m = code.m
+    if not rows:
+        return raw, from_gamma(np.zeros(2 * m, dtype=np.uint8))
+    bad_image, bad_phase, err = _mismatches(raw, rows)
+    bad = bad_image | bad_phase
+    if bad:
+        first = bad & -bad
+        name = rows[first.bit_length() - 1][0]
+        if bad_image & first:
             raise ValueError("row %s: circuit does not realize the requested "
                              "symplectic map" % name)
-        diff = (got.kappa - want.kappa) % 4
-        if diff not in (0, 2):
-            raise RuntimeError("row %s: image of a Hermitian row is not "
-                               "Hermitian" % name)
-        err.append(1 if diff else 0)
-        gam.append(gamma(given))
-    m = code.m
-    if not gam:
-        return raw, from_gamma(np.zeros(2 * m, dtype=np.uint8))
-    mat = mul(np.vstack(gam), omega(m))
-    sol = solve_linear(mat, np.array(err, dtype=np.uint8))
+        raise RuntimeError("row %s: image of a Hermitian row is not "
+                           "Hermitian" % name)
+    given = [g for _, g, _ in rows]
+    # each input row gamma = [a | b] times Omega is [b | a]
+    mat = np.hstack([np.array([p.b for p in given]), np.array([p.a for p in given])])
+    sol = solve_linear(mat, [(err >> r) & 1 for r in range(len(rows))])
     if sol is None:
         raise RuntimeError("no Pauli correction exists: the code's rows are "
                            "not independent")

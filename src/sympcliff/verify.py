@@ -1,81 +1,137 @@
 """Exact verification of circuits against requested Pauli conjugation maps.
 
-Conjugation is tracked symbolically in product form iota^kappa X^a Z^b with
-integer phase arithmetic; each per-gate rule is exact, not just exact mod
-sign.  A dense-matrix oracle (m <= 12) is available for cross-checks.
+Conjugation runs on a bit-sliced tableau in the Aaronson-Gottesman layout
+(CHP, quant-ph/0406196; Stim, arXiv:2103.02202 slices it the same way):
+each qubit column is a pair of Python ints x_q, z_q whose bit r is row r's
+bit, and one int holds every row's sign.  The per-gate rules are exact for
+the Hermitian form E(a, b) of ``pauli``: a Clifford gate maps E(a, b) to
++/- E(a', b'), so it flips only bit 1 of the phase exponent kappa, and bit 0
+is carried through unchanged.  A dense-matrix oracle (m <= 12) is available
+for cross-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_, xor
 
 import numpy as np
 
 from .circuit import Circuit, Gate
+from .gf2core import _pack, _unpack
 from .pauli import PauliOperator, dense, to_label
-from .pauli import _idot  # integer dot; phases die if reduced mod 2
 
 
-def _apply_gate_batch(g: Gate, a: np.ndarray, b: np.ndarray, k: np.ndarray) -> tuple:
-    """Conjugate a batch of product-form Paulis (rows of a, b; phases k) by one gate.
+def _tableau(circ: Circuit, xs: list[int], zs: list[int], s: int) -> tuple:
+    """Conjugate a bit-sliced tableau by every gate of the circuit, in order.
 
-    Updates are the exact Heisenberg rules; k holds product-form exponents
-    mod 4 as int64.
+    xs[q] and zs[q] hold qubit q + 1's x and z bits, bit r for row r; s holds
+    bit 1 of each row's kappa.  The lists are updated in place.
     """
-    kind = g.kind
-    if kind == "H":
-        q = g.qubits[0] - 1
-        k += 2 * (a[:, q].astype(np.int64) * b[:, q])
-        tmp = a[:, q].copy()
-        a[:, q] = b[:, q]
-        b[:, q] = tmp
-    elif kind == "P":
-        q = g.qubits[0] - 1
-        k += a[:, q]
-        b[:, q] ^= a[:, q]
-    elif kind == "X":
-        q = g.qubits[0] - 1
-        k += 2 * b[:, q].astype(np.int64)
-    elif kind == "Z":
-        q = g.qubits[0] - 1
-        k += 2 * a[:, q].astype(np.int64)
-    elif kind == "Y":
-        q = g.qubits[0] - 1
-        k += 2 * (a[:, q].astype(np.int64) + b[:, q])
-    elif kind == "CZ":
-        q, r = g.qubits[0] - 1, g.qubits[1] - 1
-        k += 2 * (a[:, q].astype(np.int64) * a[:, r])
-        b[:, q] ^= a[:, r]
-        b[:, r] ^= a[:, q]
-    elif kind == "CNOT":
-        c, t = g.qubits[0] - 1, g.qubits[1] - 1
-        a[:, t] ^= a[:, c]
-        b[:, c] ^= b[:, t]
-    elif kind == "PERMUTE":
-        sigma = np.array(g.qubits, dtype=np.int64) - 1
-        inv = np.argsort(sigma)
-        a[:, :] = a[:, inv]
-        b[:, :] = b[:, inv]
-    else:
-        raise ValueError("unknown gate kind %r" % kind)
-    return a, b, k
+    for g in circ.gates:
+        kind = g.kind
+        if kind == "CNOT":
+            c, t = g.qubits[0] - 1, g.qubits[1] - 1
+            xc, zt = xs[c], zs[t]
+            s ^= xc & zt & ~(xs[t] ^ zs[c])
+            xs[t] ^= xc
+            zs[c] ^= zt
+        elif kind == "CZ":
+            q, r = g.qubits[0] - 1, g.qubits[1] - 1
+            xq, xr = xs[q], xs[r]
+            s ^= xq & xr & (zs[q] ^ zs[r])
+            zs[q] ^= xr
+            zs[r] ^= xq
+        elif kind == "H":
+            q = g.qubits[0] - 1
+            s ^= xs[q] & zs[q]
+            xs[q], zs[q] = zs[q], xs[q]
+        elif kind == "P":
+            q = g.qubits[0] - 1
+            s ^= xs[q] & zs[q]
+            zs[q] ^= xs[q]
+        elif kind == "X":
+            s ^= zs[g.qubits[0] - 1]
+        elif kind == "Z":
+            s ^= xs[g.qubits[0] - 1]
+        elif kind == "Y":
+            q = g.qubits[0] - 1
+            s ^= xs[q] ^ zs[q]
+        elif kind == "PERMUTE":
+            # qubit q + 1 moves to position qubits[q]
+            ox, oz = xs[:], zs[:]
+            for q, target in enumerate(g.qubits):
+                xs[target - 1] = ox[q]
+                zs[target - 1] = oz[q]
+        else:
+            raise ValueError("unknown gate kind %r" % kind)
+    return xs, zs, s
+
+
+def _phase_bits(ops, bit: int) -> int:
+    """The given bit of each operator's kappa, packed: bit r for row r."""
+    out = 0
+    for r, p in enumerate(ops):
+        out |= ((p.kappa >> bit) & 1) << r
+    return out
+
+
+def _columns(ops: list[PauliOperator]) -> tuple[list[int], list[int]]:
+    """Column ints of same-sized operators: x_q and z_q, bit r for row r."""
+    return (_pack(np.array([p.a for p in ops]).T),
+            _pack(np.array([p.b for p in ops]).T))
+
+
+def _conjugate_rows(circ: Circuit, ops: list[PauliOperator]) -> tuple:
+    """Conjugate operators through the circuit on the bit-sliced tableau.
+
+    Returns (xs, zs, lo, hi): the images' column ints, and bits 0 and 1 of
+    their kappa, packed over the rows.
+    """
+    for p in ops:
+        if p.m != circ.m:
+            raise ValueError("operator acts on %d qubits, circuit on %d"
+                             % (p.m, circ.m))
+    xs, zs = _columns(ops)
+    xs, zs, hi = _tableau(circ, xs, zs, _phase_bits(ops, 1))
+    return xs, zs, _phase_bits(ops, 0), hi
+
+
+def _mismatches(circ: Circuit, rows) -> tuple[int, int, int]:
+    """Conjugate each (name, input, wanted) row's input through the circuit
+    and compare the image with the wanted operator, all on packed rows.
+
+    Returns three masks, bit r for row r: a wrong binary image, a wrong
+    bit 0 of kappa (an imaginary phase error), and a wrong bit 1 (a sign
+    error).  No operator is built for the images.
+    """
+    given = [g for _, g, _ in rows]
+    xs, zs, lo, hi = _conjugate_rows(circ, given)
+    m = circ.m
+    # a wanted row on another qubit count is a wrong image
+    misfit = sum(1 << r for r, (_, _, w) in enumerate(rows) if w.m != m)
+    wanted = [w if w.m == m else g for g, (_, _, w) in zip(given, rows)]
+    wxs, wzs = _columns(wanted)
+    bad_image = reduce(or_, map(xor, xs + zs, wxs + wzs), misfit)
+    return (bad_image, lo ^ _phase_bits(wanted, 0),
+            hi ^ _phase_bits(wanted, 1))
 
 
 def conjugate_many(circ: Circuit, paulis) -> list[PauliOperator]:
-    """Conjugate each operator by the whole circuit, exactly."""
+    """Conjugate each operator by the whole circuit, exactly.
+
+    Every operator must act on circ.m qubits (ValueError otherwise).  The
+    rows go through one bit-sliced pass; operators are built from its output.
+    """
     ps = list(paulis)
     if not ps:
         return []
-    a = np.vstack([p.a for p in ps]).copy()
-    b = np.vstack([p.b for p in ps]).copy()
-    k = np.array([p.kappa_d for p in ps], dtype=np.int64)
-    for g in circ.gates:
-        a, b, k = _apply_gate_batch(g, a, b, k)
-    out = []
-    for i, p in enumerate(ps):
-        kappa_e = (int(k[i]) - _idot(a[i], b[i])) % 4
-        out.append(PauliOperator(p.m, kappa_e, a[i], b[i]))
-    return out
+    xs, zs, lo, hi = _conjugate_rows(circ, ps)
+    n = len(ps)
+    a, b = _unpack(xs, n).T, _unpack(zs, n).T
+    return [PauliOperator(circ.m, ((lo >> i) & 1) | ((hi >> i) & 1) << 1,
+                          a[i], b[i]) for i in range(n)]
 
 
 def conjugate(circ: Circuit, p: PauliOperator) -> PauliOperator:
@@ -88,20 +144,14 @@ def induced_symplectic(circ: Circuit) -> tuple[np.ndarray, np.ndarray]:
 
     Row i < m is the image of X on qubit i+1, row m + j the image of Z on
     qubit j+1; signs[i] is the +/-1 phase the corresponding generator picks
-    up (circuits of these gates never map a Hermitian Pauli to an imaginary
-    multiple).
+    up.  Computed by one bit-sliced pass over the identity tableau.
     """
     m = circ.m
-    a = np.vstack([np.eye(m, dtype=np.uint8), np.zeros((m, m), np.uint8)])
-    b = np.vstack([np.zeros((m, m), np.uint8), np.eye(m, dtype=np.uint8)])
-    k = np.zeros(2 * m, dtype=np.int64)
-    for g in circ.gates:
-        a, b, k = _apply_gate_batch(g, a, b, k)
-    kappa_e = (k - (a.astype(np.int64) * b).sum(axis=1)) % 4
-    if (kappa_e % 2).any():
-        raise RuntimeError("image of a Hermitian row is not Hermitian")
-    signs = np.where(kappa_e == 0, 1, -1).astype(np.int64)
-    return np.hstack([a, b]), signs
+    xs, zs, s = _tableau(circ, [1 << q for q in range(m)],
+                         [1 << (m + q) for q in range(m)], 0)
+    f = np.hstack([_unpack(xs, 2 * m).T, _unpack(zs, 2 * m).T])
+    signs = 1 - 2 * _unpack([s], 2 * m)[0].astype(np.int64)
+    return f, signs
 
 
 _H2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

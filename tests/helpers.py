@@ -363,6 +363,93 @@ def ref_find_symplectic(system, return_transvections=False):
         return f, hs
     return f
 
+# Reference conjugation: the per-gate numpy column updates on product-form
+# exponents.  sympcliff's bit-sliced tableau must agree with it label for
+# label and sign for sign.
+
+def _ref_apply_gate_batch(g, a, b, k):
+    """Conjugate a batch of product-form Paulis (rows of a, b; phases k) by one gate.
+
+    Updates are the exact Heisenberg rules; k holds product-form exponents
+    mod 4 as int64.
+    """
+    kind = g.kind
+    if kind == "H":
+        q = g.qubits[0] - 1
+        k += 2 * (a[:, q].astype(np.int64) * b[:, q])
+        tmp = a[:, q].copy()
+        a[:, q] = b[:, q]
+        b[:, q] = tmp
+    elif kind == "P":
+        q = g.qubits[0] - 1
+        k += a[:, q]
+        b[:, q] ^= a[:, q]
+    elif kind == "X":
+        q = g.qubits[0] - 1
+        k += 2 * b[:, q].astype(np.int64)
+    elif kind == "Z":
+        q = g.qubits[0] - 1
+        k += 2 * a[:, q].astype(np.int64)
+    elif kind == "Y":
+        q = g.qubits[0] - 1
+        k += 2 * (a[:, q].astype(np.int64) + b[:, q])
+    elif kind == "CZ":
+        q, r = g.qubits[0] - 1, g.qubits[1] - 1
+        k += 2 * (a[:, q].astype(np.int64) * a[:, r])
+        b[:, q] ^= a[:, r]
+        b[:, r] ^= a[:, q]
+    elif kind == "CNOT":
+        c, t = g.qubits[0] - 1, g.qubits[1] - 1
+        a[:, t] ^= a[:, c]
+        b[:, c] ^= b[:, t]
+    elif kind == "PERMUTE":
+        sigma = np.array(g.qubits, dtype=np.int64) - 1
+        inv = np.argsort(sigma)
+        a[:, :] = a[:, inv]
+        b[:, :] = b[:, inv]
+    else:
+        raise ValueError("unknown gate kind %r" % kind)
+    return a, b, k
+
+
+def ref_conjugate_many(circ, paulis):
+    """Conjugate each operator by the whole circuit, exactly."""
+    from sympcliff.pauli import PauliOperator, _idot
+    ps = list(paulis)
+    if not ps:
+        return []
+    a = np.vstack([p.a for p in ps]).copy()
+    b = np.vstack([p.b for p in ps]).copy()
+    k = np.array([p.kappa_d for p in ps], dtype=np.int64)
+    for g in circ.gates:
+        a, b, k = _ref_apply_gate_batch(g, a, b, k)
+    out = []
+    for i, p in enumerate(ps):
+        kappa_e = (int(k[i]) - _idot(a[i], b[i])) % 4
+        out.append(PauliOperator(p.m, kappa_e, a[i], b[i]))
+    return out
+
+
+def ref_induced_symplectic(circ):
+    """The binary symplectic matrix of a circuit, plus per-row signs.
+
+    Row i < m is the image of X on qubit i+1, row m + j the image of Z on
+    qubit j+1; signs[i] is the +/-1 phase the corresponding generator picks
+    up (circuits of these gates never map a Hermitian Pauli to an imaginary
+    multiple).
+    """
+    m = circ.m
+    a = np.vstack([np.eye(m, dtype=np.uint8), np.zeros((m, m), np.uint8)])
+    b = np.vstack([np.zeros((m, m), np.uint8), np.eye(m, dtype=np.uint8)])
+    k = np.zeros(2 * m, dtype=np.int64)
+    for g in circ.gates:
+        a, b, k = _ref_apply_gate_batch(g, a, b, k)
+    kappa_e = (k - (a.astype(np.int64) * b).sum(axis=1)) % 4
+    if (kappa_e % 2).any():
+        raise RuntimeError("image of a Hermitian row is not Hermitian")
+    signs = np.where(kappa_e == 0, 1, -1).astype(np.int64)
+    return np.hstack([a, b]), signs
+
 
 # Random symplectic matrices
 

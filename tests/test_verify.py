@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
@@ -117,12 +119,14 @@ def test_dense_unitary_is_unitary():
 
 
 def test_symbolic_conjugation_matches_dense():
+    # every phase kappa, so the carried imaginary bit is checked too
     rng = np.random.default_rng(31)
     for _ in range(40):
         m = int(rng.integers(1, 4))
         c = _random_circuit(rng, m, 20)
         u = sc.dense_unitary(c)
-        ps = _all_paulis(m)
+        ps = [sc.pauli_e(p.a, p.b, kappa)
+              for p in _all_paulis(m) for kappa in range(4)]
         for p, got in zip(ps, sc.conjugate_many(c, ps)):
             lhs = u @ sc.dense(p) @ u.conj().T
             assert np.max(np.abs(lhs - sc.dense(got))) <= TOL
@@ -190,3 +194,49 @@ def test_verify_reports_the_exact_failing_row(code642):
     assert sc.to_label(bad[0].computed) == "-XXXXXX"
     text = report.render()
     assert "FAIL S1" in text and text.endswith("result: fail")
+
+
+@pytest.mark.parametrize("labels,sizes", [
+    (["XIIZZ"], (5, 3)),           # too long: the extra qubits were ignored
+    (["XII", "XIIZ"], (4, 3)),     # mixed sizes
+    (["XI"], (2, 3)),              # too short
+])
+def test_conjugate_many_rejects_a_qubit_count_mismatch(labels, sizes):
+    c = sc.parse("CNOT 1 3\nH 2\n", 3)
+    with pytest.raises(ValueError, match="operator acts on %d qubits, circuit "
+                       "on %d" % sizes):
+        sc.conjugate_many(c, [sc.from_label(t) for t in labels])
+
+
+def test_fix_signs_and_verify_reject_a_circuit_on_other_qubits(code642):
+    c = sc.circuit(5, [])
+    with pytest.raises(ValueError, match="acts on 6 qubits, circuit on 5"):
+        sc.fix_signs(code642, None, c)
+    with pytest.raises(ValueError, match="acts on 6 qubits, circuit on 5"):
+        sc.verify_solution(code642, None, c)
+
+
+def test_fix_signs_names_the_first_failing_row(code642):
+    # the identity circuit leaves X1 and X2 where cz12 wants them moved
+    spec = sc.load_spec((FIXTURES / "cz12.spec").read_text())
+    with pytest.raises(ValueError, match="^row X1: circuit does not realize"):
+        sc.fix_signs(code642, spec, sc.circuit(6, []))
+
+
+@pytest.mark.parametrize("x2,z1,error,message", [
+    ("+iXIXIII", "ZZIIII", RuntimeError, "image of a Hermitian row"),
+    ("ZZIIII", "+iIZIIIZ", ValueError, "circuit does not realize"),
+])
+def test_fix_signs_failure_order_picks_the_exception(code642, x2, z1, error, message):
+    # X2 comes before Z1 in expected_images order; one wants an imaginary
+    # phase on the right binary image, the other a wrong binary image
+    spec = types.SimpleNamespace(images_x={2: sc.from_label(x2)},
+                                 images_z={1: sc.from_label(z1)})
+    with pytest.raises(error, match="^row X2: " + message):
+        sc.fix_signs(code642, spec, sc.circuit(6, []))
+
+
+def test_fix_signs_treats_a_wanted_row_on_other_qubits_as_a_wrong_image(code642):
+    spec = types.SimpleNamespace(images_z={3: sc.from_label("IZIIIZZ")})
+    with pytest.raises(ValueError, match="^row Z3: circuit does not realize"):
+        sc.fix_signs(code642, spec, sc.circuit(6, []))

@@ -1,7 +1,8 @@
 """Matrix literals shared across test modules, including the four published
 eight-element solution sets for the [[6,4,2]] code's logical gates; the
 numpy reference implementations that sympcliff's packed kernels are checked
-against; and a hypothesis strategy for random symplectic matrices."""
+against; random circuits over every gate kind; and a hypothesis strategy
+for random symplectic matrices."""
 
 from __future__ import annotations
 
@@ -449,6 +450,24 @@ def ref_induced_symplectic(circ):
         raise RuntimeError("image of a Hermitian row is not Hermitian")
     signs = np.where(kappa_e == 0, 1, -1).astype(np.int64)
     return np.hstack([a, b]), signs
+
+
+def random_circuit(rng, m, count):
+    """count gates drawn uniformly from every gate kind, on m qubits."""
+    import sympcliff as sc
+    from sympcliff.circuit import GATE_KINDS
+    gs = []
+    while len(gs) < count:
+        kind = GATE_KINDS[rng.integers(len(GATE_KINDS))]
+        if kind == "PERMUTE":
+            gs.append(sc.gate(kind, *(rng.permutation(m) + 1)))
+        elif kind in ("CZ", "CNOT"):
+            if m > 1:
+                q, r = rng.choice(m, size=2, replace=False) + 1
+                gs.append(sc.gate(kind, int(q), int(r)))
+        else:
+            gs.append(sc.gate(kind, int(rng.integers(m)) + 1))
+    return sc.circuit(m, gs)
 
 
 # Random symplectic matrices

@@ -7,30 +7,13 @@ import pytest
 
 import sympcliff as sc
 from conftest import FIXTURES
-from helpers import B_PHASE
+from helpers import B_PHASE, random_circuit
 
 TOL = 1e-10
 
 
 def _circ(m, text):
     return sc.parse(text, m)
-
-
-def _random_circuit(rng, m, count):
-    kinds = ("H", "P", "X", "Y", "Z", "CZ", "CNOT", "PERMUTE")
-    gs = []
-    while len(gs) < count:
-        kind = kinds[rng.integers(len(kinds))]
-        if kind == "PERMUTE":
-            gs.append(sc.gate(kind, *(rng.permutation(m) + 1)))
-        elif kind in ("CZ", "CNOT"):
-            if m < 2:
-                continue
-            q, r = rng.choice(m, size=2, replace=False) + 1
-            gs.append(sc.gate(kind, int(q), int(r)))
-        else:
-            gs.append(sc.gate(kind, int(rng.integers(m)) + 1))
-    return sc.circuit(m, gs)
 
 
 def _all_paulis(m):
@@ -62,7 +45,7 @@ def test_induced_symplectic_of_phase_type_circuit():
 
 def test_conjugate_many_matches_singles():
     rng = np.random.default_rng(11)
-    c = _random_circuit(rng, 3, 15)
+    c = random_circuit(rng, 3, 15)
     ps = _all_paulis(3)[:10]
     batch = sc.conjugate_many(c, ps)
     singles = [sc.conjugate(c, p) for p in ps]
@@ -114,7 +97,7 @@ def test_dense_hadamard_matrix():
 def test_dense_unitary_is_unitary():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        u = sc.dense_unitary(_random_circuit(rng, 3, 12))
+        u = sc.dense_unitary(random_circuit(rng, 3, 12))
         assert np.max(np.abs(u @ u.conj().T - np.eye(8))) <= TOL
 
 
@@ -123,7 +106,7 @@ def test_symbolic_conjugation_matches_dense():
     rng = np.random.default_rng(31)
     for _ in range(40):
         m = int(rng.integers(1, 4))
-        c = _random_circuit(rng, m, 20)
+        c = random_circuit(rng, m, 20)
         u = sc.dense_unitary(c)
         ps = [sc.pauli_e(p.a, p.b, kappa)
               for p in _all_paulis(m) for kappa in range(4)]

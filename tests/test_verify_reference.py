@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import sympcliff as sc
 from sympcliff.circuit import GATE_KINDS
-from helpers import ref_conjugate_many, ref_induced_symplectic
+from helpers import random_circuit, ref_conjugate_many, ref_induced_symplectic
 
 
 @st.composite
@@ -72,27 +72,12 @@ def test_conjugation_matches_reference(data):
     _assert_same_induced(circ)
 
 
-def _random_circuit(rng, m, count):
-    gs = []
-    while len(gs) < count:
-        kind = GATE_KINDS[rng.integers(len(GATE_KINDS))]
-        if kind == "PERMUTE":
-            gs.append(sc.gate(kind, *(rng.permutation(m) + 1)))
-        elif kind in ("CZ", "CNOT"):
-            if m > 1:
-                q, r = rng.choice(m, size=2, replace=False) + 1
-                gs.append(sc.gate(kind, int(q), int(r)))
-        else:
-            gs.append(sc.gate(kind, int(rng.integers(m)) + 1))
-    return sc.circuit(m, gs)
-
-
 @pytest.mark.parametrize("m", [1, 2, 31, 40])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
 def test_conjugation_matches_reference_at_word_edges(m, n):
     rng = np.random.default_rng(1000 * m + n)
     for count in (0, 1, 200):
-        circ = _random_circuit(rng, m, count)
+        circ = random_circuit(rng, m, count)
         ps = [sc.PauliOperator(m, int(k), a, b) for k, a, b in
               zip(rng.integers(0, 4, n), rng.integers(0, 2, (n, m), dtype=np.uint8),
                   rng.integers(0, 2, (n, m), dtype=np.uint8))]

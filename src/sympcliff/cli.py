@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .synth import load_spec, solution_count, synthesize
 from .verify import verify_solution
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sympcliff",
@@ -165,6 +167,14 @@ _HANDLERS = {"synth": _cmd_synth, "verify": _cmd_verify,
 
 
 def main(argv=None) -> int:
+    """Run one command line; return its exit code (0, 1 or 2).
+
+    main may be called any number of times in one process.  The calls share
+    one argument parser, built on the first call: parsing keeps no state
+    between calls, and argparse looks up sys.stdout and sys.stderr only when
+    it prints, so help, usage errors and exit codes are those of a fresh
+    process, also under redirected streams.
+    """
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)

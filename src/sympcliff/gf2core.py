@@ -34,9 +34,15 @@ class ParseError(ValueError):
 
 
 def asbits(data) -> np.ndarray:
-    """Coerce to a uint8 array of 0/1, reducing mod 2."""
+    """Coerce to a uint8 array of 0/1, reducing mod 2.
+
+    A uint8 array that already holds only 0/1 comes back as the same object,
+    uncopied.  That test is one bytes pass (deleting the bytes 0 and 1 leaves
+    nothing), not a numpy reduction, so arrays the package has just built
+    cost almost nothing to pass through again.
+    """
     arr = np.asarray(data)
-    if arr.dtype != np.uint8 or arr.size and arr.max(initial=0) > 1:
+    if arr.dtype != np.uint8 or arr.tobytes().translate(None, b"\x00\x01"):
         arr = np.mod(arr, 2).astype(np.uint8)
     return arr
 

@@ -15,8 +15,12 @@ import numpy as np
 
 from .gf2core import ParseError, asbits, symplectic_inner
 
-_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-_BITS = {v: k for k, v in _LETTER.items()}
+# Each qubit's letter is indexed by its code a_t + 2 b_t: I, X, Z, Y.  Labels
+# are converted with bytes.translate; _CODE sends every byte that is not a
+# letter to _BAD.
+_LETTERS = bytes.maketrans(b"\x00\x01\x02\x03", b"IXZY")
+_BAD = 0xFF
+_CODE = bytes(b"IXZY".find(c) & _BAD for c in range(256))
 _PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
 
 
@@ -129,7 +133,9 @@ def commutes(p: PauliOperator, q: PauliOperator) -> bool:
 
 
 def to_label(p: PauliOperator) -> str:
-    letters = "".join(_LETTER[(int(x), int(z))] for x, z in zip(p.a, p.b))
+    """The operator's label: phase prefix ("", "+i", "-", "-i"), then one
+    letter I/X/Z/Y per qubit, read off (a_t, b_t) in one table lookup."""
+    letters = (p.a + 2 * p.b).tobytes().translate(_LETTERS).decode("ascii")
     return _PREFIX[p.kappa] + letters
 
 
@@ -144,16 +150,16 @@ def from_label(text: str, m: int | None = None) -> PauliOperator:
             break
     if not s:
         raise ParseError("label %r has no Pauli letters" % text)
-    bits = []
-    for ch in s:
-        if ch not in _BITS:
-            raise ParseError("label %r: bad letter %r" % (text, ch))
-        bits.append(_BITS[ch])
-    if m is not None and len(bits) != m:
-        raise ParseError("label %r has %d letters, expected %d" % (text, len(bits), m))
-    a = np.array([x for x, _ in bits], dtype=np.uint8)
-    b = np.array([z for _, z in bits], dtype=np.uint8)
-    return PauliOperator(len(bits), kappa, a, b)
+    # "replace" turns each non-ASCII character into one b"?", so byte
+    # positions stay character positions
+    codes = s.encode("ascii", "replace").translate(_CODE)
+    bad = codes.find(_BAD)
+    if bad >= 0:
+        raise ParseError("label %r: bad letter %r" % (text, s[bad]))
+    if m is not None and len(codes) != m:
+        raise ParseError("label %r has %d letters, expected %d" % (text, len(codes), m))
+    c = np.frombuffer(codes, dtype=np.uint8)
+    return PauliOperator(len(codes), kappa, c & 1, c >> 1)
 
 
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,8 +1,8 @@
 """Matrix literals shared across test modules, including the four published
 eight-element solution sets for the [[6,4,2]] code's logical gates; the
 numpy reference implementations that sympcliff's packed kernels are checked
-against; random circuits over every gate kind; and a hypothesis strategy
-for random symplectic matrices."""
+against; the per-letter reference Pauli labels; random circuits over every
+gate kind; and a hypothesis strategy for random symplectic matrices."""
 
 from __future__ import annotations
 
@@ -450,6 +450,44 @@ def ref_induced_symplectic(circ):
         raise RuntimeError("image of a Hermitian row is not Hermitian")
     signs = np.where(kappa_e == 0, 1, -1).astype(np.int64)
     return np.hstack([a, b]), signs
+
+
+# Reference Pauli labels: one Python lookup per letter.  sympcliff's
+# table-driven labels must agree with these, error messages included.
+
+_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_BITS = {v: k for k, v in _LETTER.items()}
+_PREFIX = {0: "", 1: "+i", 2: "-", 3: "-i"}
+
+
+def ref_to_label(p) -> str:
+    letters = "".join(_LETTER[(int(x), int(z))] for x, z in zip(p.a, p.b))
+    return _PREFIX[p.kappa] + letters
+
+
+def ref_from_label(text: str, m: int | None = None):
+    """Parse a label: optional prefix in {+, -, +i, -i}, then m letters IXYZ."""
+    from sympcliff.gf2core import ParseError
+    from sympcliff.pauli import PauliOperator
+    s = text.strip()
+    kappa = 0
+    for pref, k in (("+i", 1), ("-i", 3), ("+", 0), ("-", 2)):
+        if s.startswith(pref):
+            kappa = k
+            s = s[len(pref):]
+            break
+    if not s:
+        raise ParseError("label %r has no Pauli letters" % text)
+    bits = []
+    for ch in s:
+        if ch not in _BITS:
+            raise ParseError("label %r: bad letter %r" % (text, ch))
+        bits.append(_BITS[ch])
+    if m is not None and len(bits) != m:
+        raise ParseError("label %r has %d letters, expected %d" % (text, len(bits), m))
+    a = np.array([x for x, _ in bits], dtype=np.uint8)
+    b = np.array([z for _, z in bits], dtype=np.uint8)
+    return PauliOperator(len(bits), kappa, a, b)
 
 
 def random_circuit(rng, m, count):

@@ -1,14 +1,33 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import sympcliff as sc
 from conftest import FIXTURES
+from sympcliff import cli
 from sympcliff.cli import entry, main
 
 CODE642 = str(FIXTURES / "sixfourtwo.code")
 CODE513 = str(FIXTURES / "fivequbit.code")
+SRC = str(Path(sc.__file__).resolve().parents[1])
+
+
+def run_fresh(argv, *flags, cwd=None):
+    """(exit code, stdout, stderr) of `python <flags> -m sympcliff <argv>` in
+    a new process, importing this checkout's package, at 80 columns."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *flags, "-m", "sympcliff", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_info_published_code(capsys):
@@ -204,3 +223,41 @@ def test_entry_point_exits_with_status(capsys, monkeypatch):
         entry()
     assert exc.value.code == 0
     capsys.readouterr()
+
+
+def test_repeated_in_process_calls_match_fresh_processes(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = ["synth", "--code", CODE642]
+    calls = [bad, ["--help"], ["info", "--code", CODE642],
+             ["info", "--code", str(tmp_path)], bad]
+    cli._build_parser.cache_clear()
+    for argv in calls:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert (rc, captured.out, captured.err) == run_fresh(argv)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+
+def test_cli_under_optimize_flag_matches_plain_run(tmp_path):
+    # python -O strips assert statements, so a check written as one would
+    # change what these runs print
+    spec = str(FIXTURES / "cz12.spec")
+    runs = {}
+    for flags in ((), ("-O",)):
+        cwd = tmp_path / ("run%s" % "".join(flags))
+        cwd.mkdir()
+        out = [run_fresh(["synth", "--all", "--code", CODE642, "--spec", spec,
+                          "--out", "out"], *flags, cwd=cwd)]
+        files = sorted((cwd / "out").iterdir())
+        assert len(files) == 8
+        for path in files:
+            out.append(run_fresh(["verify", "--code", CODE642, "--spec", spec,
+                                  "--circuit", str(path.relative_to(cwd))],
+                                 *flags, cwd=cwd))
+        runs[flags] = out, {p.name: p.read_text() for p in files}
+    assert runs[("-O",)] == runs[()]
+    assert [rc for rc, _, _ in runs[()][0]] == [0] * 9
+    assert runs[()][0][0][1].startswith("8 solutions\n")
+    assert all(err == "" for _, _, err in runs[()][0])

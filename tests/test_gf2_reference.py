@@ -1,4 +1,5 @@
-"""Every packed-row GF(2) kernel against the plain numpy reference in helpers.
+"""Every packed-row GF(2) kernel against the plain numpy reference in helpers,
+and asbits against the plain mod-2 reduction.
 
 Widths straddle byte and 64-bit word boundaries (1, 7, 8, 9, 63, 64, 65, up
 to 130 columns), zero rows and zero columns included; low-rank products
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import sympcliff as sc
 from helpers import (ref_coset_leader, ref_invert, ref_lex_min_nonzero,
@@ -128,3 +129,57 @@ def test_mul_matches_reference(data):
     assert_same(sc.mul(a, b), ref_mul(a, b))
     assert_same(sc.mul(a, b, d), ref_mul(a, b, d))
 
+
+
+ASBITS_ELEMENTS = {
+    np.uint8: st.integers(0, 255),
+    np.bool_: st.booleans(),
+    np.int8: st.integers(-128, 127),
+    np.int64: st.integers(-2**62, 2**62),
+    np.float64: st.floats(-1e6, 1e6),
+}
+
+
+@st.composite
+def asbits_inputs(draw):
+    """An array of any of the dtypes in ASBITS_ELEMENTS, 0-d and empty
+    included, sometimes a non-contiguous view of a 2-D array or a list."""
+    dtype = draw(st.sampled_from(list(ASBITS_ELEMENTS)))
+    elements = ASBITS_ELEMENTS[dtype]
+    if dtype is np.uint8 and draw(st.booleans()):
+        elements = st.integers(0, 1)  # passes through asbits uncopied
+    shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6))
+    x = draw(arrays(dtype, shape, elements=elements))
+    view = draw(st.sampled_from(["as is", "T", "every other column", "list"]))
+    if view == "T":
+        x = x.T
+    elif view == "every other column" and x.ndim == 2:
+        x = x[:, ::2]
+    elif view == "list":
+        x = x.tolist()
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(asbits_inputs())
+def test_asbits_matches_mod_2(x):
+    got = sc.asbits(x)
+    want = np.mod(np.asarray(x), 2).astype(np.uint8)
+    # a 0-d input may come back as a numpy scalar on either side
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+    if isinstance(x, np.ndarray) and x.dtype == np.uint8 and not (x > 1).any():
+        assert got is x
+
+
+def test_asbits_examples():
+    a = np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)
+    for view in (a, a.T, a[:, ::2], a[:, :0], np.ones((), np.uint8)):
+        assert sc.asbits(view) is view
+    b = np.array([[2, 255], [3, 4]], dtype=np.uint8)
+    assert_same(sc.asbits(b), np.array([[0, 1], [1, 0]], dtype=np.uint8))
+    assert_same(sc.asbits(b.T[:, ::-1]), np.array([[1, 0], [0, 1]], dtype=np.uint8))
+    assert_same(sc.asbits(np.array([-1, -2, 3], dtype=np.int8)),
+                np.array([1, 0, 1], dtype=np.uint8))
+    assert_same(sc.asbits(np.array([True, False])), np.array([1, 0], dtype=np.uint8))
+    assert sc.asbits(np.float64(3.0)) == 1

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympcliff as sc
+from helpers import ref_from_label, ref_to_label
 
 
 def rand_pauli(rng, m):
@@ -161,3 +164,57 @@ def test_phase_and_sign_accessors():
     q = sc.pauli_e([1], [0], kappa=1)
     assert q.phase == 1j
     assert not q.is_hermitian
+
+
+PREFIXES = ["", "+", "-", "+i", "-i"]
+
+
+def parsed(fn, text, m=None):
+    """(m, kappa, a, b, label) of the parsed operator, or the ParseError's
+    message."""
+    try:
+        p = fn(text, m)
+    except sc.ParseError as err:
+        return "ParseError: %s" % err
+    return p.m, p.kappa, p.a.tobytes(), p.b.tobytes(), ref_to_label(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PREFIXES), st.text("IXYZ", min_size=1, max_size=80),
+       st.sampled_from(["", " ", "\t\n"]))
+def test_labels_match_reference(prefix, letters, pad):
+    text = pad + prefix + letters + pad
+    want = parsed(ref_from_label, text)
+    assert parsed(sc.from_label, text) == want
+    assert parsed(sc.from_label, text, len(letters)) == want
+    p = sc.from_label(text)
+    assert sc.to_label(p) == ref_to_label(p) == {"+": ""}.get(prefix, prefix) + letters
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.integers(0, 3), st.data())
+def test_to_label_matches_reference(m, kappa, data):
+    a = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    b = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    p = sc.pauli_e(a, b, kappa)
+    assert sc.to_label(p) == ref_to_label(p)
+    assert parsed(sc.from_label, sc.to_label(p)) == parsed(ref_from_label, ref_to_label(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(max_size=12) | st.text("IXYZ+-i xé", max_size=12),
+       st.none() | st.integers(0, 12))
+def test_from_label_on_any_text_matches_reference(text, m):
+    assert parsed(sc.from_label, text, m) == parsed(ref_from_label, text, m)
+
+
+@pytest.mark.parametrize("text, m", [
+    ("", None), ("  ", None), ("+", None), ("-", None), ("+i", None),
+    ("-i", None), ("QXYZ", None), ("XYZQ", None), ("-iQ", None),
+    ("xyz", None), ("XyZ", None), ("Xé", None), ("éX", None),
+    ("X\N{GREEK CAPITAL LETTER CHI}", None), ("X Y", None), ("++X", None),
+    ("XYZ", 2), ("XYZ", 4), ("-iXYZ", 0), ("XQ", 5)])
+def test_malformed_labels_match_reference(text, m):
+    got = parsed(sc.from_label, text, m)
+    assert got == parsed(ref_from_label, text, m)
+    assert got.startswith("ParseError: label %r" % text)

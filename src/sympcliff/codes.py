@@ -9,12 +9,13 @@ commute across pairs and with every stabilizer).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, ParseError, asbits, gram, mul, nullspace,
-                      rank, solve_linear)
-from .pauli import PauliOperator, from_label, gamma, pauli_e, to_label
+from .gf2core import (InfeasibleError, ParseError, _eliminate, _pack, _unpack,
+                      asbits, mul, nullspace, rank, solve_linear)
+from .pauli import PauliOperator, commutes, from_label, to_label
 
 
 @dataclass(frozen=True)
@@ -55,37 +56,34 @@ def validate_code(code: StabilizerCode) -> None:
     if len(code.logical_x) != n or len(code.logical_z) != n:
         raise ValueError("need %d logical X and Z operators, got %d and %d"
                          % (n, len(code.logical_x), len(code.logical_z)))
-    k = code.k
-    rows = _gamma_rows(paulis, code.m)
-    if rank(rows[:k]) != k:
+    k, m = code.k, code.m
+    words = [p.x | p.z << m for p in paulis]
+    if len(_eliminate(words[:k], 2 * m)) != k:
         raise ValueError("stabilizer generators are dependent")
-    g = gram(rows)
-    bad = np.argwhere(np.triu(g[:k, :k], 1))
-    if bad.size:
-        raise ValueError("stabilizer %d anticommutes with stabilizer %d"
-                         % tuple(bad[0] + 1))
-    bad = np.argwhere(g[k:, :k])
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError("%s %d anticommutes with stabilizer %d"
-                         % ("logicalX" if i < n else "logicalZ", i % n + 1, j + 1))
-    lx, lz = slice(k, k + n), slice(k + n, None)
-    bad = np.argwhere(np.stack([g[lx, lz] != np.eye(n, dtype=np.uint8),
-                                np.triu(g[lx, lx], 1), np.triu(g[lz, lz], 1)], axis=2))
-    if bad.size:
-        i1, i2, kind = bad[0] + (1, 1, 0)
-        raise ValueError(
-            ("logicalX %d vs logicalZ %d: wrong commutation",
-             "logicalX %d anticommutes with logicalX %d",
-             "logicalZ %d anticommutes with logicalZ %d")[kind] % (i1, i2))
-    if rank(rows) != rows.shape[0]:
+    for j, jj in combinations(range(k), 2):
+        if not commutes(paulis[j], paulis[jj]):
+            raise ValueError("stabilizer %d anticommutes with stabilizer %d"
+                             % (j + 1, jj + 1))
+    for i, j in product(range(2 * n), range(k)):
+        if not commutes(paulis[k + i], paulis[j]):
+            raise ValueError("%s %d anticommutes with stabilizer %d"
+                             % ("logicalX" if i < n else "logicalZ", i % n + 1, j + 1))
+    lx, lz = code.logical_x, code.logical_z
+    for i1, i2 in product(range(n), range(n)):
+        if commutes(lx[i1], lz[i2]) == (i1 == i2):
+            raise ValueError("logicalX %d vs logicalZ %d: wrong commutation"
+                             % (i1 + 1, i2 + 1))
+        for name, ops in (("logicalX", lx), ("logicalZ", lz)):
+            if i2 > i1 and not commutes(ops[i1], ops[i2]):
+                raise ValueError("%s %d anticommutes with %s %d"
+                                 % (name, i1 + 1, name, i2 + 1))
+    if len(_eliminate(words, 2 * m)) != len(words):
         raise ValueError("stabilizers and logicals are not independent")
 
 
 def _gamma_rows(paulis, m: int) -> np.ndarray:
     """Binary rows of the given Paulis as a t x 2m matrix, also when t = 0."""
-    rows = [gamma(p) for p in paulis]
-    return np.array(rows, dtype=np.uint8).reshape(len(rows), 2 * m)
+    return _unpack([p.x | p.z << m for p in paulis], 2 * m)
 
 
 def stab_gamma(code: StabilizerCode) -> np.ndarray:
@@ -217,11 +215,7 @@ def css_build(spec: CssSpec) -> StabilizerCode:
             raise ValueError("gz rows must lie in the code (orthogonal to hc)")
         if not np.array_equal(mul(gx, gz.T), np.eye(n_log, dtype=np.uint8)):
             raise ValueError("gx and gz do not pair to the identity")
-    zero = np.zeros(m, dtype=np.uint8)
-    stabs = [pauli_e(row, zero) for row in hc] + [pauli_e(zero, row) for row in hc]
-    lx = [pauli_e(row, zero) for row in gx]
-    lz = [pauli_e(zero, row) for row in gz]
-    return make_code(m, stabs, lx, lz)
+    return _css_code(m, hc, hc, gx, gz)
 
 
 def _css_from_pair(g1: np.ndarray, g2: np.ndarray) -> StabilizerCode:
@@ -233,14 +227,18 @@ def _css_from_pair(g1: np.ndarray, g2: np.ndarray) -> StabilizerCode:
         raise ValueError("generator rows must be independent")
     if rank(np.vstack([g1, g2])) != k1:
         raise ValueError("g2 must generate a subcode of g1")
-    h1 = nullspace(g1)
-    zero = np.zeros(m, dtype=np.uint8)
-    stabs = [pauli_e(row, zero) for row in g2] + [pauli_e(zero, row) for row in h1]
     gx = _extend_basis(g2, g1, k1 - k2)
     gz = _paired_z_rows(gx, nullspace(g2)) if k1 > k2 else np.zeros((0, m), np.uint8)
-    lx = [pauli_e(row, zero) for row in gx]
-    lz = [pauli_e(zero, row) for row in gz]
-    return make_code(m, stabs, lx, lz)
+    return _css_code(m, g2, nullspace(g1), gx, gz)
+
+
+def _css_code(m: int, sx, sz, gx, gz) -> StabilizerCode:
+    """The CSS code whose X and Z stabilizers, logical X and logical Z
+    operators have the 0/1 rows of sx, sz, gx and gz as supports."""
+    return make_code(m, [PauliOperator(m, 0, w, 0) for w in _pack(sx)]
+                     + [PauliOperator(m, 0, 0, w) for w in _pack(sz)],
+                     [PauliOperator(m, 0, w, 0) for w in _pack(gx)],
+                     [PauliOperator(m, 0, 0, w) for w in _pack(gz)])
 
 
 def save_code(code: StabilizerCode) -> str:

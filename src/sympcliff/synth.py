@@ -12,6 +12,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import repeat
 
 import numpy as np
@@ -21,10 +22,10 @@ from .codes import (StabilizerCode, _gamma_rows, logical_x_gamma, logical_z_gamm
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit, _factor, decompose,
                         factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _pack, gram, is_symplectic,
-                      mul, omega, rank, solve_linear, zeros)
-from .pauli import (PauliOperator, from_gamma, from_label, gamma, multiply,
-                    to_label)
+from .gf2core import (InfeasibleError, ParseError, _echelon_solve, _pack,
+                      _transpose, gram, is_symplectic, mul, omega, rank,
+                      solve_linear, zeros)
+from .pauli import PauliOperator, from_label, identity, multiply, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
 from .verify import (ConjugationReport, _mismatches, expected_images,
                      verify_solution)
@@ -83,20 +84,19 @@ def _check_spec(code: StabilizerCode, spec: CliffordSpec) -> None:
                 raise ValueError("%s %d acts on %d qubits, code has %d"
                                  % (label, i, p.m, code.m))
     if spec.policy == "normalize":
-        sg = stab_gamma(code)
+        m = code.m
+        # column c of Sg, packed over the generators
+        cols = _transpose([s.x | s.z << m for s in code.stabilizers], 2 * m)
         for j, target in spec.stab_images.items():
-            sol = solve_linear(sg.T, gamma(target))
-            if sol is None:
+            t = target.x | target.z << m
+            coeffs = _echelon_solve([], 0, [(c, t >> i & 1) for i, c in enumerate(cols)])
+            if coeffs is None:
                 raise ValueError("mapS %d target %s is not a stabilizer-group "
                                  "element" % (j, to_label(target)))
-            coeffs = sol[0]
-            prod = None
-            for jj in range(code.k):
-                if coeffs[jj]:
-                    s = code.stabilizers[jj]
-                    prod = s if prod is None else multiply(prod, s)
-            if prod is None or prod != target:
-                want = to_label(prod) if prod is not None else "the identity"
+            prod = reduce(multiply, (s for jj, s in enumerate(code.stabilizers)
+                                     if coeffs >> jj & 1), identity(m))
+            if not coeffs or prod != target:
+                want = to_label(prod) if coeffs else "the identity"
                 raise ValueError(
                     "mapS %d target %s does not carry its intrinsic sign; the "
                     "generator product is %s" % (j, to_label(target), want))
@@ -144,8 +144,6 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
     """
     rows = expected_images(code, spec)
     m = code.m
-    if not rows:
-        return raw, from_gamma(np.zeros(2 * m, dtype=np.uint8))
     bad_image, bad_phase, err = _mismatches(raw, rows)
     bad = bad_image | bad_phase
     if bad:
@@ -156,25 +154,17 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
                              "symplectic map" % name)
         raise RuntimeError("row %s: image of a Hermitian row is not "
                            "Hermitian" % name)
-    given = [g for _, g, _ in rows]
-    # each input row gamma = [a | b] times Omega is [b | a]
-    mat = np.hstack([np.array([p.b for p in given]), np.array([p.a for p in given])])
-    sol = solve_linear(mat, [(err >> r) & 1 for r in range(len(rows))])
-    if sol is None:
+    # each input row gamma = [a | b] times Omega is [b | a]; the solve
+    # gives the lex-min correction [c | d], packed with bit t for column t
+    cd = _echelon_solve([], 0, [(g.z | g.x << m, err >> r & 1)
+                                for r, (_, g, _) in enumerate(rows)])
+    if cd is None:
         raise RuntimeError("no Pauli correction exists: the code's rows are "
                            "not independent")
-    cd = sol[0]
-    corr_gates = []
-    for t in range(m):
-        c, d = int(cd[t]), int(cd[m + t])
-        if c and d:
-            corr_gates.append(gate("Y", t + 1))
-        elif c:
-            corr_gates.append(gate("X", t + 1))
-        elif d:
-            corr_gates.append(gate("Z", t + 1))
-    fixed = circuit(m, tuple(corr_gates) + raw.gates)
-    return fixed, from_gamma(cd)
+    correction = PauliOperator(m, 0, cd & ((1 << m) - 1), cd >> m)
+    corr_gates = tuple(gate(kind, t + 1)
+                       for t, kind in enumerate(to_label(correction)) if kind != "I")
+    return circuit(m, corr_gates + raw.gates), correction
 
 
 def realize(code: StabilizerCode, spec: CliffordSpec, f: np.ndarray,

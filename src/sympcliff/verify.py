@@ -19,7 +19,7 @@ from operator import or_, xor
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .gf2core import _pack, _unpack
+from .gf2core import _transpose, _unpack
 from .pauli import PauliOperator, dense, to_label
 
 
@@ -69,33 +69,24 @@ def _tableau(circ: Circuit, xs: list[int], zs: list[int], s: int) -> tuple:
     return xs, zs, s
 
 
-def _phase_bits(ops, bit: int) -> int:
-    """The given bit of each operator's kappa, packed: bit r for row r."""
-    out = 0
-    for r, p in enumerate(ops):
-        out |= ((p.kappa >> bit) & 1) << r
-    return out
+def _columns(ops: list[PauliOperator], m: int) -> list[int]:
+    """Column ints of operators on m qubits, bit r for row r: the x bits
+    of qubits 1..m, their z bits, then bits 0 and 1 of kappa."""
+    return _transpose([p.x | p.z << m | p.kappa << 2 * m for p in ops],
+                      2 * m + 2)
 
 
-def _columns(ops: list[PauliOperator]) -> tuple[list[int], list[int]]:
-    """Column ints of same-sized operators: x_q and z_q, bit r for row r."""
-    return (_pack(np.array([p.a for p in ops]).T),
-            _pack(np.array([p.b for p in ops]).T))
-
-
-def _conjugate_rows(circ: Circuit, ops: list[PauliOperator]) -> tuple:
-    """Conjugate operators through the circuit on the bit-sliced tableau.
-
-    Returns (xs, zs, lo, hi): the images' column ints, and bits 0 and 1 of
-    their kappa, packed over the rows.
-    """
+def _conjugate_rows(circ: Circuit, ops: list[PauliOperator]) -> list[int]:
+    """Conjugate operators through the circuit on the bit-sliced tableau;
+    returns the images' columns in the layout of _columns."""
+    m = circ.m
     for p in ops:
-        if p.m != circ.m:
+        if p.m != m:
             raise ValueError("operator acts on %d qubits, circuit on %d"
-                             % (p.m, circ.m))
-    xs, zs = _columns(ops)
-    xs, zs, hi = _tableau(circ, xs, zs, _phase_bits(ops, 1))
-    return xs, zs, _phase_bits(ops, 0), hi
+                             % (p.m, m))
+    cols = _columns(ops, m)
+    xs, zs, hi = _tableau(circ, cols[:m], cols[m:2 * m], cols[2 * m + 1])
+    return xs + zs + [cols[2 * m], hi]
 
 
 def _mismatches(circ: Circuit, rows) -> tuple[int, int, int]:
@@ -107,15 +98,12 @@ def _mismatches(circ: Circuit, rows) -> tuple[int, int, int]:
     error).  No operator is built for the images.
     """
     given = [g for _, g, _ in rows]
-    xs, zs, lo, hi = _conjugate_rows(circ, given)
     m = circ.m
     # a wanted row on another qubit count is a wrong image
     misfit = sum(1 << r for r, (_, _, w) in enumerate(rows) if w.m != m)
-    wanted = [w if w.m == m else g for g, (_, _, w) in zip(given, rows)]
-    wxs, wzs = _columns(wanted)
-    bad_image = reduce(or_, map(xor, xs + zs, wxs + wzs), misfit)
-    return (bad_image, lo ^ _phase_bits(wanted, 0),
-            hi ^ _phase_bits(wanted, 1))
+    want = _columns([w if w.m == m else g for g, (_, _, w) in zip(given, rows)], m)
+    diff = list(map(xor, _conjugate_rows(circ, given), want))
+    return reduce(or_, diff[:2 * m], misfit), diff[2 * m], diff[2 * m + 1]
 
 
 def conjugate_many(circ: Circuit, paulis) -> list[PauliOperator]:
@@ -127,11 +115,10 @@ def conjugate_many(circ: Circuit, paulis) -> list[PauliOperator]:
     ps = list(paulis)
     if not ps:
         return []
-    xs, zs, lo, hi = _conjugate_rows(circ, ps)
-    n = len(ps)
-    a, b = _unpack(xs, n).T, _unpack(zs, n).T
-    return [PauliOperator(circ.m, ((lo >> i) & 1) | ((hi >> i) & 1) << 1,
-                          a[i], b[i]) for i in range(n)]
+    m = circ.m
+    mask = (1 << m) - 1
+    return [PauliOperator(m, w >> 2 * m, w & mask, w >> m & mask)
+            for w in _transpose(_conjugate_rows(circ, ps), len(ps))]
 
 
 def conjugate(circ: Circuit, p: PauliOperator) -> PauliOperator:
@@ -227,31 +214,20 @@ def prepare_css_state(code, x) -> np.ndarray:
     m = code.m
     if m > 12:
         raise ValueError("dense form limited to m <= 12")
-    hc = []
-    for s in code.stabilizers:
-        if s.a.any() and s.b.any():
-            raise ValueError("stabilizer %s is mixed type; state preparation "
-                             "needs a CSS code" % to_label(s))
-        if s.a.any():
-            hc.append(s.a)
-    gx = []
-    for p in code.logical_x:
-        if p.b.any():
-            raise ValueError("logical X operators must be X-type")
-        gx.append(p.a)
-    bits = _as_bitvector(x, len(gx))
-    base = np.zeros(m, dtype=np.uint8)
-    for xi, row in zip(bits, gx):
-        if xi:
-            base ^= row
-    weights = 1 << np.arange(m - 1, -1, -1)
+    mixed = [s for s in code.stabilizers if s.x and s.z]
+    if mixed:
+        raise ValueError("stabilizer %s is mixed type; state preparation "
+                         "needs a CSS code" % to_label(mixed[0]))
+    hc = [s.x for s in code.stabilizers if s.x]
+    if any(p.z for p in code.logical_x):
+        raise ValueError("logical X operators must be X-type")
+    bits = _as_bitvector(x, len(code.logical_x))
+    base = reduce(xor, (p.x for xi, p in zip(bits, code.logical_x) if xi), 0)
     vec = np.zeros(1 << m, dtype=complex)
     for combo in range(1 << len(hc)):
-        c = base.copy()
-        for j in range(len(hc)):
-            if (combo >> j) & 1:
-                c ^= hc[j]
-        vec[int(c @ weights)] += 1
+        c = reduce(xor, (row for j, row in enumerate(hc) if combo >> j & 1), base)
+        # qubit 1 is the most significant bit of the index: c bit-reversed
+        vec[int(format(c, "0%db" % m)[::-1], 2)] += 1
     return vec / np.sqrt(1 << len(hc))
 
 

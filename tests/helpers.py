@@ -6,6 +6,8 @@ gate kind; and a hypothesis strategy for random symplectic matrices."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -415,7 +417,7 @@ def _ref_apply_gate_batch(g, a, b, k):
 
 def ref_conjugate_many(circ, paulis):
     """Conjugate each operator by the whole circuit, exactly."""
-    from sympcliff.pauli import PauliOperator, _idot
+    from sympcliff.pauli import PauliOperator
     ps = list(paulis)
     if not ps:
         return []
@@ -452,6 +454,91 @@ def ref_induced_symplectic(circ):
     return np.hstack([a, b]), signs
 
 
+# Reference Pauli operator: the array-backed class, two read-only uint8
+# arrays a and b, with its products and phases as integer dot products.
+# sympcliff's packed-int operator must agree with it operation for
+# operation.
+
+def _idot(x: np.ndarray, y: np.ndarray) -> int:
+    # integer dot product; GF(2) reduction here would lose phase information
+    return int(x.astype(np.int64) @ y.astype(np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class RefPauli:
+    """iota^kappa * E(a, b) on m qubits; kappa is the Hermitian-form exponent."""
+
+    m: int
+    kappa: int
+    a: np.ndarray = field(repr=False)
+    b: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        from sympcliff.gf2core import asbits
+        a = asbits(self.a).ravel().copy()
+        b = asbits(self.b).ravel().copy()
+        if a.shape != (self.m,) or b.shape != (self.m,):
+            raise ValueError("a and b must each hold m bits")
+        a.flags.writeable = False
+        b.flags.writeable = False
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "kappa", int(self.kappa) % 4)
+
+    def __eq__(self, other):
+        if not isinstance(other, RefPauli):
+            return NotImplemented
+        return (self.m == other.m and self.kappa == other.kappa
+                and np.array_equal(self.a, other.a) and np.array_equal(self.b, other.b))
+
+    def __hash__(self):
+        return hash((self.m, self.kappa, self.a.tobytes(), self.b.tobytes()))
+
+    @property
+    def kappa_d(self) -> int:
+        """Phase exponent relative to the bare product form X^a Z^b."""
+        return (self.kappa + _idot(self.a, self.b)) % 4
+
+
+def ref_pauli_e(a, b, kappa: int = 0) -> RefPauli:
+    from sympcliff.gf2core import asbits
+    a = asbits(a).ravel()
+    return RefPauli(a.shape[0], kappa, a, asbits(b).ravel())
+
+
+def ref_pauli_d(a, b, kappa: int = 0) -> RefPauli:
+    from sympcliff.gf2core import asbits
+    a = asbits(a).ravel()
+    b = asbits(b).ravel()
+    return RefPauli(a.shape[0], kappa - _idot(a, b), a, b)
+
+
+def ref_gamma(p) -> np.ndarray:
+    return np.concatenate([p.a, p.b])
+
+
+def ref_from_gamma(row, kappa: int = 0) -> RefPauli:
+    from sympcliff.gf2core import asbits
+    row = asbits(row).ravel()
+    m = row.shape[0] // 2
+    return RefPauli(m, kappa, row[:m], row[m:])
+
+
+def ref_multiply(p, q) -> RefPauli:
+    if p.m != q.m:
+        raise ValueError("qubit counts differ")
+    kappa = (p.kappa + q.kappa
+             + _idot(p.a, p.b) + _idot(q.a, q.b)
+             + 2 * _idot(q.a, p.b)
+             - _idot(p.a ^ q.a, p.b ^ q.b))
+    return RefPauli(p.m, kappa, p.a ^ q.a, p.b ^ q.b)
+
+
+def ref_commutes(p, q) -> bool:
+    from sympcliff.gf2core import symplectic_inner
+    return symplectic_inner(ref_gamma(p), ref_gamma(q)) == 0
+
+
 # Reference Pauli labels: one Python lookup per letter.  sympcliff's
 # table-driven labels must agree with these, error messages included.
 
@@ -468,7 +555,6 @@ def ref_to_label(p) -> str:
 def ref_from_label(text: str, m: int | None = None):
     """Parse a label: optional prefix in {+, -, +i, -i}, then m letters IXYZ."""
     from sympcliff.gf2core import ParseError
-    from sympcliff.pauli import PauliOperator
     s = text.strip()
     kappa = 0
     for pref, k in (("+i", 1), ("-i", 3), ("+", 0), ("-", 2)):
@@ -487,7 +573,7 @@ def ref_from_label(text: str, m: int | None = None):
         raise ParseError("label %r has %d letters, expected %d" % (text, len(bits), m))
     a = np.array([x for x, _ in bits], dtype=np.uint8)
     b = np.array([z for _, z in bits], dtype=np.uint8)
-    return PauliOperator(len(bits), kappa, a, b)
+    return RefPauli(len(bits), kappa, a, b)
 
 
 def random_circuit(rng, m, count):

@@ -1,16 +1,16 @@
 """Dense linear algebra over GF(2) and the binary symplectic group Sp(2m, F2).
 
 Vectors are rows and matrices act on the right (x -> x @ F), so row i of a
-matrix is the image of basis vector e_i.  Every function takes and returns
-numpy uint8 arrays holding 0/1; phase bookkeeping never touches this module.
-
-Inside the elimination kernels (rref, rank, invert, nullspace, solve_linear,
-lu_decompose) each row is packed into one Python int, bit c holding column
-c, so a row operation is one integer XOR, as in the packed tableau rows of
-CHP and Stim.  Products (mul) run in float64 through BLAS.  The private
-packed kernels (_eliminate, _inverse, _lu, _mul_rows, _transpose) also serve
-decompose's factoring core directly, and a growing reduced echelon form
-(_echelon_insert, _echelon_solve) serves sympsolve's transvection chain.
+matrix is the image of basis vector e_i.  The public functions take and
+return numpy uint8 arrays holding 0/1; phase bookkeeping never touches this
+module.  Underneath, each row is one Python int, bit c holding column c, so
+a row operation is one integer XOR, as in the packed tableau rows of CHP
+and Stim; products (mul) run in float64 through BLAS.  The private kernels
+take and return such ints: _eliminate, _inverse, _lu, _mul_rows and
+_transpose serve decompose's factoring core, and the growing echelon form
+(_echelon_insert, _echelon_solve), the affine solve (_solve), the basis
+completion (_hyperbolic) and the Gram comparison (_gram_mismatch) serve
+sympsolve and synth.
 """
 
 from __future__ import annotations
@@ -81,14 +81,39 @@ def omega(m: int) -> np.ndarray:
 def gram(a, b=None) -> np.ndarray:
     """Symplectic Gram matrix: entry (i, j) is <a_i, b_j>; b defaults to a.
 
-    Rows have even length 2m.  Every commutation invariant is a comparison
-    on this matrix: F is symplectic iff gram(F) = Omega, and x_i F = y_i
-    can hold only if gram(X) = gram(Y).
+    Rows have even length 2m.  F is symplectic iff gram(F) = Omega, and
+    x_i F = y_i can hold only if gram(X) = gram(Y), which _gram_mismatch
+    checks on packed rows.
     """
     a = asbits(a)
     b = a if b is None else asbits(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or a.shape[1] % 2:
+        raise ValueError("gram takes 2-D arrays of rows of one even length 2m, "
+                         "got shapes %s and %s" % (a.shape, b.shape))
     m = a.shape[1] // 2
     return mul(a[:, :m], b[:, m:].T) ^ mul(a[:, m:], b[:, :m].T)
+
+
+def _swap(v: int, m: int) -> int:
+    """v Omega for a packed row of 2m bits: its halves exchanged, so that
+    parity(_swap(x, m) & y) is the symplectic product <x, y>."""
+    return v >> m | (v & ((1 << m) - 1)) << m
+
+
+def _gram_mismatch(xs: list[int], ys: list[int], m: int) -> tuple[int, int] | None:
+    """First pair i < j, row-major, with <x_i, x_j> != <y_i, y_j>, or None.
+
+    One popcount per pair: x_i Omega next to y_i Omega, ANDed with x_j next
+    to y_j, has the parity of the two products' sum.
+    """
+    two = 2 * m
+    ws = [x << two | y for x, y in zip(xs, ys)]
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        z = _swap(x, m) << two | _swap(y, m)
+        for j, w in enumerate(ws[i + 1:], i + 1):
+            if (z & w).bit_count() & 1:
+                return i, j
+    return None
 
 
 def symplectic_inner(x, y) -> int:
@@ -165,22 +190,12 @@ def _echelon_insert(ech: list[tuple[int, int]], row: int) -> None:
         ech.append((bit, row))
 
 
-def _echelon_solve(ech: list[tuple[int, int]], y: int,
-                   extra: list[tuple[int, int]]) -> int | None:
-    """Lexicographically smallest packed w (column 0 most significant) with
-    parity(e & w) = parity(e & y) for every stored row e of ech and
-    parity(row & w) = rhs for every extra (row, rhs) pair; None when the
-    system is inconsistent.
-
-    The stored right-hand sides are linear in e, so a stored row needs no
-    transform carried.  Each extra row is reduced against ech and the extras
-    before it, which keeps every pivot on its row's highest set bit; then
-    each pivot's value depends only on the free columns below it, and every
-    free column at 0 is the lex-min choice, as in solve_linear.  The new
-    pivots take their right-hand sides z; each stored row e, which has a 1
-    at no other stored pivot, then takes parity(e & (y ^ z)) without being
-    back-reduced.
-    """
+def _reduce(ech: list[tuple[int, int]], y: int,
+            extra: list[tuple[int, int]]) -> list[tuple[int, int, int]] | None:
+    """The (row, rhs) pairs of extra, each reduced against ech (whose rows e
+    have the right-hand sides parity(e & y)) and the rows before it, as
+    (pivot bit, row, rhs) triples in reduced echelon form, each pivot its
+    row's highest set bit; None when they are inconsistent."""
     new: list[tuple[int, int, int]] = []
     for row, rhs in extra:
         start = row
@@ -199,15 +214,47 @@ def _echelon_solve(ech: list[tuple[int, int]], y: int,
         bit = 1 << (row.bit_length() - 1)
         new = [(p, u ^ row, s ^ rhs) if u & bit else (p, u, s) for p, u, s in new]
         new.append((bit, row, rhs))
-    w = 0
-    for bit, _, s in new:
-        if s:
-            w |= bit
+    return new
+
+
+def _echelon_solve(ech: list[tuple[int, int]], y: int,
+                   extra: list[tuple[int, int]]) -> int | None:
+    """Lexicographically smallest packed w (column 0 most significant) with
+    parity(e & w) = parity(e & y) for every stored row e of ech and
+    parity(row & w) = rhs for every extra (row, rhs) pair; None when the
+    system is inconsistent.
+
+    With the extras reduced (_reduce), every free column at 0 is the lex-min
+    choice, as in _solve, and the new pivots take their right-hand sides z;
+    each stored row e, which has a 1 at no other stored pivot, then takes
+    parity(e & (y ^ z)) without being back-reduced or carrying a transform.
+    """
+    new = _reduce(ech, y, extra)
+    if new is None:
+        return None
+    w = sum(bit for bit, _, s in new if s)  # distinct pivot bits: sum is OR
     yz = y ^ w
     for bit, e in ech:
         if (e & yz).bit_count() & 1:
             w |= bit
     return w
+
+
+def _solve(rows: list[tuple[int, int]], cols: int) -> tuple[int, list[int]] | None:
+    """(x, null) for parity(row & x) = rhs over the (row, rhs) pairs of
+    cols bits, or None when inconsistent: x is the lexicographically
+    smallest solution (column 0 most significant) and null the reduced
+    echelon basis of the nullspace.  Each reduced row's pivot is its highest
+    bit and its other 1s are at free columns below, so the free columns at
+    0 give x, and free column f gives e_f plus the pivots of its rows.
+    """
+    new = _reduce([], 0, rows)
+    if new is None:
+        return None
+    pivots = sum(bit for bit, _, _ in new)
+    return (sum(bit for bit, _, s in new if s),
+            [1 << f | sum(bit for bit, u, _ in new if u >> f & 1)
+             for f in range(cols) if not pivots >> f & 1])
 
 
 def rref(m_in) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -281,32 +328,13 @@ def invert(m_in) -> np.ndarray:
     return _unpack(_inverse(_pack(m), n), n)
 
 
-def _null_basis(rev: list[int], pivots: list[int], cols: int) -> np.ndarray:
-    """Reduced nullspace basis read off a reverse-order elimination.
-
-    rev holds the reduced rows with bit g for column cols - 1 - g and pivots
-    as _eliminate returned them.  Each reduced row's pivot is its last 1, so
-    every other column f gives the vector e_f plus the pivots of the rows
-    with a 1 at f, all right of f; these vectors by ascending f are already
-    the reduced echelon form.
-    """
-    free = sorted(set(range(cols)).difference(pivots))
-    mask = (1 << cols) - 1
-    basis = zeros((len(free), cols))
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = _unpack([r & mask for r in rev[:len(pivots)]], cols)[:, free].T
-    return basis[::-1, ::-1].copy()
-
-
 def nullspace(m_in) -> np.ndarray:
     """Right nullspace basis {x : M x^T = 0}, rows in reduced echelon form.
 
     Shape is (d, cols); d may be zero.
     """
     m = asbits(m_in)
-    cols = m.shape[1]
-    rev = _pack(m[:, ::-1])  # bit g holds column cols - 1 - g
-    return _null_basis(rev, _eliminate(rev, cols), cols)
+    return solve_linear(m, zeros(m.shape[0]))[1]
 
 
 def solve_linear(m_in, rhs) -> tuple[np.ndarray, np.ndarray] | None:
@@ -314,23 +342,16 @@ def solve_linear(m_in, rhs) -> tuple[np.ndarray, np.ndarray] | None:
 
     Returns (x, nullspace(M)), x the lexicographically smallest solution
     (column 0 most significant), or None when the system is inconsistent.
-    One elimination runs with the columns in reverse order and rhs riding in
-    bit cols, so each reduced row's pivot is its last 1 and depends only on
-    the free columns before it: setting every free column to 0 is then the
-    smallest choice at each free column in turn.
     """
     m = asbits(m_in)
     b = asbits(rhs).ravel()
     rows, cols = m.shape
     if b.shape[0] != rows:
         raise ValueError("rhs length does not match row count")
-    rev = [r | bi << cols for r, bi in zip(_pack(m[:, ::-1]), b.tolist())]
-    pivots = _eliminate(rev, cols)
-    if any(r >> cols for r in rev[len(pivots):]):
+    sol = _solve(list(zip(_pack(m), b.tolist())), cols)
+    if sol is None:
         return None
-    x = zeros(cols)
-    x[pivots] = [r >> cols for r in rev[:len(pivots)]]
-    return x[::-1].copy(), _null_basis(rev, pivots, cols)
+    return _unpack([sol[0]], cols)[0], _unpack(sol[1], cols)
 
 
 def _lu(a: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
@@ -370,6 +391,49 @@ def lu_decompose(q_in) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(perm, dtype=np.intp), _unpack(low, n), _unpack(up, n)
 
 
+def _hyperbolic(seeds: list[int], m: int) -> list[int]:
+    """symplectic_gram_schmidt on packed rows of 2m bits: the basis rows
+    u_1..u_m, v_1..v_m as ints."""
+    n = len(seeds)
+    if n > 2 * m:
+        raise InfeasibleError("more seed vectors than basis slots")
+    if len(_eliminate(list(seeds), 2 * m)) != n:
+        raise InfeasibleError("seed vectors are linearly dependent")
+
+    slots: list[list[int]] = []
+    for i, x in enumerate(seeds):
+        xw = _swap(x, m)
+        mates = [j for j, y in enumerate(seeds) if (xw & y).bit_count() & 1]
+        if len(mates) > 1:
+            raise InfeasibleError(
+                "seed vector %d pairs with %d others; Gram pattern is not a matching"
+                % (i, len(mates)))
+        if not mates or mates[0] > i:  # else x already sits in its mate's slot
+            slots.append([x, seeds[mates[0]] if mates else 0])
+
+    def pick(mate: int, nonzero_only: bool) -> int:
+        # <f, w> = 1 for f = mate (0 for none), 0 for every other row so far
+        sol = _solve([(_swap(f, m), int(f == mate)) for p in slots for f in p if f],
+                     2 * m)
+        if sol is None:
+            raise InfeasibleError("seed cannot be extended to a symplectic basis")
+        # the slots hold whole pairs only, so the nullspace is nonempty and
+        # its last reduced row is its smallest nonzero vector
+        return sol[1][-1] if nonzero_only else sol[0]
+
+    for pair in slots:
+        if not pair[1]:
+            pair[1] = pick(pair[0], nonzero_only=False)
+    while len(slots) < m:
+        slots.append([pick(0, nonzero_only=True), 0])
+        slots[-1][1] = pick(slots[-1][0], nonzero_only=False)
+
+    basis = [p[0] for p in slots] + [p[1] for p in slots]
+    if _gram_mismatch(basis, [1 << c for c in range(2 * m)], m) is not None:
+        raise RuntimeError("completed basis is not hyperbolic")
+    return basis
+
+
 def symplectic_gram_schmidt(seed, m: int | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Extend seed vectors to a full hyperbolic basis (u_1..u_m, v_1..v_m).
 
@@ -389,69 +453,14 @@ def symplectic_gram_schmidt(seed, m: int | None = None) -> list[tuple[np.ndarray
             raise InfeasibleError("seed vectors have inconsistent lengths")
     elif m is None:
         raise ValueError("m is required for an empty seed")
-    n = len(vecs)
-    if n > 2 * m:
-        raise InfeasibleError("more seed vectors than basis slots")
-    if n and rank(np.vstack(vecs)) != n:
-        raise InfeasibleError("seed vectors are linearly dependent")
-
-    partner = [None] * n
-    if n:
-        for i, row in enumerate(gram(np.vstack(vecs))):
-            mates = np.flatnonzero(row)
-            if mates.size > 1:
-                raise InfeasibleError(
-                    "seed vector %d pairs with %d others; Gram pattern is not a matching"
-                    % (i, mates.size))
-            if mates.size:
-                partner[i] = int(mates[0])
-
-    slots: list[list[np.ndarray | None]] = []
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        seen[i] = True
-        j = partner[i]
-        if j is None:
-            slots.append([vecs[i], None])
-        else:
-            seen[j] = True
-            slots.append([vecs[i], vecs[j]])
-
-    w = omega(m)
-    fixed: list[np.ndarray] = [v for pair in slots for v in pair if v is not None]
-
-    def pick(target_products: np.ndarray, nonzero_only: bool) -> np.ndarray:
-        mat = mul(np.vstack(fixed), w) if fixed else zeros((0, 2 * m))
-        sol = solve_linear(mat, target_products)
-        if sol is None:
-            raise InfeasibleError("seed cannot be extended to a symplectic basis")
-        # fixed holds whole pairs only, so the nullspace is nonempty and its
-        # last reduced row is its smallest nonzero vector
-        return sol[1][-1] if nonzero_only else sol[0]
-
-    for pair in slots:
-        if pair[1] is None:
-            req = np.array([1 if f is pair[0] else 0 for f in fixed], dtype=np.uint8)
-            pair[1] = pick(req, nonzero_only=False)
-            fixed.append(pair[1])
-    while len(slots) < m:
-        u = pick(zeros(len(fixed)), nonzero_only=True)
-        fixed.append(u)
-        req = np.array([1 if f is u else 0 for f in fixed], dtype=np.uint8)
-        v = pick(req, nonzero_only=False)
-        fixed.append(v)
-        slots.append([u, v])
-
-    basis = np.array([p[0] for p in slots] + [p[1] for p in slots], dtype=np.uint8)
-    if basis.size and not np.array_equal(gram(basis), w):
-        raise RuntimeError("completed basis is not hyperbolic")
-    return [(p[0], p[1]) for p in slots]
+    rows = _unpack(_hyperbolic(_pack(np.vstack(vecs)) if vecs else [], m), 2 * m)
+    return list(zip(rows[:m], rows[m:]))
 
 
 def sp_group_order(m: int) -> int:
     """Order of Sp(2m, F2)."""
+    if m < 0:
+        raise ValueError("m must be nonnegative, got %d" % m)
     out = 1 << (m * m)
     for j in range(1, m + 1):
         out *= (1 << (2 * j)) - 1

@@ -1,25 +1,29 @@
 """Solving and enumerating binary symplectic matrices under linear constraints.
 
 A constraint system asks for F in Sp(2m, F2) with x_i F = y_i for given row
-pairs.  One solution comes from a chain of at most 2t symplectic transvections
-(t = constraint count), run on packed rows (one Python int per row, bit c
-holding column c, as in gf2core): each transvection is a rank-1 update of
-F's rows, and the intermediate vectors come from one reduced
-echelon form of the targets that grows by one row per constraint.  The full
-solution set comes from a depth-first sweep over the images of the
-unconstrained half of a hyperbolic basis containing the x_i.
+pairs.  It holds its rows packed (one Python int per row, bit c holding
+column c, as in gf2core), and all work below runs on such ints; numpy
+arrays appear only at the public edge.  One solution comes from a chain of
+at most 2t transvections (t = constraint count), each a rank-1 update of
+F's rows, with intermediate vectors read off one echelon form of the
+targets that grows by one row per constraint.  The full solution set comes
+from a depth-first sweep over the images of the unconstrained half of a
+hyperbolic basis containing the x_i.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from itertools import product
+from operator import index, xor
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve, _pack,
-                      _unpack, asbits, eye, gram, invert, mul, omega, rank,
-                      solve_linear, sp_group_order, symplectic_gram_schmidt,
-                      zeros)
+from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve,
+                      _eliminate, _gram_mismatch, _hyperbolic, _inverse,
+                      _mul_rows, _pack, _solve, _swap, _unpack, asbits, eye,
+                      mul, omega, sp_group_order)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -53,11 +57,6 @@ def map_vector(x, y) -> list[np.ndarray]:
     return list(_unpack(_step(px, py, [], x.shape[0] // 2), x.shape[0]))
 
 
-def _swap(v: int, m: int) -> int:
-    """v Omega for a packed row of 2m bits: its halves exchanged."""
-    return v >> m | (v & ((1 << m) - 1)) << m
-
-
 def _step(xt: int, y: int, ech: list[tuple[int, int]], m: int) -> list[int]:
     """Packed transvection vectors taking xt to y while fixing the earlier
     targets, whose rows y_j Omega ech holds in reduced echelon form:
@@ -75,72 +74,77 @@ def _step(xt: int, y: int, ech: list[tuple[int, int]], m: int) -> list[int]:
     return [w ^ y, xt ^ w]
 
 
-@dataclass
+def _row(v, m: int) -> int:
+    """One constraint row, an int or an array of 2m bits, as a packed int."""
+    if isinstance(v, int):
+        if not 0 <= v < 1 << 2 * m:
+            raise ValueError("packed constraint rows must lie in [0, 2^2m), got %d" % v)
+        return v
+    bits = asbits(v).ravel()
+    if bits.shape != (2 * m,):
+        raise ValueError("constraint vectors must have length 2m")
+    return _pack(bits.reshape(1, -1))[0]
+
+
+@dataclass(init=False)
 class SymplecticSystem:
     """Constraints x_i F = y_i over Sp(2m, F2).
 
-    The hyperbolic-basis slot of each source vector is inferred from the
-    symplectic Gram pattern of the sources, in the given order.
+    Each row may be an array of 2m bits (reduced mod 2) or a packed int, bit
+    c holding column c; the system keeps the ints, and xs and ys give the
+    rows back as uint8 arrays.  The hyperbolic-basis slot of each source
+    vector is inferred from the symplectic Gram pattern of the sources, in
+    the given order.
     """
 
     m: int
-    xs: list[np.ndarray] = field(default_factory=list)
-    ys: list[np.ndarray] = field(default_factory=list)
+    _xs: list[int]
+    _ys: list[int]
 
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("m must be nonnegative, got %d" % self.m)
-        self.xs = [asbits(x).ravel() for x in self.xs]
-        self.ys = [asbits(y).ravel() for y in self.ys]
-        if len(self.xs) != len(self.ys):
+    def __init__(self, m: int, xs=(), ys=()):
+        try:
+            m = index(m)
+        except TypeError:
+            raise ValueError("m must be an integer, got %r" % (m,)) from None
+        if m < 0:
+            raise ValueError("m must be nonnegative, got %d" % m)
+        xs, ys = list(xs), list(ys)
+        if len(xs) != len(ys):
             raise ValueError("source and target counts differ")
-        for v in self.xs + self.ys:
-            if v.shape != (2 * self.m,):
-                raise ValueError("constraint vectors must have length 2m")
+        self.m = m
+        self._xs = [_row(v, m) for v in xs]
+        self._ys = [_row(v, m) for v in ys]
+
+    @property
+    def xs(self) -> list[np.ndarray]:
+        return list(_unpack(self._xs, 2 * self.m))
+
+    @property
+    def ys(self) -> list[np.ndarray]:
+        return list(_unpack(self._ys, 2 * self.m))
 
     def __len__(self):
-        return len(self.xs)
-
-
-def _matrices(system: SymplecticSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Sources and targets stacked as t x 2m matrices, also when t = 0."""
-    shape = (len(system), 2 * system.m)
-    return (np.array(system.xs, dtype=np.uint8).reshape(shape),
-            np.array(system.ys, dtype=np.uint8).reshape(shape))
+        return len(self._xs)
 
 
 def _validate(system: SymplecticSystem) -> None:
-    t = len(system)
-    xs, ys = _matrices(system)
-    if rank(xs) != t:
-        raise InfeasibleError("source vectors are linearly dependent")
-    if rank(ys) != t:
-        raise InfeasibleError("target vectors are linearly dependent")
-    bad = np.argwhere(np.triu(gram(xs) != gram(ys), 1))
-    if bad.size:
-        raise InfeasibleError(
-            "constraints %d and %d have incompatible inner products" % tuple(bad[0]))
+    for rows, side in ((system._xs, "source"), (system._ys, "target")):
+        if len(_eliminate(list(rows), 2 * system.m)) != len(system):
+            raise InfeasibleError("%s vectors are linearly dependent" % side)
+    bad = _gram_mismatch(system._xs, system._ys, system.m)
+    if bad is not None:
+        raise InfeasibleError("constraints %d and %d have incompatible inner products" % bad)
 
 
-def find_symplectic(system: SymplecticSystem, return_transvections: bool = False):
-    """One F in Sp(2m, F2) satisfying the system, via <= 2t transvections.
-
-    Each constraint is fixed by one transvection when <x_i F, y_i> = 1 and by
-    two otherwise; the intermediate vector is the lex-smallest one that keeps
-    the earlier constraints satisfied.  F and the targets stay packed: x_i F
-    is the XOR of F's rows at the set bits of x_i, each transvection is a
-    rank-1 update of F's rows, and each target enters one growing echelon
-    form once its constraint is fixed.  Empty system returns the identity.  Raises
-    InfeasibleError for dependent or inner-product-incompatible inputs.
-    """
+def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
+    """find_symplectic on packed rows: F's rows and the transvections."""
     _validate(system)
     m = system.m
-    xs, ys = _matrices(system)
     f = [1 << c for c in range(2 * m)]
     ech: list[tuple[int, int]] = []
     hs: list[int] = []
-    for x, y in zip(_pack(xs), _pack(ys)):
-        xt = 0
+    for x, y in zip(system._xs, system._ys):
+        xt = 0  # x F: the XOR of F's rows at the set bits of x
         while x:
             low = x & -x
             xt ^= f[low.bit_length() - 1]
@@ -151,69 +155,68 @@ def find_symplectic(system: SymplecticSystem, return_transvections: bool = False
             f = [r ^ h if (r & hw).bit_count() & 1 else r for r in f]
             hs.append(h)
         _echelon_insert(ech, _swap(y, m))
-    f = _unpack(f, 2 * m)
-    if not np.array_equal(mul(xs, f), ys):
+    if _mul_rows(system._xs, f) != system._ys:
         raise RuntimeError("transvection chain does not satisfy the system")
-    if return_transvections:
-        return f, list(_unpack(hs, 2 * m))
-    return f
+    return f, hs
 
 
-def _frame(system: SymplecticSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One solution f0, a full hyperbolic basis (rows u_1..u_m, v_1..v_m)
-    containing every x_i, and which basis rows the constraints pin."""
-    f0 = find_symplectic(system)
-    pairs = symplectic_gram_schmidt(system.xs, m=system.m)
-    basis = np.vstack([p[0] for p in pairs] + [p[1] for p in pairs])
-    hits = (_matrices(system)[0][:, None] == basis).all(axis=2)
-    if (hits.sum(axis=1) != 1).any():
+def find_symplectic(system: SymplecticSystem, return_transvections: bool = False):
+    """One F in Sp(2m, F2) satisfying the system, via <= 2t transvections.
+
+    Each constraint is fixed by one transvection when <x_i F, y_i> = 1 and by
+    two otherwise; the intermediate vector is the lex-smallest one that keeps
+    the earlier constraints satisfied.  Empty system returns the identity.
+    Raises InfeasibleError for dependent or inner-product-incompatible inputs.
+    """
+    f, hs = _chain(system)
+    f = _unpack(f, 2 * system.m)
+    return (f, list(_unpack(hs, 2 * system.m))) if return_transvections else f
+
+
+def _frame(system: SymplecticSystem) -> tuple[list[int], list[int], list[bool]]:
+    """One solution f0 and a full hyperbolic basis (u_1..u_m, v_1..v_m)
+    containing every x_i, as packed rows, and which rows the x_i pin."""
+    f0 = _chain(system)[0]
+    basis = _hyperbolic(system._xs, system.m)
+    sources = set(system._xs)
+    if not sources <= set(basis):
         raise RuntimeError("a source vector is not exactly one basis row")
-    return f0, basis, hits.any(axis=0)
+    return f0, basis, [row in sources for row in basis]
 
 
-def _count(pinned: np.ndarray) -> int:
+def _count(pinned: list[bool]) -> int:
     """Solution count from the pinned basis rows: with alpha slots free on
     both sides and h slots with one side pinned, |Sp(2 alpha)| times
     2^(h(h+1)/2 + 2 alpha h)."""
-    m = pinned.shape[0] // 2
-    sides = pinned[:m].astype(int) + pinned[m:]
-    alpha, h = int((sides == 0).sum()), int((sides == 1).sum())
+    m = len(pinned) // 2
+    sides = [pinned[r] + pinned[m + r] for r in range(m)]
+    alpha, h = sides.count(0), sides.count(1)
     return sp_group_order(alpha) << (h * (h + 1) // 2 + 2 * alpha * h)
 
 
-def _sweep(f0: np.ndarray, basis: np.ndarray, pinned: np.ndarray):
-    two_m = basis.shape[0]
-    w_form = omega(two_m // 2)
-    basis_inv = invert(basis)
-    a = mul(basis, f0)
+def _sweep(f0: list[int], basis: list[int], pinned: list[bool]):
+    two_m = len(basis)
+    m = two_m // 2
+    basis_inv = _inverse(basis, two_m)
+    b = _mul_rows(basis, f0)
     free_rows = [r for r in range(two_m) if not pinned[r]]
-    b = a.copy()
+    done = [r for r in range(two_m) if pinned[r]]
 
     def rec(pos: int):
         if pos == len(free_rows):
-            yield mul(basis_inv, b)
+            yield _unpack(_mul_rows(basis_inv, b), two_m)
             return
         r = free_rows[pos]
-        done = [q for q in range(two_m) if pinned[q]] + free_rows[:pos]
-        if done:
-            mat = mul(b[done], w_form)
-            rhs = w_form[r, done]
-        else:
-            mat = zeros((0, two_m))
-            rhs = zeros(0)
-        sol = solve_linear(mat, rhs)
+        # row r of B F must have product 1 with its partner row r +- m and
+        # 0 with every other row already chosen
+        sol = _solve([(_swap(b[q], m), int(q == (r + m) % two_m))
+                      for q in done + free_rows[:pos]], two_m)
         if sol is None:
             return
-        part, null = sol
-        d = null.shape[0]
-        for ell in range(1 << d):
-            w = part.copy()
-            for j in range(d):
-                if (ell >> (d - 1 - j)) & 1:
-                    w ^= null[j]
-            b[r] = w
+        # the first nullspace row varies slowest
+        for terms in product(*[(0, v) for v in sol[1]]):
+            b[r] = reduce(xor, terms, sol[0])
             yield from rec(pos + 1)
-        b[r] = a[r]
 
     yield from rec(0)
 

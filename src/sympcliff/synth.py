@@ -18,13 +18,13 @@ from itertools import repeat
 import numpy as np
 
 from .circuit import Circuit, Gate, _score, circuit, depth, gate, serialize
-from .codes import (StabilizerCode, _gamma_rows, logical_x_gamma, logical_z_gamma,
+from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit, _factor, decompose,
                         factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _echelon_solve, _pack,
-                      _transpose, gram, is_symplectic, mul, omega, rank,
-                      solve_linear, zeros)
+from .gf2core import (InfeasibleError, ParseError, _echelon_solve,
+                      _gram_mismatch, _pack, _transpose, is_symplectic, mul,
+                      omega, rank, solve_linear, zeros)
 from .pauli import PauliOperator, from_label, identity, multiply, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
 from .verify import (ConjugationReport, _mismatches, expected_images,
@@ -121,14 +121,14 @@ def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
     n, k = code.n_logical, code.k
     rows = expected_images(code, spec)
     ordered = _layout(rows[k:k + n], rows[:k], rows[k + n:])
-    xs = _gamma_rows([given for _, given, _ in ordered], code.m)
-    ys = _gamma_rows([want for _, _, want in ordered], code.m)
-    bad = np.argwhere(np.triu(gram(xs) != gram(ys), 1))
-    if bad.size:
-        i, j = bad[0]
+    xs = [given.x | given.z << code.m for _, given, _ in ordered]
+    ys = [want.x | want.z << code.m for _, _, want in ordered]
+    bad = _gram_mismatch(xs, ys, code.m)
+    if bad is not None:
+        i, j = bad
         raise InfeasibleError("images of %s and %s change their commutation "
                               "relation" % (ordered[i][0], ordered[j][0]))
-    return SymplecticSystem(code.m, list(xs), list(ys))
+    return SymplecticSystem(code.m, xs, ys)
 
 
 def fix_signs(code: StabilizerCode, spec: CliffordSpec,

@@ -347,10 +347,30 @@ def _ref_step(xt, y, prev_ys):
     return [w ^ y, xt ^ w]
 
 
+def ref_matrices(system) -> tuple[np.ndarray, np.ndarray]:
+    """Sources and targets stacked as t x 2m matrices, also when t = 0."""
+    shape = (len(system), 2 * system.m)
+    return (np.array(system.xs, dtype=np.uint8).reshape(shape),
+            np.array(system.ys, dtype=np.uint8).reshape(shape))
+
+
+def ref_validate(system) -> None:
+    import sympcliff as sc
+    t = len(system)
+    xs, ys = ref_matrices(system)
+    if sc.rank(xs) != t:
+        raise sc.InfeasibleError("source vectors are linearly dependent")
+    if sc.rank(ys) != t:
+        raise sc.InfeasibleError("target vectors are linearly dependent")
+    bad = np.argwhere(np.triu(sc.gram(xs) != sc.gram(ys), 1))
+    if bad.size:
+        raise sc.InfeasibleError(
+            "constraints %d and %d have incompatible inner products" % tuple(bad[0]))
+
+
 def ref_find_symplectic(system, return_transvections=False):
     import sympcliff as sc
-    from sympcliff.sympsolve import _matrices, _validate
-    _validate(system)
+    ref_validate(system)
     m = system.m
     f = np.eye(2 * m, dtype=np.uint8)
     hs = []
@@ -359,12 +379,141 @@ def ref_find_symplectic(system, return_transvections=False):
         for h in _ref_step(xt, system.ys[i], system.ys[:i]):
             f ^= sc.mul(f, np.concatenate([h[m:], h[:m]]).reshape(-1, 1)) * h
             hs.append(h)
-    xs, ys = _matrices(system)
+    xs, ys = ref_matrices(system)
     if not np.array_equal(sc.mul(xs, f), ys):
         raise RuntimeError("transvection chain does not satisfy the system")
     if return_transvections:
         return f, hs
     return f
+
+
+# Reference basis completion and enumeration: the numpy
+# symplectic_gram_schmidt, _frame and _sweep on uint8 rows.  sympcliff's
+# packed versions must agree with them pair for pair and solution for
+# solution, in order.
+
+def ref_symplectic_gram_schmidt(seed, m=None):
+    import sympcliff as sc
+    from sympcliff import InfeasibleError
+    from sympcliff.gf2core import zeros
+    vecs = [sc.asbits(s).ravel() for s in seed]
+    if vecs:
+        if m is None:
+            m = vecs[0].shape[0] // 2
+        if any(v.shape[0] != 2 * m for v in vecs):
+            raise InfeasibleError("seed vectors have inconsistent lengths")
+    elif m is None:
+        raise ValueError("m is required for an empty seed")
+    n = len(vecs)
+    if n > 2 * m:
+        raise InfeasibleError("more seed vectors than basis slots")
+    if n and sc.rank(np.vstack(vecs)) != n:
+        raise InfeasibleError("seed vectors are linearly dependent")
+
+    partner = [None] * n
+    if n:
+        for i, row in enumerate(sc.gram(np.vstack(vecs))):
+            mates = np.flatnonzero(row)
+            if mates.size > 1:
+                raise InfeasibleError(
+                    "seed vector %d pairs with %d others; Gram pattern is not a matching"
+                    % (i, mates.size))
+            if mates.size:
+                partner[i] = int(mates[0])
+
+    slots = []
+    seen = [False] * n
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen[i] = True
+        j = partner[i]
+        if j is None:
+            slots.append([vecs[i], None])
+        else:
+            seen[j] = True
+            slots.append([vecs[i], vecs[j]])
+
+    w = sc.omega(m)
+    fixed = [v for pair in slots for v in pair if v is not None]
+
+    def pick(target_products, nonzero_only):
+        mat = sc.mul(np.vstack(fixed), w) if fixed else zeros((0, 2 * m))
+        sol = sc.solve_linear(mat, target_products)
+        if sol is None:
+            raise InfeasibleError("seed cannot be extended to a symplectic basis")
+        return sol[1][-1] if nonzero_only else sol[0]
+
+    for pair in slots:
+        if pair[1] is None:
+            req = np.array([1 if f is pair[0] else 0 for f in fixed], dtype=np.uint8)
+            pair[1] = pick(req, nonzero_only=False)
+            fixed.append(pair[1])
+    while len(slots) < m:
+        u = pick(zeros(len(fixed)), nonzero_only=True)
+        fixed.append(u)
+        req = np.array([1 if f is u else 0 for f in fixed], dtype=np.uint8)
+        v = pick(req, nonzero_only=False)
+        fixed.append(v)
+        slots.append([u, v])
+
+    basis = np.array([p[0] for p in slots] + [p[1] for p in slots], dtype=np.uint8)
+    if basis.size and not np.array_equal(sc.gram(basis), w):
+        raise RuntimeError("completed basis is not hyperbolic")
+    return [(p[0], p[1]) for p in slots]
+
+
+def ref_frame(system):
+    f0 = ref_find_symplectic(system)
+    pairs = ref_symplectic_gram_schmidt(system.xs, m=system.m)
+    basis = np.vstack([p[0] for p in pairs] + [p[1] for p in pairs])
+    hits = (ref_matrices(system)[0][:, None] == basis).all(axis=2)
+    if (hits.sum(axis=1) != 1).any():
+        raise RuntimeError("a source vector is not exactly one basis row")
+    return f0, basis, hits.any(axis=0)
+
+
+def ref_sweep(f0, basis, pinned):
+    import sympcliff as sc
+    from sympcliff.gf2core import zeros
+    two_m = basis.shape[0]
+    w_form = sc.omega(two_m // 2)
+    basis_inv = sc.invert(basis)
+    a = sc.mul(basis, f0)
+    free_rows = [r for r in range(two_m) if not pinned[r]]
+    b = a.copy()
+
+    def rec(pos):
+        if pos == len(free_rows):
+            yield sc.mul(basis_inv, b)
+            return
+        r = free_rows[pos]
+        done = [q for q in range(two_m) if pinned[q]] + free_rows[:pos]
+        if done:
+            mat = sc.mul(b[done], w_form)
+            rhs = w_form[r, done]
+        else:
+            mat = zeros((0, two_m))
+            rhs = zeros(0)
+        sol = sc.solve_linear(mat, rhs)
+        if sol is None:
+            return
+        part, null = sol
+        d = null.shape[0]
+        for ell in range(1 << d):
+            w = part.copy()
+            for j in range(d):
+                if (ell >> (d - 1 - j)) & 1:
+                    w ^= null[j]
+            b[r] = w
+            yield from rec(pos + 1)
+        b[r] = a[r]
+
+    yield from rec(0)
+
+
+def ref_iter_all(system):
+    yield from ref_sweep(*ref_frame(system))
 
 # Reference conjugation: the per-gate numpy column updates on product-form
 # exponents.  sympcliff's bit-sliced tableau must agree with it label for

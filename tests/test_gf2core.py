@@ -364,3 +364,25 @@ def test_matrix_text_rejects_bad_entry():
 def test_matrix_text_rejects_ragged_rows():
     with pytest.raises(sc.ParseError):
         sc.load_matrix_text("1 0 1\n0 1\n")
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.ones((2, 3), np.uint8), None),  # odd length
+    (np.ones((2, 4), np.uint8), np.ones((2, 6), np.uint8)),  # mismatched
+    (np.ones(4, np.uint8), None),  # one row, not a 2-D array
+])
+def test_gram_rejects_rows_that_are_not_of_one_even_length(a, b):
+    with pytest.raises(ValueError, match="even length"):
+        sc.gram(a, b)
+
+
+def test_symplectic_inner_rejects_odd_or_mismatched_rows():
+    with pytest.raises(ValueError, match="even length"):
+        sc.symplectic_inner([1, 0, 1], [0, 1, 1])
+    with pytest.raises(ValueError, match="even length"):
+        sc.symplectic_inner([1, 0], [1, 0, 0, 0])
+
+
+def test_sp_group_order_rejects_negative_m():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sc.sp_group_order(-1)

@@ -314,3 +314,37 @@ def test_find_symplectic_on_hamming_codes_matches_oracle_and_realizes(r):
         f = sc.find_symplectic(system)
         assert f.tobytes() == ref_find_symplectic(system).tobytes()
         assert sc.realize(code, spec, f).report.passed
+
+
+def test_system_rejects_non_integral_m():
+    with pytest.raises(ValueError, match="integer"):
+        sc.SymplecticSystem(1.5)
+    assert sc.SymplecticSystem(np.int64(2)).m == 2
+
+
+def test_system_rejects_packed_rows_out_of_range():
+    with pytest.raises(ValueError, match="packed constraint rows"):
+        sc.SymplecticSystem(1, [4], [1])
+    with pytest.raises(ValueError, match="packed constraint rows"):
+        sc.SymplecticSystem(1, [1], [-1])
+
+
+def test_system_takes_packed_rows_and_compares_by_value():
+    e = np.eye(4, dtype=np.uint8)
+    packed = sc.SymplecticSystem(2, [1, 4], [2, 8])
+    arrays_ = sc.SymplecticSystem(2, [e[0], e[2]], [e[1], e[3]])
+    assert packed == arrays_
+    assert packed != sc.SymplecticSystem(2, [1, 4], [2, 4])
+    assert packed != sc.SymplecticSystem(3, [1, 4], [2, 8])
+    assert packed != "system"
+    assert [x.tobytes() for x in packed.xs] == [e[0].tobytes(), e[2].tobytes()]
+    assert [y.tobytes() for y in packed.ys] == [e[1].tobytes(), e[3].tobytes()]
+    assert len(packed) == 2
+
+
+def test_enumerate_zero_qubit_system_gives_the_empty_matrix():
+    system = sc.SymplecticSystem(0)
+    for sols in (list(sc.iter_all(system)), sc.enumerate_all(system)):
+        assert [(f.dtype, f.shape) for f in sols] == [(np.uint8, (0, 0))]
+    assert sc.find_symplectic(system).shape == (0, 0)
+    assert sc.sp_group_order(0) == 1

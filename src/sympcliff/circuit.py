@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2core import ParseError
 
 _ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
@@ -137,6 +139,22 @@ def _score(pairs) -> tuple[int, int]:
         if s > deepest:
             deepest = s
     return deepest, count
+
+
+def _score_lanes(gates, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """_score for n lanes at once: per-lane depth and gate count arrays of
+    (kind, qubits, mask) triples, mask the lanes that carry the gate.  A
+    PERMUTE touches every qubit."""
+    stage = np.zeros((n, m), np.int64)
+    count = np.zeros(n, np.int64)
+    for kind, qs, mask in gates:
+        if not mask.any():
+            continue
+        cols = list(range(m)) if kind == "PERMUTE" else [q - 1 for q in qs]
+        s = stage[:, cols].max(1) + 1
+        stage[:, cols] = np.where(mask[:, None], s[:, None], stage[:, cols])
+        count += mask
+    return stage.max(1), count
 
 
 def depth(c: Circuit) -> int:

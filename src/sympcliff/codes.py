@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, ParseError, _eliminate, _pack, _unpack,
+from .gf2core import (InfeasibleError, ParseError, _pack, _rank, _unpack,
                       asbits, mul, nullspace, rank, solve_linear)
 from .pauli import PauliOperator, commutes, from_label, to_label
 
@@ -58,7 +58,7 @@ def validate_code(code: StabilizerCode) -> None:
                          % (n, len(code.logical_x), len(code.logical_z)))
     k, m = code.k, code.m
     words = [p.x | p.z << m for p in paulis]
-    if len(_eliminate(words[:k], 2 * m)) != k:
+    if _rank(words[:k]) != k:
         raise ValueError("stabilizer generators are dependent")
     for j, jj in combinations(range(k), 2):
         if not commutes(paulis[j], paulis[jj]):
@@ -77,7 +77,7 @@ def validate_code(code: StabilizerCode) -> None:
             if i2 > i1 and not commutes(ops[i1], ops[i2]):
                 raise ValueError("%s %d anticommutes with %s %d"
                                  % (name, i1 + 1, name, i2 + 1))
-    if len(_eliminate(words, 2 * m)) != len(words):
+    if _rank(words) != len(words):
         raise ValueError("stabilizers and logicals are not independent")
 
 

@@ -20,8 +20,14 @@ x R onto z, and A_Q maps (x, z) to (x Q, z Q^-T).  The core checks that the
 input is symplectic, that the B block keeps its normal form, that the
 reduced matrix is a lower T_R, and that the kept factors multiply back to
 the input; each check raises.  One emitter, _emit, turns packed factors
-into (kind, qubits) gate pairs: factor_to_gates wraps them in Gates, and
-synthesis ranks solutions on them directly.
+into (kind, qubits) gate pairs, which factor_to_gates wraps in Gates.
+
+Beside this scalar core, a lane core (_factor_lanes, _emit_lanes) runs the
+same factoring and emission over a stack of N matrices at once, as one
+fixed template of steps on numpy arrays with one lane per matrix: per-lane
+pivots, rank and LU permutation, one lane mask per potential gate, and
+every self-check raising when any lane fails.  Synthesis ranks solution
+batches with it; decompose and realize keep the scalar core.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ from operator import xor
 import numpy as np
 
 from .circuit import Circuit, Gate, circuit
-from .gf2core import (_eliminate, _inverse, _lu, _mul_rows, _pack, _transpose,
-                      _unpack, asbits, eye, invert, omega, zeros)
+from .gf2core import (SingularMatrixError, _eliminate, _inverse, _lu, _mul_rows,
+                      _pack, _transpose, _unpack, asbits, eye, invert, omega,
+                      zeros)
 
 FACTOR_KINDS = ("OMEGA", "AQ", "TR", "GK")
 
@@ -318,3 +325,197 @@ def factor_to_gates(f: ElementaryFactor) -> list[Gate]:
 
 def factors_to_circuit(factors, m: int) -> Circuit:
     return circuit(m, [g for f in factors for g in factor_to_gates(f)])
+
+
+# The lane core: _factor and _emit over a stack of N matrices at once, one
+# lane per matrix, as a fixed template of steps on (N, rows, cols) uint8
+# arrays.  Where _factor branches, a lane carries the identity of the
+# factor's kind instead (Q = I, R = 0, k = 0, or Omega masked off), which
+# emits no gates, so each lane emits exactly _emit's gates.
+
+def _lane_mul(*mats) -> np.ndarray:
+    """Product of stacks of 0/1 matrices, left to right, lane by lane: in
+    float32 through BLAS, exact while the inner dimension stays below 2^24."""
+    out = mats[0]
+    for m in mats[1:]:
+        prod = out.astype(np.float32) @ m.astype(np.float32)
+        out = (prod.astype(np.int32) & 1).astype(np.uint8)
+    return out
+
+
+def _lane_right(f: np.ndarray, factors) -> np.ndarray:
+    """_right over lanes: a stack of 2m-column matrices times lane factors,
+    in order, by each factor's action on a row (x, z).  An AQ factor's data
+    is (Q, Q^-T), a TR factor's R, and a GK factor's the (N, 1, m) mask of
+    the swapped columns, each holding every lane."""
+    m = f.shape[2] // 2
+    x, z = f[:, :, :m], f[:, :, m:]
+    for kind, data in factors:
+        if kind == "OMEGA":
+            x, z = z, x
+        elif kind == "GK":
+            x, z = np.where(data, z, x), np.where(data, x, z)
+        elif kind == "TR":
+            z = z ^ _lane_mul(x, data)
+        else:
+            x, z = _lane_mul(x, data[0]), _lane_mul(z, data[1])
+    return np.concatenate([x, z], 2)
+
+
+def _lane_eliminate(a: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jordan elimination of a stack (N, r, w) on columns 0..cols-1,
+    each lane with its own pivots.
+
+    Column c's pivot in a lane is its first row not yet a pivot row with a 1
+    there, and it clears column c from every other row; no row moves until
+    the end, when each lane lists its pivot rows by pivot column and then
+    its other rows in order.  So the top rows are the reduced row echelon
+    form, and columns from cols up carry the row operations.  Returns that
+    stack and the (N, cols) mask of pivot columns.
+    """
+    n, r, _ = a.shape
+    a = a.copy()
+    lanes = np.arange(n)
+    taken = np.zeros((n, r), bool)
+    place = np.tile(np.arange(cols, cols + r), (n, 1))
+    pivots = np.zeros((n, cols), bool)
+    for c in range(cols):
+        hit = a[:, :, c] == 1
+        free = hit & ~taken
+        has, row = free.any(1), free.argmax(1)
+        hit[lanes, row] = False
+        a ^= hit[:, :, None] & (a[lanes, row] * has[:, None])[:, None, :]
+        taken[lanes, row] |= has
+        place[lanes, row] = np.where(has, c, place[lanes, row])
+        pivots[:, c] = has
+    return a[lanes[:, None], place.argsort(1)], pivots
+
+
+def _lane_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of n x n matrices; raises SingularMatrixError when
+    any lane is singular."""
+    n = a.shape[1]
+    red, pivots = _lane_eliminate(
+        np.concatenate([a, np.broadcast_to(eye(n), a.shape)], 2), n)
+    if not pivots.all():
+        raise SingularMatrixError("matrix is singular over GF(2)")
+    return red[:, :, n:]
+
+
+def _lane_lu(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_lu for a stack of invertible m x m matrices: (perm, L, U) per lane,
+    perm as an (N, m) array; each lane's pivot for column c is its first
+    row at or below row c with a 1 there."""
+    n, m, _ = q.shape
+    a = q.copy()
+    lanes = np.arange(n)
+    perm = np.tile(np.arange(m), (n, 1))
+    for c in range(m):
+        piv = c + a[:, c:, c].argmax(1)
+        for x in (a, perm):
+            top = x[:, c].copy()
+            x[:, c] = x[lanes, piv]
+            x[lanes, piv] = top
+        right = a[:, c].copy()
+        right[:, :c + 1] = 0
+        a[:, c + 1:] ^= a[:, c + 1:, c, None] * right[:, None, :]
+    return perm, np.tril(a, -1) | eye(m), np.triu(a)
+
+
+def _factor_lanes(f: np.ndarray) -> list[tuple]:
+    """_factor for a stack of N symplectic matrices (N, 2m, 2m), as the
+    fixed template AQ (Q1), OMEGA, TR (R1), GK, TR (R2), AQ (Q2) of
+    (kind, data) pairs whose data hold every lane: Q and R as (N, m, m)
+    stacks, OMEGA as the mask of the lanes that keep it, GK as k per lane
+    (0 where Omega is dropped).
+
+    The row operations that put A in normal form differ from _factor's (no
+    row moves during elimination), but every factor is a function of F
+    alone: a different transform for A changes Q11^-1 and B' only in ways
+    that cancel in Q1^-1 = [[I, E], [0, I]] diag(I, B_mk^-1) Q11^-1.  Each
+    self-check of _factor runs on every lane, and raises as _factor does
+    when any lane fails.
+    """
+    n, two_m, _ = f.shape
+    m = two_m // 2
+    one, om = eye(m), omega(m)
+    if (_lane_mul(_lane_right(f, [("OMEGA", None)]), f.mT) != om).any():
+        raise ValueError("input matrix is not symplectic")
+
+    red, pivots = _lane_eliminate(
+        np.concatenate([f[:, :m, :m], np.broadcast_to(one, (n, m, m))], 2), m)
+    k = pivots.sum(1)
+    q11inv = red[:, :, m:]
+    # row i < k of units is e_p for the lane's i-th pivot column p
+    units = zeros((n, m, m))
+    lane, col = np.nonzero(pivots)
+    units[lane, pivots.cumsum(1)[lane, col] - 1, col] = 1
+    # free column c gives e_c plus the pivots of the rows with a 1 at c;
+    # reduced, these are nullspace()'s basis, and Q2^-T lists them after
+    # the pivot rows
+    null = (_lane_mul(red[:, :, :m].mT, units) | one) * ~pivots[:, :, None]
+    null = _lane_eliminate(null, m)[0]
+    shift = (np.arange(m) - k[:, None]) % m
+    q2inv_t = units | null[np.arange(n)[:, None], shift]
+    q2t = _lane_inverse(q2inv_t)
+    b_prime = _lane_mul(q11inv, f[:, :m, m:], q2t)
+
+    rows_k = (np.arange(m) < k[:, None])[:, :, None]
+    cols_k = rows_k.mT
+    r2 = b_prime * (rows_k & cols_k)
+    if (b_prime * (~rows_k & cols_k)).any() or (r2 != r2.mT).any():
+        raise RuntimeError("B block of a symplectic input lost its normal form")
+    # q1inv = [[I, E], [0, I]] diag(I, B_mk^-1) q11inv
+    q12 = _lane_mul(_lane_inverse(np.where(rows_k, one, b_prime)), q11inv)
+    q1inv = q12 ^ _lane_mul(b_prime * (rows_k & ~cols_k), q12)
+    q1 = _lane_inverse(q1inv)
+    q2 = q2t.mT
+
+    # A_Q^-1 = A_{Q^-1}, and T_R, G_k and Omega are involutions
+    mid = _lane_right(f, [("AQ", (q2inv_t.mT, q2t)), ("TR", r2), ("GK", cols_k),
+                          ("OMEGA", None)])
+    mid = np.concatenate([_lane_mul(q1inv, mid[:, :m]), _lane_mul(q1.mT, mid[:, m:])], 1)
+    r1 = mid[:, m:, :m]
+    if ((mid[:, :m] != np.eye(m, two_m, dtype=np.uint8)).any()
+            or (mid[:, m:, m:] != one).any() or (r1 != r1.mT).any()):
+        raise RuntimeError("reduced input is not a lower T_R factor")
+
+    total = _lane_right(np.broadcast_to(eye(two_m), f.shape),
+                        [("AQ", (q1, q1inv.mT)), ("OMEGA", None), ("TR", r1),
+                         ("GK", cols_k), ("TR", r2), ("AQ", (q2, q2inv_t))])
+    if (total != f).any():
+        raise RuntimeError("factor product does not reproduce the input")
+    keep = r1.any((1, 2)) | (k < m)
+    return [("AQ", q1), ("OMEGA", keep), ("TR", r1), ("GK", np.where(keep, k, 0)),
+            ("TR", r2), ("AQ", q2)]
+
+
+def _emit_lanes(factors, m: int) -> list[tuple]:
+    """_emit over lanes: every gate the template can emit, in circuit order,
+    as (kind, qubits, mask) triples, mask the lanes that carry the gate.
+    A PERMUTE's qubits are one image per lane, an (N, m) array."""
+    out = []
+    for kind, data in factors:
+        if kind == "OMEGA":
+            out += [("H", (q,), data) for q in range(1, m + 1)]
+        elif kind == "GK":
+            out += [("H", (q,), data >= q) for q in range(1, m + 1)]
+        elif kind == "TR":
+            out += [("P", (i + 1,), data[:, i, i] == 1) for i in range(m)]
+            out += [("CZ", (i + 1, j + 1), data[:, i, j] == 1)
+                    for i in range(m) for j in range(i + 1, m)]
+        else:
+            perm, low, up = _lane_lu(data)
+            out.append(("PERMUTE", perm.argsort(1) + 1,
+                        (perm != np.arange(m)).any(1)))
+            out += [("CNOT", (c + 1, t + 1), low[:, c, t] == 1)
+                    for c in range(1, m) for t in range(c)]
+            out += [("CNOT", (c + 1, t + 1), up[:, c, t] == 1)
+                    for c in range(m - 2, -1, -1) for t in range(c + 1, m)]
+    return out
+
+
+def _lane_pairs(gates, lane: int) -> list[tuple]:
+    """One lane's (kind, qubits) gate pairs out of an _emit_lanes template."""
+    return [(kind, tuple(qs[lane].tolist()) if kind == "PERMUTE" else qs)
+            for kind, qs, mask in gates if mask[lane]]

@@ -7,10 +7,10 @@ module.  Underneath, each row is one Python int, bit c holding column c, so
 a row operation is one integer XOR, as in the packed tableau rows of CHP
 and Stim; products (mul) run in float64 through BLAS.  The private kernels
 take and return such ints: _eliminate, _inverse, _lu, _mul_rows and
-_transpose serve decompose's factoring core, and the growing echelon form
-(_echelon_insert, _echelon_solve), the affine solve (_solve), the basis
-completion (_hyperbolic) and the Gram comparison (_gram_mismatch) serve
-sympsolve and synth.
+_transpose serve decompose's factoring core, _rank serves every rank-only
+check, and the growing echelon form (_echelon_insert, _echelon_solve), the
+affine solve (_solve), the basis completion (_hyperbolic) and the Gram
+comparison (_gram_mismatch) serve sympsolve and synth.
 """
 
 from __future__ import annotations
@@ -174,6 +174,21 @@ def _eliminate(rows: list[int], cols: int) -> list[int]:
     return pivots
 
 
+def _rank(rows: list[int]) -> int:
+    """Rank of packed rows, without Gauss-Jordan: each row is reduced only
+    against the rows kept so far whose highest bit it has, highest first,
+    and is kept under its own highest bit when something is left."""
+    kept: dict[int, int] = {}
+    for r in rows:
+        while r:
+            top = r.bit_length()
+            if top not in kept:
+                kept[top] = r
+                break
+            r ^= kept[top]
+    return len(kept)
+
+
 def _echelon_insert(ech: list[tuple[int, int]], row: int) -> None:
     """Add a packed row to a reduced echelon form, in place.
 
@@ -273,8 +288,7 @@ def rref(m_in) -> tuple[np.ndarray, list[int], np.ndarray]:
 
 
 def rank(m_in) -> int:
-    m = asbits(m_in)
-    return len(_eliminate(_pack(m), m.shape[1]))
+    return _rank(_pack(asbits(m_in)))
 
 
 def _inverse(rows: list[int], n: int) -> list[int]:
@@ -397,7 +411,7 @@ def _hyperbolic(seeds: list[int], m: int) -> list[int]:
     n = len(seeds)
     if n > 2 * m:
         raise InfeasibleError("more seed vectors than basis slots")
-    if len(_eliminate(list(seeds), 2 * m)) != n:
+    if _rank(seeds) != n:
         raise InfeasibleError("seed vectors are linearly dependent")
 
     slots: list[list[int]] = []

@@ -21,9 +21,9 @@ from operator import index, xor
 import numpy as np
 
 from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve,
-                      _eliminate, _gram_mismatch, _hyperbolic, _inverse,
-                      _mul_rows, _pack, _solve, _swap, _unpack, asbits, eye,
-                      mul, omega, sp_group_order)
+                      _gram_mismatch, _hyperbolic, _inverse, _mul_rows,
+                      _pack, _rank, _solve, _swap, _unpack, asbits, eye, mul,
+                      omega, sp_group_order)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -129,7 +129,7 @@ class SymplecticSystem:
 
 def _validate(system: SymplecticSystem) -> None:
     for rows, side in ((system._xs, "source"), (system._ys, "target")):
-        if len(_eliminate(list(rows), 2 * system.m)) != len(system):
+        if _rank(rows) != len(system):
             raise InfeasibleError("%s vectors are linearly dependent" % side)
     bad = _gram_mismatch(system._xs, system._ys, system.m)
     if bad is not None:
@@ -173,12 +173,42 @@ def find_symplectic(system: SymplecticSystem, return_transvections: bool = False
     return (f, list(_unpack(hs, 2 * system.m))) if return_transvections else f
 
 
+def _matched(xs: list[int], m: int) -> list[int]:
+    """Packed rows spanning what xs spans, through one invertible row
+    transform, whose symplectic Gram pattern is a matching.
+
+    Row i, in order, takes the first row after it that it pairs with as its
+    partner j, and every other row r after it gains <r, x_j> x_i +
+    <r, x_i> x_j, which leaves r orthogonal to both.  Rows whose pattern is
+    already a matching come back unchanged.
+    """
+    xs = list(xs)
+    todo = list(range(len(xs)))
+    while todo:
+        i = todo.pop(0)
+        iw = _swap(xs[i], m)
+        j = next((j for j in todo if (iw & xs[j]).bit_count() & 1), None)
+        if j is not None:
+            todo.remove(j)
+            jw = _swap(xs[j], m)
+            for r in todo:
+                a, c = (jw & xs[r]).bit_count() & 1, (iw & xs[r]).bit_count() & 1
+                xs[r] ^= (xs[i] if a else 0) ^ (xs[j] if c else 0)
+    return xs
+
+
 def _frame(system: SymplecticSystem) -> tuple[list[int], list[int], list[bool]]:
-    """One solution f0 and a full hyperbolic basis (u_1..u_m, v_1..v_m)
-    containing every x_i, as packed rows, and which rows the x_i pin."""
+    """One solution f0 and a full hyperbolic basis (u_1..u_m, v_1..v_m), as
+    packed rows, and which rows the sources pin.
+
+    The basis contains the sources after _matched's transform.  The same
+    transform of the targets gives an equivalent system, whose targets are
+    those rows times f0, so the sweep reads them off f0.
+    """
     f0 = _chain(system)[0]
-    basis = _hyperbolic(system._xs, system.m)
-    sources = set(system._xs)
+    sources = _matched(system._xs, system.m)
+    basis = _hyperbolic(sources, system.m)
+    sources = set(sources)
     if not sources <= set(basis):
         raise RuntimeError("a source vector is not exactly one basis row")
     return f0, basis, [row in sources for row in basis]

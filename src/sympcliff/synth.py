@@ -3,7 +3,9 @@
 Given a stabilizer code and requested images for its logical Paulis (and,
 under the normalize policy, for its stabilizer generators), the symplectic
 solutions are enumerated and factored into gates; every circuit returned is
-sign-corrected with a Pauli prefix and verified exactly.
+sign-corrected with a Pauli prefix and verified exactly.  The solutions come
+in closed form from one solution, and the min-depth ranking factors and
+scores them in batches through decompose's lane core.
 """
 
 from __future__ import annotations
@@ -13,18 +15,19 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _score, circuit, depth, gate, serialize
+from .circuit import (Circuit, Gate, _score_lanes, circuit, depth, gate,
+                      serialize)
 from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
-from .decompose import (ElementaryFactor, _emit, _factor, decompose,
-                        factors_to_circuit)
+from .decompose import (ElementaryFactor, _emit_lanes, _factor_lanes,
+                        _lane_pairs, decompose, factors_to_circuit)
 from .gf2core import (InfeasibleError, ParseError, _echelon_solve,
-                      _gram_mismatch, _pack, _transpose, is_symplectic, mul,
-                      omega, rank, solve_linear, zeros)
+                      _gram_mismatch, _transpose, is_symplectic, mul, omega,
+                      rank, solve_linear)
 from .pauli import PauliOperator, from_label, identity, multiply, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
 from .verify import (ConjugationReport, _mismatches, expected_images,
@@ -193,6 +196,9 @@ def solution_count(code: StabilizerCode) -> int:
     return 1 << (code.k * (code.k + 1) // 2)
 
 
+_CHUNK = 1 << 9  # solutions per batch: bounds the memory of one batch
+
+
 def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
     """Solutions start..stop-1 of the code's system in closed form.
 
@@ -202,50 +208,66 @@ def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
     because each commutes with every stabilizer, and is distinct for
     distinct S.  Index i sets the upper triangle of S, row-major, from its
     bits, most significant first; index 0 is S = 0, which gives f0.
+
+    The shift is linear in S, so each solution is f0 plus one fixed 2m x 2m
+    delta per set index bit.  Blocks of at most _CHUNK consecutive indices
+    share their high bits, which give the block's offset, and read their low
+    bits off one table of f0 plus every combination of the low deltas.
     """
     sg = stab_gamma(code)
-    k = code.k
-    left = mul(omega(code.m), sg.T)
+    lt = mul(sg, omega(code.m))  # row a: column a of Omega Sg^T
     right = mul(sg, f0)
-    rows, cols = np.triu_indices(k)
-    for i in range(start, stop):
-        s = zeros((k, k))
-        s[rows, cols] = [(i >> b) & 1 for b in reversed(range(rows.size))]
-        yield f0 ^ mul(left, s | s.T, right)
+    rows, cols = np.triu_indices(code.k)
+    # entry (a, b) puts a 1 at (a, b) and (b, a) of S, one 1 when a = b
+    deltas = ((lt[rows, :, None] & right[cols, None, :])
+              ^ (lt[cols, :, None] & right[rows, None, :]
+                 & (rows != cols)[:, None, None]))[::-1]  # [b]: index bit b
+    low = min(len(deltas), _CHUNK.bit_length() - 1)
+    table = f0[None]
+    for d in deltas[:low]:
+        table = np.concatenate([table, table ^ d])
+    while start < stop:
+        high = start >> low << low
+        end = min(stop, high + len(table))
+        block = table[start - high:end - high]
+        for b in range(low, len(deltas)):
+            if high >> b & 1:
+                block = block ^ deltas[b]
+        yield from block
+        start = end
 
 
 def _min_depth_key(circ: Circuit):
     return (depth(circ), len(circ.gates), serialize(circ))
 
 
-def _unsigned(f: np.ndarray, m: int) -> tuple[list, tuple[int, int]]:
-    """F's unsigned circuit as (kind, qubits) gate pairs, with its
-    (depth, gates) pair, from the packed factoring core and gate emitter:
-    no factor objects, Gates or circuit are built."""
-    pairs = list(_emit(_factor(_pack(f), m), m))
-    return pairs, _score(pairs)
-
-
 def _rank(code: StabilizerCode, spec: CliffordSpec, fs):
     """(min_depth key, F) of the best solution in fs, or None when fs is empty.
 
-    Each F is factored without signs (see _unsigned).  The sign correction
-    only prepends single-qubit Paulis: it cannot lower the depth, adds one
-    gate per qubit it touches, and leaves the circuit unchanged when it
-    touches none.  So the unsigned (depth, gates) pair bounds the signed key
-    from below, and only a solution whose bound does not exceed the best key
-    so far becomes a circuit and is sign-fixed.
+    The solutions go in batches of _CHUNK through the lane core
+    (decompose._factor_lanes and _emit_lanes, circuit._score_lanes), which
+    gives each its unsigned circuit's (depth, gates) pair with no circuit
+    built.  The sign correction only prepends single-qubit Paulis: it
+    cannot lower the depth, adds one gate per qubit it touches, and leaves
+    the circuit unchanged when it touches none.  So the unsigned pair bounds
+    the signed key from below.  A batch is visited in ascending (bound,
+    position) order; a solution becomes a circuit and is sign-fixed only
+    while its bound does not exceed the best key so far, and the first
+    solution above it ends the batch.
     """
     m = code.m
     best = None
-    for f in fs:
-        pairs, bound = _unsigned(f, m)
-        if best is not None and bound > best[0][:2]:
-            continue
-        raw = circuit(m, [Gate(kind, qs) for kind, qs in pairs])
-        key = _min_depth_key(fix_signs(code, spec, raw)[0])
-        if best is None or key < best[0]:
-            best = (key, f)
+    fs = iter(fs)
+    while batch := list(islice(fs, _CHUNK)):
+        gates = _emit_lanes(_factor_lanes(np.stack(batch)), m)
+        depths, counts = _score_lanes(gates, m, len(batch))
+        for lane in np.lexsort((counts, depths)).tolist():
+            if best is not None and (depths[lane], counts[lane]) > best[0][:2]:
+                break
+            raw = circuit(m, [Gate(*pair) for pair in _lane_pairs(gates, lane)])
+            key = _min_depth_key(fix_signs(code, spec, raw)[0])
+            if best is None or key < best[0]:
+                best = (key, batch[lane])
     return best
 
 
@@ -272,14 +294,17 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     in closed form by every symmetric k x k binary S (see _solutions);
     "all" lists them in S-index order, so the first result is f0.
     min_depth ranks by depth, then gate count, then serialized text, so the
-    choice is a deterministic function of the solution set.  It streams the
-    solutions: each is factored on packed rows into unsigned gate pairs and
-    scored by (depth, gates) with no circuit built, only contenders for the
-    minimum become circuits and are sign-fixed, and only the returned
-    circuit goes through the public decompose, is realized with its final
-    correction and verified.  With jobs > 1 the work runs on
-    min(jobs, cpu count) worker processes (the pool starts them all at
-    once), and min_depth gives each one contiguous range of S indices.
+    choice is a deterministic function of the solution set.  It takes the
+    solutions in batches of _CHUNK (see _rank): each batch is factored into
+    unsigned gate masks and scored by (depth, gates) at once, with no
+    circuit built, then visited in ascending (depth, gates) order, S index
+    breaking ties; only contenders whose pair does not exceed the best key
+    so far become circuits and are sign-fixed, the first solution above it
+    ends the batch, and only the returned circuit goes through the public
+    decompose, is realized with its final correction and verified.  With
+    jobs > 1 the work runs on min(jobs, cpu count) worker processes (the
+    pool starts them all at once), and min_depth gives each one contiguous
+    range of S indices.
     Raises ValueError before enumerating anything when the solution count
     exceeds cap.
     """

@@ -322,6 +322,37 @@ def ref_depth(c) -> int:
     return deepest
 
 
+# Reference ranking: the per-solution path that synth's batch replaced.  The
+# lane core must give every lane ref_unsigned's gate pairs and (depth,
+# gates) pair, and synth._solutions must list ref_solutions' matrices in
+# the same order.
+
+def ref_unsigned(f, m):
+    """F's unsigned circuit as (kind, qubits) gate pairs, with its (depth,
+    gates) pair, from the scalar packed factoring core and gate emitter."""
+    from sympcliff.circuit import _score
+    from sympcliff.decompose import _emit, _factor
+    from sympcliff.gf2core import _pack
+    pairs = list(_emit(_factor(_pack(f), m), m))
+    return pairs, _score(pairs)
+
+
+def ref_solutions(code, f0, start, stop):
+    """Solutions start..stop-1 as (I + Omega Sg^T S Sg) f0, one product per
+    index, S's upper triangle set row-major from the index bits, most
+    significant first."""
+    import sympcliff as sc
+    sg = sc.stab_gamma(code)
+    k = code.k
+    left = sc.mul(sc.omega(code.m), sg.T)
+    right = sc.mul(sg, f0)
+    rows, cols = np.triu_indices(k)
+    for i in range(start, stop):
+        s = np.zeros((k, k), dtype=np.uint8)
+        s[rows, cols] = [(i >> b) & 1 for b in reversed(range(rows.size))]
+        yield f0 ^ sc.mul(left, s | s.T, right)
+
+
 # Reference transvection chain: the numpy find_symplectic, which re-solves
 # the intermediate-vector system from scratch at every step with
 # solve_linear.  sympcliff's packed chain must agree with it matrix for
@@ -463,11 +494,33 @@ def ref_symplectic_gram_schmidt(seed, m=None):
     return [(p[0], p[1]) for p in slots]
 
 
+def ref_matched(xs):
+    """The numpy _matched: row i, in order, pairs with the first later row j
+    of product 1, and every other later row r gains <r, x_j> x_i +
+    <r, x_i> x_j."""
+    import sympcliff as sc
+    xs = [np.array(x, dtype=np.uint8) for x in xs]
+    todo = list(range(len(xs)))
+    while todo:
+        i = todo.pop(0)
+        j = next((j for j in todo if sc.symplectic_inner(xs[i], xs[j])), None)
+        if j is None:
+            continue
+        todo.remove(j)
+        for r in todo:
+            a = sc.symplectic_inner(xs[r], xs[j])
+            c = sc.symplectic_inner(xs[r], xs[i])
+            xs[r] = xs[r] ^ xs[i] * a ^ xs[j] * c
+    return xs
+
+
 def ref_frame(system):
     f0 = ref_find_symplectic(system)
-    pairs = ref_symplectic_gram_schmidt(system.xs, m=system.m)
+    sources = ref_matched(system.xs)
+    pairs = ref_symplectic_gram_schmidt(sources, m=system.m)
     basis = np.vstack([p[0] for p in pairs] + [p[1] for p in pairs])
-    hits = (ref_matrices(system)[0][:, None] == basis).all(axis=2)
+    rows = np.array(sources, dtype=np.uint8).reshape(len(sources), 2 * system.m)
+    hits = (rows[:, None] == basis).all(axis=2)
     if (hits.sum(axis=1) != 1).any():
         raise RuntimeError("a source vector is not exactly one basis row")
     return f0, basis, hits.any(axis=0)
@@ -766,15 +819,15 @@ def _invertible(draw, m):
 
 
 @st.composite
-def symplectic(draw, max_m=12, families=SYMPLECTIC_FAMILIES):
-    """A symplectic 2m x 2m matrix, 1 <= m <= max_m, from families that reach
+def symplectic(draw, max_m=12, families=SYMPLECTIC_FAMILIES, min_m=1):
+    """A symplectic 2m x 2m matrix, min_m <= m <= max_m, from families that reach
     every branch of the factoring: the identity (every factor dropped),
     Omega (rank-0 A block, nothing else), a pure T_R and A_Q T_R A_Q (rank-m
     A block, where Omega and G_m cancel), A_Q Omega T_R (rank-0 A block),
     Omega T_R Omega (a lower T_R: rank m without the cancellation) and
     products of random transvections (any rank)."""
     import sympcliff as sc
-    m = draw(st.integers(1, max_m))
+    m = draw(st.integers(min_m, max_m))
     family = draw(st.sampled_from(families))
     aq = lambda: sc.expand(sc.f_aq(_invertible(draw, m)))  # noqa: E731
     tr = lambda: sc.expand(sc.f_tr(_symmetric(draw, m)))  # noqa: E731

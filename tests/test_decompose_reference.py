@@ -1,5 +1,6 @@
 """The packed factoring core and gate emitter against the numpy reference in
-helpers (ref_decompose, ref_factor_to_gates, ref_depth).
+helpers (ref_decompose, ref_factor_to_gates, ref_depth), and the lane core
+that factors a batch at once against the scalar core (ref_unsigned).
 
 Inputs are random symplectic matrices with m up to 12 from
 helpers.symplectic, whose families reach every branch of the factoring.
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
+from sympcliff.circuit import _score_lanes
+from sympcliff.decompose import _emit_lanes, _factor_lanes, _lane_pairs
 from helpers import (ref_decompose, ref_depth, ref_factor_to_gates, ref_mul,
-                     symplectic)
+                     ref_unsigned, symplectic)
 
 
 def _assert_same_factors(got, want):
@@ -91,3 +94,46 @@ def test_decompose_rejects_the_empty_matrix():
 def test_decompose_rejects_shapes_that_are_not_2m_square(shape):
     with pytest.raises(ValueError):
         sc.decompose(np.zeros(shape, dtype=np.uint8))
+
+
+# The lane core (_factor_lanes, _emit_lanes, _lane_pairs, _score_lanes)
+# against the scalar oracle helpers.ref_unsigned, lane for lane.
+
+def _lane_outputs(fs, m):
+    gates = _emit_lanes(_factor_lanes(np.stack(fs)), m)
+    depths, counts = _score_lanes(gates, m, len(fs))
+    return [(_lane_pairs(gates, lane), (depths[lane], counts[lane]))
+            for lane in range(len(fs))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lanes_match_the_scalar_oracle(data):
+    m = data.draw(st.integers(1, 8))
+    fs = data.draw(st.lists(symplectic(min_m=m, max_m=m), min_size=1, max_size=5))
+    assert _lane_outputs(fs, m) == [ref_unsigned(f, m) for f in fs]
+
+
+def test_lanes_match_the_scalar_oracle_at_every_rank_of_a():
+    # G_k F has an A block of any rank; one batch holds every rank 0..m
+    m = 6
+    rng = np.random.default_rng(5)
+    fs = []
+    for k in range(m + 1):
+        f = np.eye(2 * m, dtype=np.uint8)
+        for _ in range(4):
+            f = ref_mul(f, sc.transvection_matrix(rng.integers(0, 2, 2 * m)))
+        fs += [ref_mul(sc.expand(sc.f_gk(m, k)), f), sc.expand(sc.f_gk(m, k))]
+    assert sorted({sc.rank(f[:m, :m]) for f in fs}) == list(range(m + 1))
+    assert _lane_outputs(fs, m) == [ref_unsigned(f, m) for f in fs]
+
+
+def test_one_corrupted_lane_makes_the_batch_raise():
+    m = 3
+    rng = np.random.default_rng(9)
+    fs = np.stack([ref_mul(*[sc.transvection_matrix(rng.integers(0, 2, 2 * m))
+                             for _ in range(5)]) for _ in range(8)])
+    _factor_lanes(fs)
+    fs[5, 2, 4] ^= 1
+    with pytest.raises(ValueError, match="not symplectic"):
+        _factor_lanes(fs)

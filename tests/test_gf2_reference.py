@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import sympcliff as sc
+from sympcliff.gf2core import _eliminate, _pack, _rank
 from helpers import (ref_coset_leader, ref_invert, ref_lex_min_nonzero,
                      ref_lu_decompose, ref_mul, ref_nullspace, ref_rank,
                      ref_rref, ref_solve_linear)
@@ -183,3 +184,10 @@ def test_asbits_examples():
                 np.array([1, 0, 1], dtype=np.uint8))
     assert_same(sc.asbits(np.array([True, False])), np.array([1, 0], dtype=np.uint8))
     assert sc.asbits(np.float64(3.0)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_incremental_rank_matches_gauss_jordan(m):
+    rows = _pack(m)
+    assert _rank(rows) == len(_eliminate(list(rows), m.shape[1]))

@@ -348,3 +348,42 @@ def test_enumerate_zero_qubit_system_gives_the_empty_matrix():
         assert [(f.dtype, f.shape) for f in sols] == [(np.uint8, (0, 0))]
     assert sc.find_symplectic(system).shape == (0, 0)
     assert sc.sp_group_order(0) == 1
+
+
+def _brute(group, xs, ys):
+    return [f for f in group
+            if all(np.array_equal(sc.mul(x.reshape(1, -1), f).ravel(), y)
+                   for x, y in zip(xs, ys))]
+
+
+def test_enumerate_takes_sources_whose_gram_pattern_is_not_a_matching(sp4):
+    # e2 pairs with e0 and with e2 ^ e1, so the sources' pattern is not a
+    # matching, yet the identity solves the system
+    e = np.eye(4, dtype=np.uint8)
+    xs = [e[0], e[2], e[2] ^ e[1]]
+    system = sc.SymplecticSystem(2, xs, xs)
+    sols = sc.enumerate_all(system)
+    assert as_set(sols) == as_set(_brute(sp4, xs, xs))
+    assert len(sols) == sympsolve._count(sympsolve._frame(system)[2]) == 2
+
+
+def test_enumerate_matches_brute_force_on_random_sources(sp2, sp4):
+    # independent sources with any Gram pattern, feasible targets
+    rng = np.random.default_rng(41)
+    unmatched = 0
+    for group, m in ((sp2, 1), (sp4, 2)):
+        for trial in range(30):
+            fstar = group[int(rng.integers(len(group)))]
+            t = int(rng.integers(m, 2 * m + 1))
+            xs = list(rng.integers(0, 2, (t, 2 * m), dtype=np.uint8))
+            if sc.rank(np.array(xs)) < t:
+                continue
+            unmatched += int((sc.gram(np.array(xs)).sum(axis=1) > 1).any())
+            ys = [sc.mul(x.reshape(1, -1), fstar).ravel() for x in xs]
+            system = sc.SymplecticSystem(m, xs, ys)
+            sols = sc.enumerate_all(system)
+            brute = _brute(group, xs, ys)
+            assert as_set(sols) == as_set(brute)
+            assert len(sols) == len(brute)
+            assert sympsolve._count(sympsolve._frame(system)[2]) == len(brute)
+    assert unmatched >= 5

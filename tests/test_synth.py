@@ -11,7 +11,8 @@ import sympcliff as sc
 from sympcliff import synth
 from sympcliff.synth import _min_depth_key, _rank
 from conftest import FIXTURES
-from helpers import as_set, bits, golden_solution_sets, symplectic
+from helpers import (as_set, bits, golden_solution_sets, ref_solutions,
+                     ref_unsigned, symplectic)
 
 
 def _spec(name):
@@ -304,7 +305,7 @@ def test_rank_key_is_depth_and_length_of_the_public_circuit(f):
     # _rank orders unsigned solutions by this pair before any sign fix
     m = f.shape[0] // 2
     c = sc.factors_to_circuit(sc.decompose(f), m)
-    pairs, key = synth._unsigned(f, m)
+    pairs, key = ref_unsigned(f, m)
     assert key == (sc.depth(c), len(c.gates))
     assert [sc.Gate(kind, qs) for kind, qs in pairs] == list(c.gates)
 
@@ -442,3 +443,49 @@ def test_closed_form_solutions_are_the_iter_all_set(m, k, normalize, seed):
     assert as_set(closed) == as_set(sc.iter_all(system))
     tail = list(synth._solutions(code, f0, 1, count))
     assert [f.tobytes() for f in tail] == [f.tobytes() for f in closed[1:]]
+
+
+def _steane():
+    return sc.css_build(sc.CssSpec(hc=bits("1010101", "0110011", "0001111")))
+
+
+@pytest.mark.parametrize("name", ["code422", "code513", "code642", "code713"])
+def test_solutions_match_one_product_per_index(name, request):
+    # the table-and-offset generator lists what one closed-form product per
+    # index gives, in S-index order; on [[7,1,3]] (2^21 solutions) the ranges
+    # cross a block boundary and reach the last index
+    code = {"code422": lambda: sc.css_build(sc.CssSpec(hc=bits("1111"))),
+            "code713": _steane}.get(name, lambda: request.getfixturevalue(name))()
+    f0 = sc.find_symplectic(sc.build_system(code, sc.CliffordSpec()))
+    count = sc.solution_count(code)
+    ranges = [(0, count)] if count <= 1024 else \
+        [(0, 40), (1000, 1100), (5 * 1024 - 3, 5 * 1024 + 2), (count - 30, count)]
+    for start, stop in ranges:
+        got = [f.tobytes() for f in synth._solutions(code, f0, start, stop)]
+        assert got == [f.tobytes() for f in ref_solutions(code, f0, start, stop)]
+
+
+def test_min_depth_sign_fixes_contenders_in_bound_order(code513, monkeypatch):
+    # visiting the 1024 solutions by ascending unsigned bound sign-fixes two
+    # contenders, and realize sign-fixes the winner once more
+    calls = []
+    real = synth.fix_signs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "fix_signs", counting)
+    sc.synthesize(code513, _spec("hadamard5q"), mode="min_depth")
+    assert len(calls) == 3
+
+
+def test_min_depth_on_a_code_wider_than_64_columns():
+    # m = 33: each packed row has 2m = 66 bits; k = 2 gives 8 solutions
+    code, spec = _random_code_and_spec(np.random.default_rng(33), 33, 2)
+    best, = sc.synthesize(code, spec, mode="min_depth")
+    fs = synth._solutions(code, sc.find_symplectic(sc.build_system(code, spec)),
+                          0, sc.solution_count(code))
+    want = min((_min_depth_key(sc.realize(code, spec, f).circuit), f.tobytes())
+               for f in fs)
+    assert (_min_depth_key(best.circuit), best.f.tobytes()) == want

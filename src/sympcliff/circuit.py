@@ -13,6 +13,7 @@ A circuit file may start with a ``qubits <m>`` header; ``#`` starts a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,9 @@ _ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 GATE_KINDS = tuple(_ARITY) + ("PERMUTE",)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
+    """One gate; it equals, and hashes as, its (kind, qubits) tuple."""
+
     kind: str
     qubits: tuple[int, ...]
 
@@ -117,8 +119,8 @@ def parse(text: str, m: int | None = None) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
-def _score(pairs) -> tuple[int, int]:
-    """(depth, gate count) of (kind, qubits) pairs in execution order.
+def _score(gates) -> tuple[int, int]:
+    """(depth, gate count) of gates in execution order.
 
     Depth is the greedy stage count: a gate starts right after the latest
     prior gate sharing one of its qubits (a PERMUTE lists, and so shares,
@@ -127,7 +129,7 @@ def _score(pairs) -> tuple[int, int]:
     stage: dict[int, int] = {}
     get = stage.get
     deepest = count = 0
-    for _, qs in pairs:
+    for _, qs in gates:
         count += 1
         s = 1
         for q in qs:
@@ -160,4 +162,4 @@ def _score_lanes(gates, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 def depth(c: Circuit) -> int:
     """Greedy stage count: a gate starts right after the latest prior gate
     sharing one of its qubits.  No commutation-based reordering."""
-    return _score((g.kind, g.qubits) for g in c.gates)[0]
+    return _score(c.gates)[0]

@@ -12,15 +12,19 @@ left block.  Identity factors are dropped, and an adjacent Omega, G_m pair
 (their product is the identity) is dropped too, so e.g. a pure T_R input
 factors as just [TR] and the identity factors as [].
 
-The factoring runs on packed rows (one Python int per row, bit c holding
-column c, as in gf2core) in one private core, _factor.  It applies each
-factor by its row action instead of forming 2m x 2m products: Omega swaps
-the x and z halves of a row, G_k swaps their first k coordinates, T_R adds
-x R onto z, and A_Q maps (x, z) to (x Q, z Q^-T).  The core checks that the
-input is symplectic, that the B block keeps its normal form, that the
-reduced matrix is a lower T_R, and that the kept factors multiply back to
-the input; each check raises.  One emitter, _emit, turns packed factors
-into (kind, qubits) gate pairs, which factor_to_gates wraps in Gates.
+An ElementaryFactor holds its matrix as packed rows (one Python int per
+row, bit c holding column c, as in gf2core): Q and Q^-T for A_Q, R for T_R,
+and k for G_k.  It is checked once, when built, and compares and hashes by
+value; f.q and f.r unpack to read-only arrays when read.  Each factor acts
+on packed rows in one place, _left, which gives the factor times the rows;
+expand and every product of factors are that action on the identity.  With
+the rows split into a top half X and a bottom half Z, Omega swaps X and Z,
+G_k swaps their first k rows, T_R adds R Z onto X, and A_Q maps (X, Z) to
+(Q X, Q^-T Z).  One private core, _factor, factors a matrix of packed rows
+into such factors.  It checks that the input is symplectic, that the B
+block keeps its normal form, that the reduced matrix is a lower T_R, and
+that the kept factors multiply back to the input; each check raises.  One
+emitter, _emit, turns factors into Gates.
 
 Beside this scalar core, a lane core (_factor_lanes, _emit_lanes) runs the
 same factoring and emission over a stack of N matrices at once, as one
@@ -33,29 +37,85 @@ batches with it; decompose and realize keep the scalar core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
+from operator import index, xor
 
 import numpy as np
 
 from .circuit import Circuit, Gate, circuit
 from .gf2core import (SingularMatrixError, _eliminate, _inverse, _lu, _mul_rows,
-                      _pack, _transpose, _unpack, asbits, eye, invert, omega,
+                      _frozen, _pack, _transpose, _unpack, asbits, eye, omega,
                       zeros)
 
 FACTOR_KINDS = ("OMEGA", "AQ", "TR", "GK")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementaryFactor:
+    """One elementary symplectic factor on m qubits, compared by value.
+
+    rows holds Q for AQ and R for TR, packed; inv_t holds Q^-T for AQ; k is
+    set for GK only.  The constructor takes Q or R as an m x m array and
+    raises unless Q is invertible, R symmetric and 0 <= k <= m.
+    """
+
     kind: str
     m: int
-    q: np.ndarray | None = None
-    r: np.ndarray | None = None
-    k: int | None = None
+    k: int | None
+    rows: tuple[int, ...]
+    inv_t: tuple[int, ...]
+
+    def __init__(self, kind: str, m: int, q=None, r=None, k=None):
+        if kind not in FACTOR_KINDS:
+            raise ValueError("unknown factor kind %r" % (kind,))
+        if ([v is not None for v in (q, r, k)]
+                != [kind == x for x in ("AQ", "TR", "GK")]):
+            raise ValueError("AQ takes q, TR takes r, GK takes k and OMEGA none")
+        try:
+            m, k = index(m), None if k is None else index(k)
+        except TypeError:
+            raise ValueError("m and k must be integers, got %r and %r"
+                             % (m, k)) from None
+        if not 0 <= (k or 0) <= m:
+            raise ValueError("k must lie in 0..m" if m >= 0 else
+                             "m must not be negative")
+        rows = inv_t = ()
+        if kind in ("AQ", "TR"):
+            a = asbits(q if r is None else r)
+            square = a.ndim == 2 and len(a) == a.shape[1]
+            if kind == "AQ" and not square:
+                raise SingularMatrixError("matrix is not square")
+            rows = _pack(a) if square else []
+            if kind == "TR" and not (square and _symmetric(rows, len(a))):
+                raise ValueError("R must be square and symmetric")
+            if len(rows) != m:
+                raise ValueError("%s must be %d x %d" % (kind[1], m, m))
+            if kind == "AQ":
+                inv_t = _transpose(_inverse(rows, m), m)  # raises if singular
+        _made(kind, m, rows, inv_t, k, self)
 
     def __repr__(self):
         extra = "" if self.k is None else ", k=%d" % self.k
         return "ElementaryFactor(%s, m=%d%s)" % (self.kind, self.m, extra)
+
+    @property
+    def q(self) -> np.ndarray | None:
+        """Q of an AQ factor as a read-only m x m array, else None."""
+        return _frozen(self.rows, self.m) if self.kind == "AQ" else None
+
+    @property
+    def r(self) -> np.ndarray | None:
+        """R of a TR factor as a read-only m x m array, else None."""
+        return _frozen(self.rows, self.m) if self.kind == "TR" else None
+
+
+def _made(kind: str, m: int, rows=(), inv_t=(), k: int | None = None,
+          f: ElementaryFactor | None = None) -> ElementaryFactor:
+    """A factor of packed rows, unchecked (_factor's product check covers
+    every factor it returns); fills f when given."""
+    f = object.__new__(ElementaryFactor) if f is None else f
+    for name, value in zip(f.__slots__, (kind, m, k, tuple(rows), tuple(inv_t))):
+        object.__setattr__(f, name, value)
+    return f
 
 
 def f_omega(m: int) -> ElementaryFactor:
@@ -64,53 +124,21 @@ def f_omega(m: int) -> ElementaryFactor:
 
 def f_aq(q) -> ElementaryFactor:
     q = asbits(q)
-    invert(q)  # raises if singular
-    return ElementaryFactor("AQ", q.shape[0], q=q)
-
-
-def _check_symmetric(r) -> np.ndarray:
-    r = asbits(r)
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or not np.array_equal(r, r.T):
-        raise ValueError("R must be square and symmetric")
-    return r
+    return ElementaryFactor("AQ", q.shape[0] if q.ndim else 0, q=q)
 
 
 def f_tr(r) -> ElementaryFactor:
-    r = _check_symmetric(r)
-    return ElementaryFactor("TR", r.shape[0], r=r)
+    r = asbits(r)
+    return ElementaryFactor("TR", r.shape[0] if r.ndim else 0, r=r)
 
 
 def f_gk(m: int, k: int) -> ElementaryFactor:
-    if not 0 <= k <= m:
-        raise ValueError("k must lie in 0..m")
     return ElementaryFactor("GK", m, k=k)
 
 
 def expand(f: ElementaryFactor) -> np.ndarray:
     """The 2m x 2m symplectic matrix of one factor."""
-    m = f.m
-    out = zeros((2 * m, 2 * m))
-    if f.kind == "OMEGA":
-        return omega(m)
-    if f.kind == "AQ":
-        out[:m, :m] = f.q
-        out[m:, m:] = invert(f.q).T
-        return out
-    if f.kind == "TR":
-        out[:m, :m] = eye(m)
-        out[m:, m:] = eye(m)
-        out[:m, m:] = f.r
-        return out
-    if f.kind == "GK":
-        u_k = zeros((m, m))
-        u_k[:f.k, :f.k] = eye(f.k)
-        l_mk = eye(m) ^ u_k
-        out[:m, :m] = l_mk
-        out[m:, m:] = l_mk
-        out[:m, m:] = u_k
-        out[m:, :m] = u_k
-        return out
-    raise ValueError("unknown factor kind %r" % f.kind)
+    return _unpack(_product([f], f.m), 2 * f.m)
 
 
 def _bits(x: int):
@@ -125,55 +153,35 @@ def _symmetric(rows: list[int], n: int) -> bool:
     return rows == _transpose(rows, n)
 
 
-def _right(rows: list[int], factor, m: int) -> list[int]:
-    """Rows times one packed factor, by the factor's action on a row (x, z).
-
-    A_Q maps (x, z) to (x Q, z Q^-T), T_R adds x R onto z, G_k swaps the
-    first k coordinates of x and z, Omega swaps x and z.  An A_Q factor
-    carries (Q, Q^-T) as its data.
-    """
-    kind, data = factor
-    low = (1 << m) - 1
-    if kind == "OMEGA":
-        return [(x >> m) | (x & low) << m for x in rows]
-    if kind == "GK":
-        mask = (1 << data) - 1
-        out = []
-        for x in rows:
-            d = (x ^ x >> m) & mask
-            out.append(x ^ d ^ d << m)
-        return out
-    if kind == "TR":
-        adds = _mul_rows([x & low for x in rows], data)
-        return [x ^ a << m for x, a in zip(rows, adds)]
-    q, q_inv_t = data
-    return [a | b << m for a, b in zip(_mul_rows([x & low for x in rows], q),
-                                      _mul_rows([x >> m for x in rows], q_inv_t))]
-
-
-def _left(factor, rows: list[int], m: int) -> list[int]:
-    """One packed factor times rows: the same actions on the top and bottom
-    halves of the rows instead of on each row's x and z."""
-    kind, data = factor
+def _left(f: ElementaryFactor, rows: list[int]) -> list[int]:
+    """One factor times 2m packed rows, by its action on their top and
+    bottom halves."""
+    m = f.m
     top, bottom = rows[:m], rows[m:]
-    if kind == "OMEGA":
+    if f.kind == "OMEGA":
         return bottom + top
-    if kind == "GK":
-        return bottom[:data] + top[data:] + top[:data] + bottom[data:]
-    if kind == "TR":
-        return list(map(xor, top, _mul_rows(data, bottom))) + bottom
-    q, q_inv_t = data
-    return _mul_rows(q, top) + _mul_rows(q_inv_t, bottom)
+    if f.kind == "GK":
+        return bottom[:f.k] + top[f.k:] + top[:f.k] + bottom[f.k:]
+    if f.kind == "TR":
+        return list(map(xor, top, _mul_rows(f.rows, bottom))) + bottom
+    return _mul_rows(f.rows, top) + _mul_rows(f.inv_t, bottom)
 
 
-def _factor(rows: list[int], m: int) -> list[tuple]:
+def _product(factors, m: int) -> list[int]:
+    """The product of factors on m qubits, left to right, as 2m packed rows."""
+    rows = [1 << i for i in range(2 * m)]
+    for f in reversed(factors):
+        rows = _left(f, rows)
+    return rows
+
+
+def _factor(rows: list[int], m: int) -> list[ElementaryFactor]:
     """Packed core of decompose: the kept factors of F, given as its 2m
-    packed rows (bit c of row i is F[i, c]), as (kind, data) pairs.
+    packed rows (bit c of row i is F[i, c]).
 
-    The data is None for OMEGA, k for GK, the packed rows of R for TR and
-    (Q, Q^-T) as packed rows for AQ.  Identity factors are dropped, and so
-    are Omega and G_m when nothing is left between them.  Raises ValueError
-    when F is not symplectic, and RuntimeError when a self-check fails.
+    Identity factors are dropped, and so are Omega and G_m when nothing is
+    left between them.  Raises ValueError when F is not symplectic, and
+    RuntimeError when a self-check fails.
     """
     n = 2 * m
     low = (1 << m) - 1
@@ -216,34 +224,30 @@ def _factor(rows: list[int], m: int) -> list[tuple]:
                                                   q12[k:]))] + q12[k:]
     q1 = _inverse(q1inv, m)
 
-    # A_Q^-1 = A_{Q^-1}, and T_R, G_k and Omega are involutions
-    mid = rows
-    if k < m:
-        mid = _right(mid, ("AQ", (_transpose(q2inv_t, m), q2t)), m)
-    for factor in (("TR", r2), ("GK", k), ("OMEGA", None)):
-        mid = _right(mid, factor, m)
-    mid = _left(("AQ", (q1inv, _transpose(q1, m))), mid, m)
+    # A_Q^-1 = A_{Q^-1}, and T_R, G_k and Omega are involutions, so this is
+    # A_{Q1^-1} F A_{Q2^-1} T_R2 G_k Omega (Q2 = I skipped)
+    inv_q2 = [_made("AQ", m, _transpose(q2inv_t, m), q2t)] if k < m else []
+    right = _product(inv_q2 + [_made("TR", m, r2), _made("GK", m, k=k),
+                               _made("OMEGA", m)], m)
+    mid = _left(_made("AQ", m, q1inv, _transpose(q1, m)), _mul_rows(rows, right))
     r1 = [r & low for r in mid[m:]]
     if (mid[:m] != identity or [r >> m for r in mid[m:]] != identity
             or not _symmetric(r1, m)):
         raise RuntimeError("reduced input is not a lower T_R factor")
 
-    out = [("AQ", (q1, _transpose(q1inv, m)))] if q1 != identity else []
+    out = [_made("AQ", m, q1, _transpose(q1inv, m))] if q1 != identity else []
     if any(r1) or k < m:
-        out.append(("OMEGA", None))
+        out.append(_made("OMEGA", m))
         if any(r1):
-            out.append(("TR", r1))
+            out.append(_made("TR", m, r1))
         if k:
-            out.append(("GK", k))
+            out.append(_made("GK", m, k=k))
     if any(r2):
-        out.append(("TR", r2))
+        out.append(_made("TR", m, r2))
     if q2 != identity:
-        out.append(("AQ", (q2, q2inv_t)))
+        out.append(_made("AQ", m, q2, q2inv_t))
 
-    total = [1 << i for i in range(n)]
-    for factor in reversed(out):
-        total = _left(factor, total, m)
-    if total != rows:
+    if _product(out, m) != rows:
         raise RuntimeError("factor product does not reproduce the input")
     return out
 
@@ -259,72 +263,58 @@ def decompose(f_in) -> list[ElementaryFactor]:
     m = f.shape[0] // 2
     if not m:
         raise ValueError("input matrix is empty; decompose needs m >= 1")
-    out = []
-    for kind, data in _factor(_pack(f), m):
-        if kind == "AQ":
-            out.append(ElementaryFactor(kind, m, q=_unpack(data[0], m)))
-        elif kind == "TR":
-            out.append(ElementaryFactor(kind, m, r=_unpack(data, m)))
-        else:
-            out.append(ElementaryFactor(kind, m, k=data))
-    return out
+    return _factor(_pack(f), m)
 
 
-def _emit(factors, m: int):
-    """(kind, qubits) gate pairs realizing packed factors, in circuit order.
+def _emit(factors):
+    """Gates realizing factors, in circuit order.
 
-    Factors are (kind, data) pairs as _factor gives them; an AQ factor's
-    data need only hold Q first.  Omega is H on every qubit, G_k H on the
-    first k, T_R P on its diagonal then CZ on its upper triangle row by
-    row, and A_Q a PERMUTE for its row pivots followed by CNOTs for its LU
-    factors.
+    Omega is H on every qubit, G_k H on the first k, T_R P on its diagonal
+    then CZ on its upper triangle row by row, and A_Q a PERMUTE for its row
+    pivots followed by CNOTs for its LU factors.
     """
-    for kind, data in factors:
-        if kind == "OMEGA" or kind == "GK":
-            for q in range(1, (m if kind == "OMEGA" else data) + 1):
-                yield "H", (q,)
-        elif kind == "TR":
-            for i, r in enumerate(data):
+    for f in factors:
+        m = f.m
+        if f.kind == "OMEGA" or f.kind == "GK":
+            for q in range(1, (m if f.kind == "OMEGA" else f.k) + 1):
+                yield Gate("H", (q,))
+        elif f.kind == "TR":
+            for i, r in enumerate(f.rows):
                 if r >> i & 1:
-                    yield "P", (i + 1,)
-            for i, r in enumerate(data):
+                    yield Gate("P", (i + 1,))
+            for i, r in enumerate(f.rows):
                 for j in _bits(r >> (i + 1)):
-                    yield "CZ", (i + 1, i + j + 2)
-        elif kind == "AQ":
-            perm, low, up = _lu(list(data[0]), m)
+                    yield Gate("CZ", (i + 1, i + j + 2))
+        else:
+            perm, low, up = _lu(list(f.rows), m)
             image = [0] * m
             for i, p in enumerate(perm):
                 image[p] = i + 1
             if perm != list(range(m)):
-                yield "PERMUTE", tuple(image)
+                yield Gate("PERMUTE", tuple(image))
             # CNOT matrix I + E_ct adds the control coordinate onto the
             # target; emitting L's entries with controls ascending multiplies
             # out to L exactly, and U's with controls descending to U
             for c in range(1, m):
                 for t in _bits(low[c] & ((1 << c) - 1)):
-                    yield "CNOT", (c + 1, t + 1)
+                    yield Gate("CNOT", (c + 1, t + 1))
             for c in range(m - 2, -1, -1):
                 for t in _bits(up[c] >> (c + 1)):
-                    yield "CNOT", (c + 1, c + t + 2)
-        else:
-            raise ValueError("unknown factor kind %r" % kind)
-
-
-def _packed(f: ElementaryFactor) -> tuple:
-    if f.kind == "AQ":
-        return f.kind, (_pack(asbits(f.q)), None)
-    if f.kind == "TR":
-        return f.kind, _pack(asbits(f.r))
-    return f.kind, f.k
+                    yield Gate("CNOT", (c + 1, c + t + 2))
 
 
 def factor_to_gates(f: ElementaryFactor) -> list[Gate]:
     """Physical gates realizing one factor; circuit order is product order."""
-    return [Gate(kind, qs) for kind, qs in _emit([_packed(f)], f.m)]
+    return list(_emit([f]))
 
 
 def factors_to_circuit(factors, m: int) -> Circuit:
-    return circuit(m, [g for f in factors for g in factor_to_gates(f)])
+    """The circuit of factors in product order, on m qubits; raises
+    ValueError when a factor acts on another number of qubits."""
+    factors = tuple(factors)
+    if any(f.m != m for f in factors):
+        raise ValueError("every factor must act on the circuit's %d qubits" % m)
+    return circuit(m, _emit(factors))
 
 
 # The lane core: _factor and _emit over a stack of N matrices at once, one
@@ -344,10 +334,12 @@ def _lane_mul(*mats) -> np.ndarray:
 
 
 def _lane_right(f: np.ndarray, factors) -> np.ndarray:
-    """_right over lanes: a stack of 2m-column matrices times lane factors,
-    in order, by each factor's action on a row (x, z).  An AQ factor's data
-    is (Q, Q^-T), a TR factor's R, and a GK factor's the (N, 1, m) mask of
-    the swapped columns, each holding every lane."""
+    """A stack of 2m-column matrices times lane factors, in order, by each
+    factor's action on a row (x, z): A_Q maps it to (x Q, z Q^-T), T_R adds
+    x R onto z, G_k swaps the first k coordinates of x and z, Omega swaps
+    x and z.  An AQ factor's data is (Q, Q^-T), a TR factor's R, and a GK
+    factor's the (N, 1, m) mask of the swapped columns, each holding every
+    lane."""
     m = f.shape[2] // 2
     x, z = f[:, :, :m], f[:, :, m:]
     for kind, data in factors:
@@ -515,7 +507,7 @@ def _emit_lanes(factors, m: int) -> list[tuple]:
     return out
 
 
-def _lane_pairs(gates, lane: int) -> list[tuple]:
-    """One lane's (kind, qubits) gate pairs out of an _emit_lanes template."""
-    return [(kind, tuple(qs[lane].tolist()) if kind == "PERMUTE" else qs)
+def _lane_pairs(gates, lane: int) -> list[Gate]:
+    """One lane's gates out of an _emit_lanes template."""
+    return [Gate(kind, tuple(qs[lane].tolist()) if kind == "PERMUTE" else qs)
             for kind, qs, mask in gates if mask[lane]]

@@ -146,6 +146,13 @@ def _unpack(rows: list[int], cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
+def _frozen(rows: list[int], cols: int) -> np.ndarray:
+    """_unpack as a read-only array."""
+    out = _unpack(rows, cols)
+    out.flags.writeable = False
+    return out
+
+
 def _eliminate(rows: list[int], cols: int) -> list[int]:
     """Gauss-Jordan elimination of packed rows, in place, on bits 0..cols-1.
 

@@ -20,7 +20,7 @@ from operator import index
 
 import numpy as np
 
-from .gf2core import ParseError, _pack, _unpack, asbits
+from .gf2core import ParseError, _frozen, _pack, _unpack, asbits
 
 # Labels go through binary strings.  _XCHR and _ZCHR send each letter to its
 # a_t or b_t as "0"/"1", and int(..., 2) packs them.  On the way out,
@@ -41,12 +41,6 @@ def _word(v, m: int) -> int:
     if bits.shape != (m,):
         raise ValueError("a and b must each hold m bits")
     return _pack(bits.reshape(1, m))[0]
-
-
-def _bits(word: int, m: int) -> np.ndarray:
-    out = _unpack([word], m)[0]
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -93,12 +87,12 @@ class PauliOperator:
     @property
     def a(self) -> np.ndarray:
         """The X bits a_1..a_m, a read-only uint8 array."""
-        return _bits(self.x, self.m)
+        return _frozen([self.x], self.m)[0]
 
     @property
     def b(self) -> np.ndarray:
         """The Z bits b_1..b_m, a read-only uint8 array."""
-        return _bits(self.z, self.m)
+        return _frozen([self.z], self.m)[0]
 
     @property
     def kappa_d(self) -> int:

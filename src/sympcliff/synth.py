@@ -19,8 +19,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .circuit import (Circuit, Gate, _score_lanes, circuit, depth, gate,
-                      serialize)
+from .circuit import Circuit, _score_lanes, circuit, depth, gate, serialize
 from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit_lanes, _factor_lanes,
@@ -264,7 +263,7 @@ def _rank(code: StabilizerCode, spec: CliffordSpec, fs):
         for lane in np.lexsort((counts, depths)).tolist():
             if best is not None and (depths[lane], counts[lane]) > best[0][:2]:
                 break
-            raw = circuit(m, [Gate(*pair) for pair in _lane_pairs(gates, lane)])
+            raw = circuit(m, _lane_pairs(gates, lane))
             key = _min_depth_key(fix_signs(code, spec, raw)[0])
             if best is None or key < best[0]:
                 best = (key, batch[lane])

@@ -29,39 +29,38 @@ def _tableau(circ: Circuit, xs: list[int], zs: list[int], s: int) -> tuple:
     xs[q] and zs[q] hold qubit q + 1's x and z bits, bit r for row r; s holds
     bit 1 of each row's kappa.  The lists are updated in place.
     """
-    for g in circ.gates:
-        kind = g.kind
+    for kind, qs in circ.gates:
         if kind == "CNOT":
-            c, t = g.qubits[0] - 1, g.qubits[1] - 1
+            c, t = qs[0] - 1, qs[1] - 1
             xc, zt = xs[c], zs[t]
             s ^= xc & zt & ~(xs[t] ^ zs[c])
             xs[t] ^= xc
             zs[c] ^= zt
         elif kind == "CZ":
-            q, r = g.qubits[0] - 1, g.qubits[1] - 1
+            q, r = qs[0] - 1, qs[1] - 1
             xq, xr = xs[q], xs[r]
             s ^= xq & xr & (zs[q] ^ zs[r])
             zs[q] ^= xr
             zs[r] ^= xq
         elif kind == "H":
-            q = g.qubits[0] - 1
+            q = qs[0] - 1
             s ^= xs[q] & zs[q]
             xs[q], zs[q] = zs[q], xs[q]
         elif kind == "P":
-            q = g.qubits[0] - 1
+            q = qs[0] - 1
             s ^= xs[q] & zs[q]
             zs[q] ^= xs[q]
         elif kind == "X":
-            s ^= zs[g.qubits[0] - 1]
+            s ^= zs[qs[0] - 1]
         elif kind == "Z":
-            s ^= xs[g.qubits[0] - 1]
+            s ^= xs[qs[0] - 1]
         elif kind == "Y":
-            q = g.qubits[0] - 1
+            q = qs[0] - 1
             s ^= xs[q] ^ zs[q]
         elif kind == "PERMUTE":
-            # qubit q + 1 moves to position qubits[q]
+            # qubit q + 1 moves to position qs[q]
             ox, oz = xs[:], zs[:]
-            for q, target in enumerate(g.qubits):
+            for q, target in enumerate(qs):
                 xs[target - 1] = ox[q]
                 zs[target - 1] = oz[q]
         else:

@@ -188,11 +188,40 @@ def ref_lu_decompose(q_in):
     return perm, low, np.triu(a, 0)
 
 
-# Reference factoring: the numpy decomposition (rref, nullspace, invert and
-# mul on m x m blocks, checked products of expanded 2m x 2m factors), its
-# gate emission through validated gate() calls, and the greedy depth over
-# Gate objects.  sympcliff's packed factoring core and emitter must agree
-# with these factor for factor and gate for gate.
+# Reference factoring: the numpy matrix of one factor, the numpy
+# decomposition (rref, nullspace, invert and mul on m x m blocks, checked
+# products of ref_expand'ed 2m x 2m factors), its gate emission through
+# validated gate() calls, and the greedy depth over Gate objects.
+# sympcliff's packed factors, factoring core and emitter must agree with
+# these factor for factor and gate for gate.
+
+def ref_expand(f) -> np.ndarray:
+    """The 2m x 2m matrix of one factor, built block by block from f.q,
+    f.r and f.k."""
+    m = f.m
+    eye = np.eye(m, dtype=np.uint8)
+    out = np.zeros((2 * m, 2 * m), dtype=np.uint8)
+    if f.kind == "OMEGA":
+        out[:m, m:] = eye
+        out[m:, :m] = eye
+        return out
+    if f.kind == "AQ":
+        return _ref_aq_block(f.q, ref_invert(f.q))
+    if f.kind == "TR":
+        out[:m, :m] = eye
+        out[m:, m:] = eye
+        out[:m, m:] = f.r
+        return out
+    if f.kind == "GK":
+        u_k = np.zeros((m, m), dtype=np.uint8)
+        u_k[:f.k, :f.k] = np.eye(f.k, dtype=np.uint8)
+        l_mk = eye ^ u_k
+        out[:m, :m] = l_mk
+        out[m:, m:] = l_mk
+        out[:m, m:] = u_k
+        out[m:, :m] = u_k
+        return out
+    raise ValueError("unknown factor kind %r" % f.kind)
 
 def _ref_aq_block(q, q_inv):
     m = q.shape[0]
@@ -254,7 +283,7 @@ def ref_decompose(f_in):
     tr2 = sc.f_tr(r2)
     gk = sc.f_gk(m, k)
     mid = sc.mul(_ref_aq_block(q1inv, q1), f, _ref_aq_block(q2inv, q2),
-                 sc.expand(tr2), sc.expand(gk), sc.omega(m))
+                 ref_expand(tr2), ref_expand(gk), sc.omega(m))
     r1 = mid[m:, :m]
     if not (np.array_equal(mid[:m, :m], eye) and not mid[:m, m:].any()
             and np.array_equal(mid[m:, m:], eye)
@@ -272,7 +301,7 @@ def ref_decompose(f_in):
         out.append(fct)
     total = np.eye(2 * m, dtype=np.uint8)
     for fct in out:
-        total = sc.mul(total, sc.expand(fct))
+        total = sc.mul(total, ref_expand(fct))
     if not np.array_equal(total, f):
         raise RuntimeError("factor product does not reproduce the input")
     return out
@@ -328,13 +357,14 @@ def ref_depth(c) -> int:
 # the same order.
 
 def ref_unsigned(f, m):
-    """F's unsigned circuit as (kind, qubits) gate pairs, with its (depth,
-    gates) pair, from the scalar packed factoring core and gate emitter."""
+    """F's unsigned circuit as a list of Gates (each equal to its (kind,
+    qubits) pair), with its (depth, gates) pair, from the scalar packed
+    factoring core and gate emitter."""
     from sympcliff.circuit import _score
     from sympcliff.decompose import _emit, _factor
     from sympcliff.gf2core import _pack
-    pairs = list(_emit(_factor(_pack(f), m), m))
-    return pairs, _score(pairs)
+    gates = list(_emit(_factor(_pack(f), m)))
+    return gates, _score(gates)
 
 
 def ref_solutions(code, f0, start, stop):

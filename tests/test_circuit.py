@@ -120,3 +120,10 @@ def test_depth_permute_touches_everything():
     c = sc.circuit(3, [sc.gate("H", 1), sc.gate("PERMUTE", 2, 1, 3),
                        sc.gate("H", 2)])
     assert sc.depth(c) == 3
+
+
+def test_gate_equals_and_hashes_as_its_kind_qubits_tuple():
+    g = sc.gate("CZ", 3, 1)
+    assert g == ("CZ", (1, 3)) and hash(g) == hash(("CZ", (1, 3)))
+    assert str(g) == "CZ 1 3"
+    assert repr(g) == "Gate(kind='CZ', qubits=(1, 3))"

@@ -244,6 +244,8 @@ def test_cli_under_optimize_flag_matches_plain_run(tmp_path):
     # python -O strips assert statements, so a check written as one would
     # change what these runs print
     spec = str(FIXTURES / "cz12.spec")
+    bad = tmp_path / "bad.mat"
+    bad.write_text(sc.save_matrix_text(np.ones((12, 12), np.uint8)))
     runs = {}
     for flags in ((), ("-O",)):
         cwd = tmp_path / ("run%s" % "".join(flags))
@@ -256,8 +258,12 @@ def test_cli_under_optimize_flag_matches_plain_run(tmp_path):
             out.append(run_fresh(["verify", "--code", CODE642, "--spec", spec,
                                   "--circuit", str(path.relative_to(cwd))],
                                  *flags, cwd=cwd))
+        for mat in (str(FIXTURES / "omega6.mat"), str(bad)):
+            out.append(run_fresh(["decompose", "--matrix", mat], *flags, cwd=cwd))
         runs[flags] = out, {p.name: p.read_text() for p in files}
     assert runs[("-O",)] == runs[()]
-    assert [rc for rc, _, _ in runs[()][0]] == [0] * 9
+    assert [rc for rc, _, _ in runs[()][0]] == [0] * 10 + [2]
     assert runs[()][0][0][1].startswith("8 solutions\n")
-    assert all(err == "" for _, _, err in runs[()][0])
+    assert runs[()][0][9][1] == "factors: OMEGA\nqubits 3\nH 1\nH 2\nH 3\n"
+    assert runs[()][0][10][2].startswith("error: input matrix is not symplectic")
+    assert all(err == "" for _, _, err in runs[()][0][:10])

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 import sympcliff as sc
-from helpers import B_PHASE, CNOT21_A, as_set, bits, golden_solution_sets
+from helpers import (B_PHASE, CNOT21_A, as_set, bits, golden_solution_sets,
+                     ref_expand)
 
 
 def rand_symplectic(rng, m):
@@ -40,6 +43,66 @@ def test_factor_constructors_validate():
         sc.f_tr(bits("01", "00"))
     with pytest.raises(ValueError):
         sc.f_gk(3, 4)
+    with pytest.raises(ValueError):
+        sc.f_gk(3, 2.5)
+
+
+@pytest.mark.parametrize("kind, m, data, error", [
+    ("TR", 2, {"r": [[0, 1], [0, 0]]}, "R must be square and symmetric"),
+    ("GK", 2, {"k": 5}, "k must lie in 0..m"),
+    ("GK", 2, {"k": -1}, "k must lie in 0..m"),
+    ("AQ", 2, {"q": [[1, 1], [1, 1]]}, "matrix is singular over GF"),
+    ("AQ", 2, {"q": [[1, 1, 0], [0, 1, 0]]}, "matrix is not square"),
+    ("AQ", 3, {"q": np.eye(2, dtype=np.uint8)}, "Q must be 3 x 3"),
+    ("TR", 1, {"r": np.zeros((2, 2), np.uint8)}, "R must be 1 x 1"),
+    ("XX", 2, {}, "unknown factor kind"),
+    ("GK", 2, {}, "takes q"),
+    ("OMEGA", 2, {"k": 1}, "takes q"),
+    ("TR", 2, {"q": np.eye(2, dtype=np.uint8)}, "takes q"),
+    ("GK", 3, {"k": 2.5}, "must be integers"),
+    ("OMEGA", 1.5, {}, "must be integers"),
+    ("OMEGA", -1, {}, "must not be negative"),
+])
+def test_raw_constructor_rejects_bad_factors(kind, m, data, error):
+    with pytest.raises(ValueError, match=error):
+        sc.ElementaryFactor(kind, m, **data)
+
+
+def test_equal_factors_compare_equal_and_hash_alike():
+    q = np.eye(3, dtype=np.uint8)[[1, 2, 0]]
+    for a, b in ((sc.f_aq(q), sc.f_aq(q.copy())),
+                 (sc.f_tr(B_PHASE), sc.ElementaryFactor("TR", 6, r=B_PHASE.copy())),
+                 (sc.f_gk(3, 2), sc.ElementaryFactor("GK", 3, k=np.int64(2)))):
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert sc.f_aq(q) != sc.f_aq(np.eye(3, dtype=np.uint8))
+    assert sc.f_gk(3, 3) != sc.f_omega(3)
+    assert len({sc.f_omega(3), sc.f_omega(3), sc.f_omega(4)}) == 2
+
+
+def test_factor_arrays_are_read_only_views():
+    aq, tr = sc.f_aq(CNOT21_A), sc.f_tr(B_PHASE)
+    with pytest.raises(ValueError):
+        aq.q[0, 1] = 0
+    with pytest.raises(ValueError):
+        tr.r[0, 1] = 1
+    assert np.array_equal(aq.q, CNOT21_A) and np.array_equal(tr.r, B_PHASE)
+    assert (aq.r, aq.k, tr.q, tr.k, sc.f_omega(2).k) == (None,) * 5
+
+
+def test_factors_survive_a_pickle_round_trip():
+    factors = sc.decompose(golden_solution_sets()["hadamard1"][0])
+    assert [f.kind for f in factors] == ["AQ", "OMEGA", "TR", "GK", "AQ"]
+    for f in factors:
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and repr(g) == repr(f)
+        assert np.array_equal(sc.expand(g), sc.expand(f))
+
+
+def test_factors_to_circuit_rejects_a_factor_on_other_qubits():
+    with pytest.raises(ValueError):
+        sc.factors_to_circuit([sc.f_omega(2)], 3)
+    with pytest.raises(ValueError):
+        sc.factors_to_circuit([sc.f_omega(3), sc.f_gk(2, 1)], 3)
 
 
 def test_decompose_identity_is_empty():
@@ -68,7 +131,7 @@ def test_decompose_tr_input_stays_diagonal_free():
 def _product(factors, m):
     f = np.eye(2 * m, dtype=np.uint8)
     for factor in factors:
-        f = sc.mul(f, sc.expand(factor))
+        f = sc.mul(f, ref_expand(factor))
     return f
 
 

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import sympcliff as sc
 from sympcliff.circuit import _score_lanes
-from sympcliff.decompose import _emit_lanes, _factor_lanes, _lane_pairs
-from helpers import (ref_decompose, ref_depth, ref_factor_to_gates, ref_mul,
-                     ref_unsigned, symplectic)
+from sympcliff.decompose import (FACTOR_KINDS, _emit_lanes, _factor_lanes,
+                                 _lane_pairs)
+from helpers import (_invertible, _symmetric, ref_decompose, ref_depth,
+                     ref_expand, ref_factor_to_gates, ref_mul, ref_unsigned,
+                     symplectic)
 
 
 def _assert_same_factors(got, want):
@@ -65,6 +67,16 @@ def test_flipped_bits_raise_what_the_reference_raises(f, data):
         assert str(got.value) == str(exc)
         return
     _assert_same_factors(sc.decompose(g), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(FACTOR_KINDS), st.data())
+def test_expand_matches_the_reference_for_every_kind(m, kind, data):
+    f = {"OMEGA": lambda: sc.f_omega(m),
+         "AQ": lambda: sc.f_aq(_invertible(data.draw, m)),
+         "TR": lambda: sc.f_tr(_symmetric(data.draw, m)),
+         "GK": lambda: sc.f_gk(m, data.draw(st.integers(0, m)))}[kind]()
+    assert np.array_equal(sc.expand(f), ref_expand(f))
 
 
 def test_families_reach_the_cancellation_and_both_ranks():

@@ -165,6 +165,7 @@ def test_parallel_jobs_match_serial(code642):
     assert [sc.serialize(r.circuit) for r in serial] \
         == [sc.serialize(r.circuit) for r in parallel]
     assert as_set([r.f for r in serial]) == as_set([r.f for r in parallel])
+    assert [r.factors for r in serial] == [r.factors for r in parallel]
 
 
 def test_synthesize_rejects_bad_mode(code642):

@@ -13,11 +13,12 @@ A circuit file may start with a ``qubits <m>`` header; ``#`` starts a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .gf2core import ParseError
+from .gf2core import ParseError, _unpack
 
 _ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 GATE_KINDS = tuple(_ARITY) + ("PERMUTE",)
@@ -119,18 +120,14 @@ def parse(text: str, m: int | None = None) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
-def _score(gates) -> tuple[int, int]:
-    """(depth, gate count) of gates in execution order.
-
-    Depth is the greedy stage count: a gate starts right after the latest
-    prior gate sharing one of its qubits (a PERMUTE lists, and so shares,
-    every qubit).  No commutation-based reordering.
-    """
+def depth(c: Circuit) -> int:
+    """Greedy stage count: a gate starts right after the latest prior gate
+    sharing one of its qubits (a PERMUTE lists, and so shares, every
+    qubit).  No commutation-based reordering."""
     stage: dict[int, int] = {}
     get = stage.get
-    deepest = count = 0
-    for _, qs in gates:
-        count += 1
+    deepest = 0
+    for _, qs in c.gates:
         s = 1
         for q in qs:
             t = get(q, 0)
@@ -140,26 +137,37 @@ def _score(gates) -> tuple[int, int]:
             stage[q] = s
         if s > deepest:
             deepest = s
-    return deepest, count
+    return deepest
 
 
-def _score_lanes(gates, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """_score for n lanes at once: per-lane depth and gate count arrays of
-    (kind, qubits, mask) triples, mask the lanes that carry the gate.  A
-    PERMUTE touches every qubit."""
-    stage = np.zeros((n, m), np.int64)
-    count = np.zeros(n, np.int64)
+def _plane_max(x: list[int], y: list[int]) -> list[int]:
+    """Lane-wise maximum of two bit-plane counters of the same width."""
+    more, open_ = 0, -1  # lanes where x > y; lanes not yet decided
+    for a, b in zip(reversed(x), reversed(y)):
+        if d := (a ^ b) & open_:
+            more |= d & a
+            open_ ^= d
+    return [b ^ (a ^ b) & more for a, b in zip(x, y)] if more else y
+
+
+def _score_planes(gates, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """depth and the gate count of the n lanes of a (kind, qubits, lane mask)
+    template (decompose._emit_lanes), as per-lane arrays, by depth's greedy
+    rule.  Each qubit's stage is a bit-plane counter (plane b holds bit b of
+    every lane's stage) as wide as the template's gate count needs, so none
+    can overflow; only the final depth planes and the gate masks are
+    unpacked."""
+    width = len(gates).bit_length()
+    stage = [[0] * width] * m
     for kind, qs, mask in gates:
-        if not mask.any():
-            continue
-        cols = list(range(m)) if kind == "PERMUTE" else [q - 1 for q in qs]
-        s = stage[:, cols].max(1) + 1
-        stage[:, cols] = np.where(mask[:, None], s[:, None], stage[:, cols])
-        count += mask
-    return stage.max(1), count
-
-
-def depth(c: Circuit) -> int:
-    """Greedy stage count: a gate starts right after the latest prior gate
-    sharing one of its qubits.  No commutation-based reordering."""
-    return _score(c.gates)[0]
+        if mask:
+            cols = range(m) if kind == "PERMUTE" else [q - 1 for q in qs]
+            top, carry = [], mask  # deepest stage of cols, plus one by ripple carry
+            for x in reduce(_plane_max, [stage[c] for c in cols]):
+                top.append(x ^ carry)
+                carry &= x
+            for c in cols:
+                stage[c] = [a ^ (a ^ b) & mask for a, b in zip(stage[c], top)]
+    weights = 1 << np.arange(width, dtype=np.int64)
+    return (weights @ _unpack(reduce(_plane_max, stage), n),
+            _unpack([mask for *_, mask in gates], n).sum(0, dtype=np.int64))

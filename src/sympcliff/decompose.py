@@ -26,25 +26,27 @@ block keeps its normal form, that the reduced matrix is a lower T_R, and
 that the kept factors multiply back to the input; each check raises.  One
 emitter, _emit, turns factors into Gates.
 
-Beside this scalar core, a lane core (_factor_lanes, _emit_lanes) runs the
-same factoring and emission over a stack of N matrices at once, as one
-fixed template of steps on numpy arrays with one lane per matrix: per-lane
-pivots, rank and LU permutation, one lane mask per potential gate, and
-every self-check raising when any lane fails.  Synthesis ranks solution
-batches with it; decompose and realize keep the scalar core.
+Beside this scalar core, a bit-sliced lane core (_factor_lanes,
+_emit_lanes; McBits' layout, Bernstein, Chou & Schwabe, CHES 2013) runs
+the same factoring and emission over N matrices at once, one Python int
+per matrix entry with one bit per lane, as one fixed template of AND/XOR
+steps: one-hot lane masks for pivots, slots and LU permutations, k as
+m + 1 masks "k >= t", one lane mask per potential gate, and every
+self-check raising when any lane fails.  Synthesis ranks solution batches
+with it; decompose and realize keep the scalar core, faster for one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index, xor
+from functools import reduce
+from operator import and_, getitem, index, or_, xor
 
 import numpy as np
 
 from .circuit import Circuit, Gate, circuit
 from .gf2core import (SingularMatrixError, _eliminate, _inverse, _lu, _mul_rows,
-                      _frozen, _pack, _transpose, _unpack, asbits, eye, omega,
-                      zeros)
+                      _frozen, _pack, _transpose, _unpack, asbits)
 
 FACTOR_KINDS = ("OMEGA", "AQ", "TR", "GK")
 
@@ -317,197 +319,193 @@ def factors_to_circuit(factors, m: int) -> Circuit:
     return circuit(m, _emit(factors))
 
 
-# The lane core: _factor and _emit over a stack of N matrices at once, one
-# lane per matrix, as a fixed template of steps on (N, rows, cols) uint8
-# arrays.  Where _factor branches, a lane carries the identity of the
-# factor's kind instead (Q = I, R = 0, k = 0, or Omega masked off), which
+# The lane core (see the module docstring).  A sliced matrix is a list of
+# rows of ints, entry (i, j) holding lane l's entry in bit l; full masks
+# all lanes.  Where _factor branches, a lane carries the identity of the
+# factor's kind instead (Q = I, R = 0, Omega and G_k masked off), which
 # emits no gates, so each lane emits exactly _emit's gates.
 
-def _lane_mul(*mats) -> np.ndarray:
-    """Product of stacks of 0/1 matrices, left to right, lane by lane: in
-    float32 through BLAS, exact while the inner dimension stays below 2^24."""
-    out = mats[0]
-    for m in mats[1:]:
-        prod = out.astype(np.float32) @ m.astype(np.float32)
-        out = (prod.astype(np.int32) & 1).astype(np.uint8)
-    return out
+def _slice(stack: np.ndarray) -> list[list[int]]:
+    """A stack of N matrices (N, r, c) as one sliced r x c matrix."""
+    n, r, c = stack.shape
+    flat = _pack(stack.reshape(n, r * c).T)
+    return [flat[i:i + c] for i in range(0, r * c, c)]
 
 
-def _lane_right(f: np.ndarray, factors) -> np.ndarray:
-    """A stack of 2m-column matrices times lane factors, in order, by each
-    factor's action on a row (x, z): A_Q maps it to (x Q, z Q^-T), T_R adds
-    x R onto z, G_k swaps the first k coordinates of x and z, Omega swaps
-    x and z.  An AQ factor's data is (Q, Q^-T), a TR factor's R, and a GK
-    factor's the (N, 1, m) mask of the swapped columns, each holding every
-    lane."""
-    m = f.shape[2] // 2
-    x, z = f[:, :, :m], f[:, :, m:]
-    for kind, data in factors:
-        if kind == "OMEGA":
-            x, z = z, x
-        elif kind == "GK":
-            x, z = np.where(data, z, x), np.where(data, x, z)
-        elif kind == "TR":
-            z = z ^ _lane_mul(x, data)
-        else:
-            x, z = _lane_mul(x, data[0]), _lane_mul(z, data[1])
-    return np.concatenate([x, z], 2)
+def _dots(x, y) -> list[list[int]]:
+    """x times y transposed, lane by lane."""
+    return [[reduce(xor, map(and_, r, s), 0) for s in y] for r in x]
 
 
-def _lane_eliminate(a: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jordan elimination of a stack (N, r, w) on columns 0..cols-1,
-    each lane with its own pivots.
+def _t(x) -> list[list[int]]:
+    return [list(c) for c in zip(*x)]
 
-    Column c's pivot in a lane is its first row not yet a pivot row with a 1
-    there, and it clears column c from every other row; no row moves until
-    the end, when each lane lists its pivot rows by pivot column and then
-    its other rows in order.  So the top rows are the reduced row echelon
-    form, and columns from cols up carry the row operations.  Returns that
-    stack and the (N, cols) mask of pivot columns.
+
+def _add(x, y) -> list[list[int]]:
+    return [[a ^ b for a, b in zip(r, s)] for r, s in zip(x, y)]
+
+
+def _cat(x, y) -> list[list[int]]:
+    return [r + s for r, s in zip(x, y)]
+
+
+def _diag(d: list[int]) -> list[list[int]]:
+    return [[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)]
+
+
+def _differ(x, y) -> int:
+    """The lanes where two sliced matrices differ."""
+    return reduce(or_, (a ^ b for r, s in zip(x, y) for a, b in zip(r, s)), 0)
+
+
+def _sliced_rref(a, n: int, count: list[int], full: int):
+    """Gauss-Jordan elimination of sliced rows on columns 0..n-1; later
+    columns ride along.  Rows never move: a lane's pivot for column c is
+    its first row not yet a pivot row with a 1 there.  count[t] holds the
+    lanes whose next pivot takes slot t.  Returns (slot, rows, count):
+    slot[s][c] the lanes whose pivot in column c takes slot s, rows[c] the
+    reduced pivot row of column c (zero in lanes without one), and count
+    after the last column."""
+    free = [full] * len(a)
+    slot = [[0] * n for _ in range(n)]
+    sels = []
+    for c in range(n):
+        seen, sel = 0, []
+        for r, row in enumerate(a):
+            h = row[c] & free[r] & ~seen
+            seen |= h
+            free[r] ^= h
+            sel.append(h)
+        sels.append(sel)
+        if seen:
+            for s in range(n):
+                slot[s][c] = count[s] & seen
+            piv = _dots([sel], _t(a))[0]
+            a = [[x ^ g & p for x, p in zip(row, piv)] if (g := row[c] & ~h) else row
+                 for row, h in zip(a, sel)]
+            count = [count[0] & ~seen] + [x & ~seen | y & seen
+                                          for x, y in zip(count[1:], count)]
+    return slot, _dots(sels, _t(a)), count
+
+
+def _factor_lanes(f, full: int) -> list[tuple]:
+    """_factor for a sliced batch of 2m x 2m matrices, as the fixed
+    template AQ (Q1), OMEGA, TR (R1), GK, TR (R2), AQ (Q2) of (kind, data)
+    pairs: Q and R sliced, OMEGA's data the lanes that keep it, GK's the
+    masks "k >= t", t = 0..m, in those lanes.
+
+    Each factor is a function of F = [[A, B], [C, D]] alone, read off in
+    closed form: Q2^-T lists e_p for A's pivot columns p, then the reduced
+    echelon basis of A's nullspace; Q1 = [A | B] S, S picking the pivot
+    columns of A, then Q2's rows s >= k on B's side; R1 = Q1^T [C | D] S;
+    and B Q2^T = Q1 (R2 + diag(0, I)).  Each self-check of _factor runs on
+    every lane as an OR over a difference, and raises as _factor does when
+    any lane fails.
     """
-    n, r, _ = a.shape
-    a = a.copy()
-    lanes = np.arange(n)
-    taken = np.zeros((n, r), bool)
-    place = np.tile(np.arange(cols, cols + r), (n, 1))
-    pivots = np.zeros((n, cols), bool)
-    for c in range(cols):
-        hit = a[:, :, c] == 1
-        free = hit & ~taken
-        has, row = free.any(1), free.argmax(1)
-        hit[lanes, row] = False
-        a ^= hit[:, :, None] & (a[lanes, row] * has[:, None])[:, None, :]
-        taken[lanes, row] |= has
-        place[lanes, row] = np.where(has, c, place[lanes, row])
-        pivots[:, c] = has
-    return a[lanes[:, None], place.argsort(1)], pivots
-
-
-def _lane_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of n x n matrices; raises SingularMatrixError when
-    any lane is singular."""
-    n = a.shape[1]
-    red, pivots = _lane_eliminate(
-        np.concatenate([a, np.broadcast_to(eye(n), a.shape)], 2), n)
-    if not pivots.all():
-        raise SingularMatrixError("matrix is singular over GF(2)")
-    return red[:, :, n:]
-
-
-def _lane_lu(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_lu for a stack of invertible m x m matrices: (perm, L, U) per lane,
-    perm as an (N, m) array; each lane's pivot for column c is its first
-    row at or below row c with a 1 there."""
-    n, m, _ = q.shape
-    a = q.copy()
-    lanes = np.arange(n)
-    perm = np.tile(np.arange(m), (n, 1))
-    for c in range(m):
-        piv = c + a[:, c:, c].argmax(1)
-        for x in (a, perm):
-            top = x[:, c].copy()
-            x[:, c] = x[lanes, piv]
-            x[lanes, piv] = top
-        right = a[:, c].copy()
-        right[:, :c + 1] = 0
-        a[:, c + 1:] ^= a[:, c + 1:, c, None] * right[:, None, :]
-    return perm, np.tril(a, -1) | eye(m), np.triu(a)
-
-
-def _factor_lanes(f: np.ndarray) -> list[tuple]:
-    """_factor for a stack of N symplectic matrices (N, 2m, 2m), as the
-    fixed template AQ (Q1), OMEGA, TR (R1), GK, TR (R2), AQ (Q2) of
-    (kind, data) pairs whose data hold every lane: Q and R as (N, m, m)
-    stacks, OMEGA as the mask of the lanes that keep it, GK as k per lane
-    (0 where Omega is dropped).
-
-    The row operations that put A in normal form differ from _factor's (no
-    row moves during elimination), but every factor is a function of F
-    alone: a different transform for A changes Q11^-1 and B' only in ways
-    that cancel in Q1^-1 = [[I, E], [0, I]] diag(I, B_mk^-1) Q11^-1.  Each
-    self-check of _factor runs on every lane, and raises as _factor does
-    when any lane fails.
-    """
-    n, two_m, _ = f.shape
-    m = two_m // 2
-    one, om = eye(m), omega(m)
-    if (_lane_mul(_lane_right(f, [("OMEGA", None)]), f.mT) != om).any():
+    m = len(f) // 2
+    top, bottom = f[:m], f[m:]
+    omega = [r[m:] + r[:m] for r in _diag([full] * 2 * m)]
+    if _differ(_dots([r[m:] + r[:m] for r in f], f), omega):
         raise ValueError("input matrix is not symplectic")
 
-    red, pivots = _lane_eliminate(
-        np.concatenate([f[:, :m, :m], np.broadcast_to(one, (n, m, m))], 2), m)
-    k = pivots.sum(1)
-    q11inv = red[:, :, m:]
-    # row i < k of units is e_p for the lane's i-th pivot column p
-    units = zeros((n, m, m))
-    lane, col = np.nonzero(pivots)
-    units[lane, pivots.cumsum(1)[lane, col] - 1, col] = 1
-    # free column c gives e_c plus the pivots of the rows with a 1 at c;
-    # reduced, these are nullspace()'s basis, and Q2^-T lists them after
-    # the pivot rows
-    null = (_lane_mul(red[:, :, :m].mT, units) | one) * ~pivots[:, :, None]
-    null = _lane_eliminate(null, m)[0]
-    shift = (np.arange(m) - k[:, None]) % m
-    q2inv_t = units | null[np.arange(n)[:, None], shift]
-    q2t = _lane_inverse(q2inv_t)
-    b_prime = _lane_mul(q11inv, f[:, :m, m:], q2t)
+    # A's pivot rows, each with its row operations riding along, take slots
+    # 0..k-1; free column c of A gives the nullspace row e_c plus the pivots
+    # of the rows with a 1 at c, and reduced, these take slots k..m-1
+    ident = _diag([full] * m)
+    a, b = [r[:m] for r in top], [r[m:] for r in top]
+    slot_a, rows_a, count = _sliced_rref(_cat(a, ident), m, [full] + [0] * m, full)
+    kge = [reduce(or_, count[t:]) for t in range(m + 1)]
+    slot_n, rows_n, _ = _sliced_rref(_add(ident, _t(rows_a)[:m]), m, count, full)
+    _, inv, count = _sliced_rref(_cat(_add(slot_a, _dots(slot_n, _t(rows_n))), ident),
+                                 m, [full] + [0] * m, full)
+    if count[m] != full:
+        raise SingularMatrixError("matrix is singular over GF(2)")
+    q2 = _t([r[m:] for r in inv])
+    pick = [p + [x & ~kge[s + 1] for x in q] for s, (p, q) in enumerate(zip(slot_a, q2))]
+    q1t = _dots(pick, top)
+    q1 = _t(q1t)
+    r1 = _dots(q1t, _dots(pick, bottom))
 
-    rows_k = (np.arange(m) < k[:, None])[:, :, None]
-    cols_k = rows_k.mT
-    r2 = b_prime * (rows_k & cols_k)
-    if (b_prime * (~rows_k & cols_k)).any() or (r2 != r2.mT).any():
+    # R2 = T B Q2^T on the first k rows and columns, T the row operations
+    # that reduce A
+    u, lo = _diag(kge[1:]), _diag([full ^ x for x in kge[1:]])  # U, diag(0, I)
+    bq2 = _dots(b, q2)
+    tbq2 = _dots([r[m:] for r in _dots(slot_a, _t(rows_a))], _t(bq2))
+    r2 = [[x & kge[i + 1] & y for x, y in zip(row, kge[1:])] for i, row in enumerate(tbq2)]
+    r2l = _add(r2, lo)
+    if _differ(bq2, _dots(q1, _t(r2l))) | _differ(r2, _t(r2)):
         raise RuntimeError("B block of a symplectic input lost its normal form")
-    # q1inv = [[I, E], [0, I]] diag(I, B_mk^-1) q11inv
-    q12 = _lane_mul(_lane_inverse(np.where(rows_k, one, b_prime)), q11inv)
-    q1inv = q12 ^ _lane_mul(b_prime * (rows_k & ~cols_k), q12)
-    q1 = _lane_inverse(q1inv)
-    q2 = q2t.mT
-
-    # A_Q^-1 = A_{Q^-1}, and T_R, G_k and Omega are involutions
-    mid = _lane_right(f, [("AQ", (q2inv_t.mT, q2t)), ("TR", r2), ("GK", cols_k),
-                          ("OMEGA", None)])
-    mid = np.concatenate([_lane_mul(q1inv, mid[:, :m]), _lane_mul(q1.mT, mid[:, m:])], 1)
-    r1 = mid[:, m:, :m]
-    if ((mid[:, :m] != np.eye(m, two_m, dtype=np.uint8)).any()
-            or (mid[:, m:, m:] != one).any() or (r1 != r1.mT).any()):
+    if _differ(r1, _t(r1)):
         raise RuntimeError("reduced input is not a lower T_R factor")
-
-    total = _lane_right(np.broadcast_to(eye(two_m), f.shape),
-                        [("AQ", (q1, q1inv.mT)), ("OMEGA", None), ("TR", r1),
-                         ("GK", cols_k), ("TR", r2), ("AQ", (q2, q2inv_t))])
-    if (total != f).any():
+    # F = A_Q1 Omega T_R1 G_k T_R2 A_Q2 block by block, the right blocks
+    # times Q2^T and the lower ones Q1^T times; B is checked above
+    ft, q2t = _t(f), _t(q2)
+    r1u = _add([[x & y for x, y in zip(row, kge[1:])] for row in r1], lo)
+    if (_differ(a, _dots(q1, _t(_dots(u, q2t))))
+            | _differ(_dots(q1t, [r[m:] for r in ft[:m]]), _dots(r1u, q2t))
+            | _differ(_dots(_dots(q1t, [r[m:] for r in ft[m:]]), q2),
+                      _add(u, _dots(r1, _t(r2l))))):
         raise RuntimeError("factor product does not reproduce the input")
-    keep = r1.any((1, 2)) | (k < m)
-    return [("AQ", q1), ("OMEGA", keep), ("TR", r1), ("GK", np.where(keep, k, 0)),
-            ("TR", r2), ("AQ", q2)]
+    keep = reduce(or_, (x for row in r1 for x in row)) | full ^ kge[m]
+    return [("AQ", q1), ("OMEGA", keep), ("TR", r1),
+            ("GK", [keep & x for x in kge]), ("TR", r2), ("AQ", q2)]
 
 
-def _emit_lanes(factors, m: int) -> list[tuple]:
+def _sliced_lu(q, full: int) -> tuple[list, list]:
+    """_lu for a sliced batch of m x m matrices: (perm, lu), perm[c][r] the
+    lanes whose row c after pivoting is row r of Q, lu holding L below the
+    diagonal and U on and above it.  Raises SingularMatrixError when any
+    lane is singular."""
+    m = len(q)
+    a = _cat(q, _diag([full] * m))
+    for c in range(m):
+        seen, sel = 0, []
+        for row in a[c:]:
+            sel.append(row[c] & ~seen)
+            seen |= row[c]
+        if seen != full:
+            raise SingularMatrixError("matrix is singular over GF(2)")
+        if sel[0] != full:
+            a[c:] = _dots([sel], _t(a[c:])) + [
+                [x ^ (x ^ y) & s for x, y in zip(row, a[c])] if s else row
+                for row, s in zip(a[c + 1:], sel[1:])]
+        # rows below keep their bit c: the multiplier L[r, c]
+        a[c + 1:] = [row[:c + 1] + [x ^ h & p for x, p in zip(row[c + 1:m], a[c][c + 1:])]
+                     + row[m:] if (h := row[c]) else row for row in a[c + 1:]]
+    return [r[m:] for r in a], [r[:m] for r in a]
+
+
+def _emit_lanes(factors, full: int) -> list[tuple]:
     """_emit over lanes: every gate the template can emit, in circuit order,
-    as (kind, qubits, mask) triples, mask the lanes that carry the gate.
-    A PERMUTE's qubits are one image per lane, an (N, m) array."""
+    as (kind, qubits, mask) triples, mask the lanes that carry the gate.  A
+    PERMUTE's qubits are the perm masks of _sliced_lu."""
+    m = len(factors[0][1])
     out = []
     for kind, data in factors:
-        if kind == "OMEGA":
-            out += [("H", (q,), data) for q in range(1, m + 1)]
-        elif kind == "GK":
-            out += [("H", (q,), data >= q) for q in range(1, m + 1)]
+        if kind == "OMEGA" or kind == "GK":
+            out += [("H", (q,), data if kind == "OMEGA" else data[q])
+                    for q in range(1, m + 1)]
         elif kind == "TR":
-            out += [("P", (i + 1,), data[:, i, i] == 1) for i in range(m)]
-            out += [("CZ", (i + 1, j + 1), data[:, i, j] == 1)
+            out += [("P", (i + 1,), data[i][i]) for i in range(m)]
+            out += [("CZ", (i + 1, j + 1), data[i][j])
                     for i in range(m) for j in range(i + 1, m)]
         else:
-            perm, low, up = _lane_lu(data)
-            out.append(("PERMUTE", perm.argsort(1) + 1,
-                        (perm != np.arange(m)).any(1)))
-            out += [("CNOT", (c + 1, t + 1), low[:, c, t] == 1)
+            perm, lu = _sliced_lu(data, full)
+            out.append(("PERMUTE", perm, full ^ reduce(and_, map(getitem, perm, range(m)))))
+            out += [("CNOT", (c + 1, t + 1), lu[c][t])
                     for c in range(1, m) for t in range(c)]
-            out += [("CNOT", (c + 1, t + 1), up[:, c, t] == 1)
+            out += [("CNOT", (c + 1, t + 1), lu[c][t])
                     for c in range(m - 2, -1, -1) for t in range(c + 1, m)]
     return out
 
 
-def _lane_pairs(gates, lane: int) -> list[Gate]:
+def _lane_gates(gates, lane: int) -> list[Gate]:
     """One lane's gates out of an _emit_lanes template."""
-    return [Gate(kind, tuple(qs[lane].tolist()) if kind == "PERMUTE" else qs)
-            for kind, qs, mask in gates if mask[lane]]
+    out = []
+    for kind, qs, mask in gates:
+        if mask >> lane & 1:
+            if kind == "PERMUTE":  # row i holds qubit p's image i + 1
+                qs = tuple(i + 1 for col in zip(*qs) for i, x in enumerate(col)
+                           if x >> lane & 1)
+            out.append(Gate(kind, qs))
+    return out

@@ -15,15 +15,15 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
-from .circuit import Circuit, _score_lanes, circuit, depth, gate, serialize
+from .circuit import Circuit, _score_planes, circuit, depth, gate, serialize
 from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit_lanes, _factor_lanes,
-                        _lane_pairs, decompose, factors_to_circuit)
+                        _lane_gates, _slice, decompose, factors_to_circuit)
 from .gf2core import (InfeasibleError, ParseError, _echelon_solve,
                       _gram_mismatch, _transpose, is_symplectic, mul, omega,
                       rank, solve_linear)
@@ -67,12 +67,22 @@ class CliffordSpec:
 
 @dataclass
 class SynthesisResult:
+    """One verified solution.  Results compare by value, f by its shape and
+    bytes, and are not hashable."""
+
     f: np.ndarray
     factors: tuple[ElementaryFactor, ...]
     circuit: Circuit
     pauli_correction: PauliOperator
     depth: int
     report: ConjugationReport
+
+    def __eq__(self, other):
+        if not isinstance(other, SynthesisResult):
+            return NotImplemented
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        f, g = mine.pop("f"), theirs.pop("f")
+        return f.shape == g.shape and f.tobytes() == g.tobytes() and mine == theirs
 
 
 def _check_spec(code: StabilizerCode, spec: CliffordSpec) -> None:
@@ -195,11 +205,12 @@ def solution_count(code: StabilizerCode) -> int:
     return 1 << (code.k * (code.k + 1) // 2)
 
 
-_CHUNK = 1 << 9  # solutions per batch: bounds the memory of one batch
+_CHUNK = 1 << 10  # solutions per block, the lanes of one sliced batch
 
 
-def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
-    """Solutions start..stop-1 of the code's system in closed form.
+def _blocks(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
+    """Solutions start..stop-1 of the code's system in closed form, as one
+    stack per aligned block of at most _CHUNK indices.
 
     Every solution is (I + Omega Sg^T S Sg) f0 for one symmetric k x k
     binary S (Sg = stab_gamma(code), f0 any solution): the shift is
@@ -209,9 +220,9 @@ def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
     bits, most significant first; index 0 is S = 0, which gives f0.
 
     The shift is linear in S, so each solution is f0 plus one fixed 2m x 2m
-    delta per set index bit.  Blocks of at most _CHUNK consecutive indices
-    share their high bits, which give the block's offset, and read their low
-    bits off one table of f0 plus every combination of the low deltas.
+    delta per set index bit.  A block's indices share their high bits,
+    which give its offset, and read their low bits off one table of f0
+    plus every combination of the low deltas.
     """
     sg = stab_gamma(code)
     lt = mul(sg, omega(code.m))  # row a: column a of Omega Sg^T
@@ -225,55 +236,60 @@ def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
     table = f0[None]
     for d in deltas[:low]:
         table = np.concatenate([table, table ^ d])
-    while start < stop:
-        high = start >> low << low
-        end = min(stop, high + len(table))
-        block = table[start - high:end - high]
-        for b in range(low, len(deltas)):
-            if high >> b & 1:
-                block = block ^ deltas[b]
+    for high in range(start >> low << low, stop, len(table)):
+        yield reduce(np.bitwise_xor, (deltas[b] for b in range(low, len(deltas))
+                                      if high >> b & 1),
+                     table[max(start - high, 0):stop - high])
+
+
+def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
+    """Solutions start..stop-1 of the code's system, one by one (see _blocks)."""
+    for block in _blocks(code, f0, start, stop):
         yield from block
-        start = end
 
 
 def _min_depth_key(circ: Circuit):
     return (depth(circ), len(circ.gates), serialize(circ))
 
 
-def _rank(code: StabilizerCode, spec: CliffordSpec, fs):
-    """(min_depth key, F) of the best solution in fs, or None when fs is empty.
+def _rank(code: StabilizerCode, spec: CliffordSpec, fs, best=None):
+    """best, a (min_depth key, F) pair or None, updated with the solutions
+    fs, a list or stack of F, possibly empty.
 
-    The solutions go in batches of _CHUNK through the lane core
-    (decompose._factor_lanes and _emit_lanes, circuit._score_lanes), which
-    gives each its unsigned circuit's (depth, gates) pair with no circuit
-    built.  The sign correction only prepends single-qubit Paulis: it
-    cannot lower the depth, adds one gate per qubit it touches, and leaves
-    the circuit unchanged when it touches none.  So the unsigned pair bounds
-    the signed key from below.  A batch is visited in ascending (bound,
-    position) order; a solution becomes a circuit and is sign-fixed only
-    while its bound does not exceed the best key so far, and the first
-    solution above it ends the batch.
+    fs is sliced into one batch, one lane per solution, for the bit-sliced
+    lane core (decompose._factor_lanes and _emit_lanes, circuit._score_planes),
+    which gives every lane its unsigned circuit's (depth, gates) pair with
+    no circuit built.  The sign correction only prepends single-qubit
+    Paulis: it cannot lower the depth, adds one gate per qubit it touches,
+    and leaves the circuit unchanged when it touches none.  So the unsigned
+    pair bounds the signed key from below.  The lanes are visited in
+    ascending (bound, position) order; a lane's gates are read off the
+    template and sign-fixed only while its bound does not exceed the best
+    key so far, and the first lane above it ends the batch.
     """
-    m = code.m
-    best = None
-    fs = iter(fs)
-    while batch := list(islice(fs, _CHUNK)):
-        gates = _emit_lanes(_factor_lanes(np.stack(batch)), m)
-        depths, counts = _score_lanes(gates, m, len(batch))
-        for lane in np.lexsort((counts, depths)).tolist():
-            if best is not None and (depths[lane], counts[lane]) > best[0][:2]:
-                break
-            raw = circuit(m, _lane_pairs(gates, lane))
-            key = _min_depth_key(fix_signs(code, spec, raw)[0])
-            if best is None or key < best[0]:
-                best = (key, batch[lane])
+    if not len(fs):
+        return best
+    m, batch = code.m, np.asarray(fs)
+    full = (1 << len(batch)) - 1
+    gates = _emit_lanes(_factor_lanes(_slice(batch), full), full)
+    depths, counts = _score_planes(gates, m, len(batch))
+    for lane in np.lexsort((counts, depths)).tolist():
+        if best is not None and (depths[lane], counts[lane]) > best[0][:2]:
+            break
+        key = _min_depth_key(fix_signs(code, spec, circuit(m, _lane_gates(gates, lane)))[0])
+        if best is None or key < best[0]:
+            best = (key, batch[lane].copy())  # not a view pinning the batch
     return best
 
 
 def _rank_range(code: StabilizerCode, spec: CliffordSpec, f0: np.ndarray,
                 start: int, stop: int):
-    """_rank over solutions start..stop-1 (one worker's share)."""
-    return _rank(code, spec, _solutions(code, f0, start, stop))
+    """_rank over solutions start..stop-1 (one worker's share), one batch
+    per block of _blocks."""
+    best = None
+    for block in _blocks(code, f0, start, stop):
+        best = _rank(code, spec, block, best)
+    return best
 
 
 def _map(workers: int, fn, *args) -> list:
@@ -293,17 +309,13 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     in closed form by every symmetric k x k binary S (see _solutions);
     "all" lists them in S-index order, so the first result is f0.
     min_depth ranks by depth, then gate count, then serialized text, so the
-    choice is a deterministic function of the solution set.  It takes the
-    solutions in batches of _CHUNK (see _rank): each batch is factored into
-    unsigned gate masks and scored by (depth, gates) at once, with no
-    circuit built, then visited in ascending (depth, gates) order, S index
-    breaking ties; only contenders whose pair does not exceed the best key
-    so far become circuits and are sign-fixed, the first solution above it
-    ends the batch, and only the returned circuit goes through the public
-    decompose, is realized with its final correction and verified.  With
-    jobs > 1 the work runs on min(jobs, cpu count) worker processes (the
-    pool starts them all at once), and min_depth gives each one contiguous
-    range of S indices.
+    choice is a deterministic function of the solution set.  It scores the
+    solutions one aligned block of _CHUNK at a time in the bit-sliced lane
+    core and sign-fixes only contenders (see _blocks and _rank); only the
+    returned circuit goes through the public decompose, is realized with
+    its final correction and verified.  With jobs > 1 the work runs on
+    min(jobs, cpu count) worker processes (the pool starts them all at
+    once), and min_depth gives each one contiguous range of S indices.
     Raises ValueError before enumerating anything when the solution count
     exceeds cap.
     """

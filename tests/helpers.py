@@ -360,11 +360,11 @@ def ref_unsigned(f, m):
     """F's unsigned circuit as a list of Gates (each equal to its (kind,
     qubits) pair), with its (depth, gates) pair, from the scalar packed
     factoring core and gate emitter."""
-    from sympcliff.circuit import _score
+    from sympcliff.circuit import circuit, depth
     from sympcliff.decompose import _emit, _factor
     from sympcliff.gf2core import _pack
     gates = list(_emit(_factor(_pack(f), m)))
-    return gates, _score(gates)
+    return gates, (depth(circuit(m, gates)), len(gates))
 
 
 def ref_solutions(code, f0, start, stop):

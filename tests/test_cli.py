@@ -260,9 +260,17 @@ def test_cli_under_optimize_flag_matches_plain_run(tmp_path):
                                  *flags, cwd=cwd))
         for mat in (str(FIXTURES / "omega6.mat"), str(bad)):
             out.append(run_fresh(["decompose", "--matrix", mat], *flags, cwd=cwd))
+        # the default mode, min_depth, ranks through the bit-sliced lane core
+        out.append(run_fresh(["synth", "--code", CODE513, "--spec",
+                              str(FIXTURES / "hadamard5q.spec"), "--out", "min"],
+                             *flags, cwd=cwd))
+        files += sorted((cwd / "min").iterdir())
         runs[flags] = out, {p.name: p.read_text() for p in files}
     assert runs[("-O",)] == runs[()]
-    assert [rc for rc, _, _ in runs[()][0]] == [0] * 10 + [2]
+    assert [rc for rc, _, _ in runs[()][0]] == [0] * 10 + [2, 0]
+    assert runs[()][0][11][1].startswith("1 solution\nsolution 1: depth ")
+    assert runs[()][0][11][2] == ""
+    assert "hadamard5q_min_depth.circ" in runs[()][1]
     assert runs[()][0][0][1].startswith("8 solutions\n")
     assert runs[()][0][9][1] == "factors: OMEGA\nqubits 3\nH 1\nH 2\nH 3\n"
     assert runs[()][0][10][2].startswith("error: input matrix is not symplectic")

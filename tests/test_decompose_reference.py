@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
-from sympcliff.circuit import _score_lanes
+from sympcliff import synth
+from sympcliff.circuit import _score_planes
 from sympcliff.decompose import (FACTOR_KINDS, _emit_lanes, _factor_lanes,
-                                 _lane_pairs)
+                                 _lane_gates, _slice)
+from conftest import FIXTURES
 from helpers import (_invertible, _symmetric, ref_decompose, ref_depth,
                      ref_expand, ref_factor_to_gates, ref_mul, ref_unsigned,
                      symplectic)
@@ -108,13 +110,15 @@ def test_decompose_rejects_shapes_that_are_not_2m_square(shape):
         sc.decompose(np.zeros(shape, dtype=np.uint8))
 
 
-# The lane core (_factor_lanes, _emit_lanes, _lane_pairs, _score_lanes)
-# against the scalar oracle helpers.ref_unsigned, lane for lane.
+# The bit-sliced lane core (_factor_lanes, _emit_lanes, _lane_gates,
+# _score_planes) against the scalar oracle helpers.ref_unsigned, lane for
+# lane.
 
 def _lane_outputs(fs, m):
-    gates = _emit_lanes(_factor_lanes(np.stack(fs)), m)
-    depths, counts = _score_lanes(gates, m, len(fs))
-    return [(_lane_pairs(gates, lane), (depths[lane], counts[lane]))
+    full = (1 << len(fs)) - 1
+    gates = _emit_lanes(_factor_lanes(_slice(np.stack(fs)), full), full)
+    depths, counts = _score_planes(gates, m, len(fs))
+    return [(_lane_gates(gates, lane), (depths[lane], counts[lane]))
             for lane in range(len(fs))]
 
 
@@ -145,7 +149,17 @@ def test_one_corrupted_lane_makes_the_batch_raise():
     rng = np.random.default_rng(9)
     fs = np.stack([ref_mul(*[sc.transvection_matrix(rng.integers(0, 2, 2 * m))
                              for _ in range(5)]) for _ in range(8)])
-    _factor_lanes(fs)
+    _factor_lanes(_slice(fs), 255)
     fs[5, 2, 4] ^= 1
     with pytest.raises(ValueError, match="not symplectic"):
-        _factor_lanes(fs)
+        _factor_lanes(_slice(fs), 255)
+
+
+def test_a_full_block_batch_matches_the_scalar_oracle(code513):
+    # hadamard5q's first block is one batch of _CHUNK lanes (at least 512),
+    # so lane masks above bit 63 (past any machine word) are checked too
+    spec = sc.load_spec((FIXTURES / "hadamard5q.spec").read_text())
+    f0 = sc.find_symplectic(sc.build_system(code513, spec))
+    block = next(synth._blocks(code513, f0, 0, sc.solution_count(code513)))
+    assert len(block) >= 512
+    assert _lane_outputs(list(block), 5) == [ref_unsigned(f, 5) for f in block]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -321,6 +322,60 @@ def test_min_depth_parallel_jobs_match_serial(code513):
     assert np.array_equal(parallel.f, serial.f)
 
 
+def test_ranges_of_partial_unaligned_batches_give_the_serial_minimum(code513):
+    # cuts that fall inside a block, a range inside one block and a
+    # one-solution range leave lanes of their blocks out of the ranking; the
+    # best over the pieces must be the best over all 1024
+    spec = _spec("hadamard5q")
+    f0 = sc.find_symplectic(sc.build_system(code513, spec))
+    want = _rank(code513, spec, list(synth._solutions(code513, f0, 0, 1024)))
+    pieces = [synth._rank_range(code513, spec, f0, a, b)
+              for a, b in [(0, 341), (341, 682), (682, 1024)]]
+    best = min(pieces, key=lambda r: r[0])
+    assert best[0] == want[0] and np.array_equal(best[1], want[1])
+    for a, b in [(5, 37), (700, 701)]:
+        got = synth._rank_range(code513, spec, f0, a, b)
+        fs = list(synth._solutions(code513, f0, a, b))
+        assert got[0] == min(_min_depth_key(sc.realize(code513, spec, f).circuit)
+                             for f in fs)
+        assert any(np.array_equal(got[1], f) for f in fs)
+    assert synth._rank_range(code513, spec, f0, 5, 5) is None
+    assert _rank(code513, spec, []) is None
+
+
+def test_a_range_over_several_blocks_ranks_like_every_solution(code513,
+                                                                monkeypatch):
+    # with 256-solution blocks, 100..899 is a clipped block, two full ones
+    # and another clipped one, so later blocks are ranked against the best
+    # of earlier ones; the winner is the first solution of least key
+    monkeypatch.setattr(synth, "_CHUNK", 256)
+    spec = _spec("hadamard5q")
+    f0 = sc.find_symplectic(sc.build_system(code513, spec))
+    assert [len(b) for b in synth._blocks(code513, f0, 100, 900)] \
+        == [156, 256, 256, 132]
+    fs = list(synth._solutions(code513, f0, 100, 900))
+    assert [f.tobytes() for f in fs] \
+        == [f.tobytes() for f in ref_solutions(code513, f0, 100, 900)]
+    keys = [_min_depth_key(sc.realize(code513, spec, f).circuit) for f in fs]
+    got = synth._rank_range(code513, spec, f0, 100, 900)
+    assert got[0] == min(keys)
+    assert np.array_equal(got[1], fs[keys.index(min(keys))])
+
+
+def test_synthesis_results_compare_by_value(code642):
+    spec = _spec("phase1")
+    a, = sc.synthesize(code642, spec, mode="min_depth")
+    b, = sc.synthesize(code642, spec, mode="min_depth")
+    assert a is not b and a == b and not a != b
+    assert a != dataclasses.replace(a, f=a.f ^ np.eye(len(a.f), dtype=np.uint8))
+    # the same bytes in another shape are another matrix
+    assert a != dataclasses.replace(a, f=a.f.reshape(-1))
+    assert a != dataclasses.replace(a, depth=a.depth + 1)
+    assert a != "result" and a != None  # noqa: E711
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
     # a fake pool that records its size and maps in this process, so no
     # worker process starts whatever jobs asks for
@@ -453,14 +508,16 @@ def _steane():
 @pytest.mark.parametrize("name", ["code422", "code513", "code642", "code713"])
 def test_solutions_match_one_product_per_index(name, request):
     # the table-and-offset generator lists what one closed-form product per
-    # index gives, in S-index order; on [[7,1,3]] (2^21 solutions) the ranges
-    # cross a block boundary and reach the last index
+    # index gives, in S-index order; on [[7,1,3]] (2^21 solutions) every range
+    # but the first crosses a block boundary, one spans two whole blocks, and
+    # the last reaches the last index
     code = {"code422": lambda: sc.css_build(sc.CssSpec(hc=bits("1111"))),
             "code713": _steane}.get(name, lambda: request.getfixturevalue(name))()
     f0 = sc.find_symplectic(sc.build_system(code, sc.CliffordSpec()))
     count = sc.solution_count(code)
-    ranges = [(0, count)] if count <= 1024 else \
-        [(0, 40), (1000, 1100), (5 * 1024 - 3, 5 * 1024 + 2), (count - 30, count)]
+    c = synth._CHUNK
+    ranges = [(0, count)] if count <= c else \
+        [(0, 40), (c - 3, c + 2), (3 * c - 7, 5 * c + 2), (count - c - 30, count)]
     for start, stop in ranges:
         got = [f.tobytes() for f in synth._solutions(code, f0, start, stop)]
         assert got == [f.tobytes() for f in ref_solutions(code, f0, start, stop)]

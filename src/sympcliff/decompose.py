@@ -20,20 +20,29 @@ on packed rows in one place, _left, which gives the factor times the rows;
 expand and every product of factors are that action on the identity.  With
 the rows split into a top half X and a bottom half Z, Omega swaps X and Z,
 G_k swaps their first k rows, T_R adds R Z onto X, and A_Q maps (X, Z) to
-(Q X, Q^-T Z).  One private core, _factor, factors a matrix of packed rows
-into such factors.  It checks that the input is symplectic, that the B
-block keeps its normal form, that the reduced matrix is a lower T_R, and
-that the kept factors multiply back to the input; each check raises.  One
-emitter, _emit, turns factors into Gates.
+(Q X, Q^-T Z).  One emitter, _emit, turns factors into Gates.
 
-Beside this scalar core, a bit-sliced lane core (_factor_lanes,
-_emit_lanes; McBits' layout, Bernstein, Chou & Schwabe, CHES 2013) runs
-the same factoring and emission over N matrices at once, one Python int
-per matrix entry with one bit per lane, as one fixed template of AND/XOR
-steps: one-hot lane masks for pivots, slots and LU permutations, k as
-m + 1 masks "k >= t", one lane mask per potential gate, and every
-self-check raising when any lane fails.  Synthesis ranks solution batches
-with it; decompose and realize keep the scalar core, faster for one matrix.
+Each factor is a function of F = [[A, B], [C, D]] alone, read off in closed
+form.  One elimination of [A | I] gives A's pivot columns and the row
+operations T that reduce A.  Q2^-T lists e_p for each pivot column p, then
+the reduced echelon basis of A's nullspace (Q2 = I when k = m).  With S
+picking A's pivot columns, then columns k..m-1 of B Q2^T,
+
+    Q1 = [A | B Q2^T] S,   R1 = Q1^T [C | D Q2^T] S,
+
+and R2 is the top-left k x k block of T B Q2^T.  Four self-checks raise:
+F is symplectic (ValueError), B Q2^T = Q1 (R2 + diag(0, I)) with R2
+symmetric, R1 is symmetric, and the kept factors multiply back to F
+(RuntimeError).  The scalar core, _factor, runs this on packed rows.
+
+A bit-sliced lane core (_factor_lanes, _emit_lanes; McBits' layout,
+Bernstein, Chou & Schwabe, CHES 2013) runs the same closed form and
+emission over N matrices at once, one Python int per matrix entry with one
+bit per lane, as one fixed template of AND/XOR steps: one-hot lane masks
+for pivots, slots and LU permutations, k as m + 1 masks "k >= t", one lane
+mask per potential gate, and every self-check raising when any lane fails.
+Synthesis ranks solution batches with it; decompose and realize keep the
+scalar core, faster for one matrix.
 """
 
 from __future__ import annotations
@@ -45,8 +54,9 @@ from operator import and_, getitem, index, or_, xor
 import numpy as np
 
 from .circuit import Circuit, Gate, circuit
-from .gf2core import (SingularMatrixError, _eliminate, _inverse, _lu, _mul_rows,
-                      _frozen, _pack, _transpose, _unpack, asbits)
+from .gf2core import (SingularMatrixError, _eliminate, _frozen, _gram_mismatch,
+                      _inverse, _lu, _mul_rows, _pack, _transpose, _unpack,
+                      asbits)
 
 FACTOR_KINDS = ("OMEGA", "AQ", "TR", "GK")
 
@@ -179,65 +189,44 @@ def _product(factors, m: int) -> list[int]:
 
 def _factor(rows: list[int], m: int) -> list[ElementaryFactor]:
     """Packed core of decompose: the kept factors of F, given as its 2m
-    packed rows (bit c of row i is F[i, c]).
+    packed rows (bit c of row i is F[i, c]), by the closed form of the
+    module docstring.
 
     Identity factors are dropped, and so are Omega and G_m when nothing is
     left between them.  Raises ValueError when F is not symplectic, and
     RuntimeError when a self-check fails.
     """
-    n = 2 * m
-    low = (1 << m) - 1
-    swapped = [(r >> m) | (r & low) << m for r in rows]
-    for i, r in enumerate(rows):
-        for j in range(i + 1, n):
-            if (r & swapped[j]).bit_count() & 1 != (j == i + m):
-                raise ValueError("input matrix is not symplectic")
+    if _gram_mismatch(rows, [1 << c for c in range(2 * m)], m) is not None:
+        raise ValueError("input matrix is not symplectic")
 
-    # row operations (q11inv) and columns (q2) putting A into rank normal
-    # form: pivot columns first, then the reduced nullspace basis of A; an
-    # invertible A (k = m) needs no column operations, so Q2 = I and the
-    # products with it are skipped
+    # one elimination of [A | I] gives the pivots and the row operations T
     identity = [1 << i for i in range(m)]
+    low = (1 << m) - 1
     ta = [r & low | 1 << (m + i) for i, r in enumerate(rows[:m])]
     pivots = _eliminate(ta, m)
     k = len(pivots)
-    q11inv = [r >> m for r in ta]
-    b_prime = _mul_rows(q11inv, [r >> m for r in rows[:m]])
-    q2 = q2t = q2inv_t = identity
-    if k < m:
-        # free column c gives e_c plus the pivots of the rows with a 1 at c;
-        # reducing these gives nullspace()'s unique reduced echelon basis
-        null = [1 << c | sum(1 << p for p, r in zip(pivots, ta) if r >> c & 1)
-                for c in range(m) if c not in pivots]
-        _eliminate(null, m)
-        q2inv_t = [1 << p for p in pivots] + null
-        q2t = _inverse(q2inv_t, m)
-        q2 = _transpose(q2t, m)
-        b_prime = _mul_rows(b_prime, q2t)
-
     kmask = (1 << k) - 1
-    r2 = [r & kmask for r in b_prime[:k]] + [0] * (m - k)
-    if any(r & kmask for r in b_prime[k:]) or not _symmetric(r2[:k], k):
-        raise RuntimeError("B block of a symplectic input lost its normal form")
-    # q1inv = [[I, E], [0, I]] diag(I, B_mk^-1) q11inv
-    q12 = q11inv[:k] + _mul_rows(_inverse([r >> k for r in b_prime[k:]], m - k),
-                                 q11inv[k:])
-    q1inv = [r ^ x for r, x in zip(q12, _mul_rows([r >> k for r in b_prime[:k]],
-                                                  q12[k:]))] + q12[k:]
-    q1 = _inverse(q1inv, m)
+    # free column c gives e_c plus the pivots of the rows with a 1 at c;
+    # reducing these gives nullspace()'s unique reduced echelon basis
+    null = [1 << c | sum(1 << p for p, r in zip(pivots, ta) if r >> c & 1)
+            for c in range(m) if c not in pivots]
+    _eliminate(null, m)
+    q2inv_t = [1 << p for p in pivots] + null
+    q2t = _inverse(q2inv_t, m) if k < m else identity
+    bq2t = _mul_rows([r >> m for r in rows[:m]], q2t)
+    # Q1 = [A | B Q2^T] S and [C | D Q2^T] S in one product: F times S with
+    # Q2^T's columns k..m-1 folded into its B side
+    fs = _mul_rows(rows, _transpose(q2inv_t[:k], m) + [r & ~kmask for r in q2t])
+    q1 = fs[:m]
+    r1 = _mul_rows(_transpose(q1, m), fs[m:])
+    r2 = [r & kmask for r in _mul_rows([r >> m for r in ta[:k]], bq2t)]
 
-    # A_Q^-1 = A_{Q^-1}, and T_R, G_k and Omega are involutions, so this is
-    # A_{Q1^-1} F A_{Q2^-1} T_R2 G_k Omega (Q2 = I skipped)
-    inv_q2 = [_made("AQ", m, _transpose(q2inv_t, m), q2t)] if k < m else []
-    right = _product(inv_q2 + [_made("TR", m, r2), _made("GK", m, k=k),
-                               _made("OMEGA", m)], m)
-    mid = _left(_made("AQ", m, q1inv, _transpose(q1, m)), _mul_rows(rows, right))
-    r1 = [r & low for r in mid[m:]]
-    if (mid[:m] != identity or [r >> m for r in mid[m:]] != identity
-            or not _symmetric(r1, m)):
+    if bq2t != _mul_rows(q1, r2 + identity[k:]) or not _symmetric(r2, k):
+        raise RuntimeError("B block of a symplectic input lost its normal form")
+    if not _symmetric(r1, m):
         raise RuntimeError("reduced input is not a lower T_R factor")
 
-    out = [_made("AQ", m, q1, _transpose(q1inv, m))] if q1 != identity else []
+    out = [_made("AQ", m, q1, _transpose(_inverse(q1, m), m))] if q1 != identity else []
     if any(r1) or k < m:
         out.append(_made("OMEGA", m))
         if any(r1):
@@ -245,9 +234,9 @@ def _factor(rows: list[int], m: int) -> list[ElementaryFactor]:
         if k:
             out.append(_made("GK", m, k=k))
     if any(r2):
-        out.append(_made("TR", m, r2))
-    if q2 != identity:
-        out.append(_made("AQ", m, q2, q2inv_t))
+        out.append(_made("TR", m, r2 + [0] * (m - k)))
+    if q2inv_t != identity:
+        out.append(_made("AQ", m, _transpose(q2t, m), q2inv_t))
 
     if _product(out, m) != rows:
         raise RuntimeError("factor product does not reproduce the input")
@@ -394,13 +383,9 @@ def _factor_lanes(f, full: int) -> list[tuple]:
     pairs: Q and R sliced, OMEGA's data the lanes that keep it, GK's the
     masks "k >= t", t = 0..m, in those lanes.
 
-    Each factor is a function of F = [[A, B], [C, D]] alone, read off in
-    closed form: Q2^-T lists e_p for A's pivot columns p, then the reduced
-    echelon basis of A's nullspace; Q1 = [A | B] S, S picking the pivot
-    columns of A, then Q2's rows s >= k on B's side; R1 = Q1^T [C | D] S;
-    and B Q2^T = Q1 (R2 + diag(0, I)).  Each self-check of _factor runs on
-    every lane as an OR over a difference, and raises as _factor does when
-    any lane fails.
+    The factors follow the closed form of the module docstring.  Each
+    self-check of _factor runs on every lane as an OR over a difference,
+    and raises as _factor does when any lane fails.
     """
     m = len(f) // 2
     top, bottom = f[:m], f[m:]

@@ -13,7 +13,7 @@ hyperbolic basis containing the x_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from operator import index, xor
@@ -75,8 +75,10 @@ def _step(xt: int, y: int, ech: list[tuple[int, int]], m: int) -> list[int]:
 
 
 def _row(v, m: int) -> int:
-    """One constraint row, an int or an array of 2m bits, as a packed int."""
-    if isinstance(v, int):
+    """One constraint row, an int (numpy ints too) or an array of 2m bits,
+    as a packed int."""
+    if isinstance(v, (int, np.integer)):
+        v = int(v)
         if not 0 <= v < 1 << 2 * m:
             raise ValueError("packed constraint rows must lie in [0, 2^2m), got %d" % v)
         return v
@@ -94,12 +96,14 @@ class SymplecticSystem:
     c holding column c; the system keeps the ints, and xs and ys give the
     rows back as uint8 arrays.  The hyperbolic-basis slot of each source
     vector is inferred from the symplectic Gram pattern of the sources, in
-    the given order.
+    the given order.  The first pair of constraints whose inner products
+    differ (gf2core._gram_mismatch) is found once, at construction.
     """
 
     m: int
     _xs: list[int]
     _ys: list[int]
+    _mismatch: tuple[int, int] | None = field(compare=False, repr=False)
 
     def __init__(self, m: int, xs=(), ys=()):
         try:
@@ -114,6 +118,7 @@ class SymplecticSystem:
         self.m = m
         self._xs = [_row(v, m) for v in xs]
         self._ys = [_row(v, m) for v in ys]
+        self._mismatch = _gram_mismatch(self._xs, self._ys, m)
 
     @property
     def xs(self) -> list[np.ndarray]:
@@ -131,9 +136,9 @@ def _validate(system: SymplecticSystem) -> None:
     for rows, side in ((system._xs, "source"), (system._ys, "target")):
         if _rank(rows) != len(system):
             raise InfeasibleError("%s vectors are linearly dependent" % side)
-    bad = _gram_mismatch(system._xs, system._ys, system.m)
-    if bad is not None:
-        raise InfeasibleError("constraints %d and %d have incompatible inner products" % bad)
+    if system._mismatch is not None:
+        raise InfeasibleError("constraints %d and %d have incompatible inner products"
+                              % system._mismatch)
 
 
 def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:

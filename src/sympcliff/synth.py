@@ -24,9 +24,8 @@ from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit_lanes, _factor_lanes,
                         _lane_gates, _slice, decompose, factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _echelon_solve,
-                      _gram_mismatch, _transpose, is_symplectic, mul, omega,
-                      rank, solve_linear)
+from .gf2core import (InfeasibleError, ParseError, _echelon_solve, _transpose,
+                      asbits, is_symplectic, mul, omega, rank, solve_linear)
 from .pauli import PauliOperator, from_label, identity, multiply, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
 from .verify import (ConjugationReport, _mismatches, expected_images,
@@ -135,12 +134,12 @@ def build_system(code: StabilizerCode, spec: CliffordSpec) -> SymplecticSystem:
     ordered = _layout(rows[k:k + n], rows[:k], rows[k + n:])
     xs = [given.x | given.z << code.m for _, given, _ in ordered]
     ys = [want.x | want.z << code.m for _, _, want in ordered]
-    bad = _gram_mismatch(xs, ys, code.m)
-    if bad is not None:
-        i, j = bad
+    system = SymplecticSystem(code.m, xs, ys)
+    if system._mismatch is not None:
+        i, j = system._mismatch
         raise InfeasibleError("images of %s and %s change their commutation "
                               "relation" % (ordered[i][0], ordered[j][0]))
-    return SymplecticSystem(code.m, xs, ys)
+    return system
 
 
 def fix_signs(code: StabilizerCode, spec: CliffordSpec,
@@ -346,6 +345,10 @@ def normalizer_to_centralizer(code: StabilizerCode, f_n: np.ndarray) -> np.ndarr
     """
     if not is_symplectic(f_n):
         raise ValueError("input matrix is not symplectic")
+    n = asbits(f_n).shape[0]
+    if n != 2 * code.m:
+        raise ValueError("f_n must be %d x %d for a code on %d qubits, got %d x %d"
+                         % (2 * code.m, 2 * code.m, code.m, n, n))
     sg = stab_gamma(code)
     k = code.k
     if k == 0:

@@ -27,45 +27,64 @@ def _tableau(circ: Circuit, xs: list[int], zs: list[int], s: int) -> tuple:
     """Conjugate a bit-sliced tableau by every gate of the circuit, in order.
 
     xs[q] and zs[q] hold qubit q + 1's x and z bits, bit r for row r; s holds
-    bit 1 of each row's kappa.  The lists are updated in place.
+    bit 1 of each row's kappa.  The lists are updated in place.  A gate
+    that circuit() would refuse (an unknown kind, a qubit outside 1..m, a
+    two-qubit gate on one qubit, a PERMUTE that is not a permutation of
+    1..m) raises ValueError.
     """
-    for kind, qs in circ.gates:
-        if kind == "CNOT":
-            c, t = qs[0] - 1, qs[1] - 1
-            xc, zt = xs[c], zs[t]
-            s ^= xc & zt & ~(xs[t] ^ zs[c])
-            xs[t] ^= xc
-            zs[c] ^= zt
-        elif kind == "CZ":
-            q, r = qs[0] - 1, qs[1] - 1
-            xq, xr = xs[q], xs[r]
-            s ^= xq & xr & (zs[q] ^ zs[r])
-            zs[q] ^= xr
-            zs[r] ^= xq
-        elif kind == "H":
-            q = qs[0] - 1
-            s ^= xs[q] & zs[q]
-            xs[q], zs[q] = zs[q], xs[q]
-        elif kind == "P":
-            q = qs[0] - 1
-            s ^= xs[q] & zs[q]
-            zs[q] ^= xs[q]
-        elif kind == "X":
-            s ^= zs[qs[0] - 1]
-        elif kind == "Z":
-            s ^= xs[qs[0] - 1]
-        elif kind == "Y":
-            q = qs[0] - 1
-            s ^= xs[q] ^ zs[q]
-        elif kind == "PERMUTE":
-            # qubit q + 1 moves to position qs[q]
-            ox, oz = xs[:], zs[:]
-            for q, target in enumerate(qs):
-                xs[target - 1] = ox[q]
-                zs[target - 1] = oz[q]
-        else:
-            raise ValueError("unknown gate kind %r" % kind)
+    m = len(xs)
+    col = {q: q - 1 for q in range(1, m + 1)}  # no key outside 1..m
+    try:
+        for kind, qs in circ.gates:
+            if kind == "CNOT":
+                c, t = col[qs[0]], col[qs[1]]
+                if c == t:
+                    raise _misplaced(kind, qs, m)
+                xc, zt = xs[c], zs[t]
+                s ^= xc & zt & ~(xs[t] ^ zs[c])
+                xs[t] ^= xc
+                zs[c] ^= zt
+            elif kind == "CZ":
+                q, r = col[qs[0]], col[qs[1]]
+                if q == r:
+                    raise _misplaced(kind, qs, m)
+                xq, xr = xs[q], xs[r]
+                s ^= xq & xr & (zs[q] ^ zs[r])
+                zs[q] ^= xr
+                zs[r] ^= xq
+            elif kind == "H":
+                q = col[qs[0]]
+                s ^= xs[q] & zs[q]
+                xs[q], zs[q] = zs[q], xs[q]
+            elif kind == "P":
+                q = col[qs[0]]
+                s ^= xs[q] & zs[q]
+                zs[q] ^= xs[q]
+            elif kind == "X":
+                s ^= zs[col[qs[0]]]
+            elif kind == "Z":
+                s ^= xs[col[qs[0]]]
+            elif kind == "Y":
+                q = col[qs[0]]
+                s ^= xs[q] ^ zs[q]
+            elif kind == "PERMUTE":
+                if sorted(qs) != list(col):
+                    raise _misplaced(kind, qs, m)
+                # qubit q + 1 moves to position qs[q]
+                ox, oz = xs[:], zs[:]
+                for q, target in enumerate(qs):
+                    xs[target - 1] = ox[q]
+                    zs[target - 1] = oz[q]
+            else:
+                raise ValueError("unknown gate kind %r" % kind)
+    except KeyError:
+        raise _misplaced(kind, qs, m) from None
     return xs, zs, s
+
+
+def _misplaced(kind: str, qs, m: int) -> ValueError:
+    return ValueError("gate %s does not act on distinct qubits in 1..%d"
+                      % (Gate(kind, tuple(qs)), m))
 
 
 def _columns(ops: list[PauliOperator], m: int) -> list[int]:

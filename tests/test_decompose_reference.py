@@ -110,6 +110,11 @@ def test_decompose_rejects_shapes_that_are_not_2m_square(shape):
         sc.decompose(np.zeros(shape, dtype=np.uint8))
 
 
+def test_whole_sp4_matches_the_reference_factor_for_factor(sp4):
+    for f in sp4:
+        _assert_same_factors(sc.decompose(f), ref_decompose(f))
+
+
 # The bit-sliced lane core (_factor_lanes, _emit_lanes, _lane_gates,
 # _score_planes) against the scalar oracle helpers.ref_unsigned, lane for
 # lane.
@@ -142,6 +147,11 @@ def test_lanes_match_the_scalar_oracle_at_every_rank_of_a():
         fs += [ref_mul(sc.expand(sc.f_gk(m, k)), f), sc.expand(sc.f_gk(m, k))]
     assert sorted({sc.rank(f[:m, :m]) for f in fs}) == list(range(m + 1))
     assert _lane_outputs(fs, m) == [ref_unsigned(f, m) for f in fs]
+
+
+def test_whole_sp4_in_one_lane_batch_matches_the_scalar_oracle(sp4):
+    assert len(sp4) == 720
+    assert _lane_outputs(sp4, 2) == [ref_unsigned(f, 2) for f in sp4]
 
 
 def test_one_corrupted_lane_makes_the_batch_raise():

@@ -329,6 +329,16 @@ def test_system_rejects_packed_rows_out_of_range():
         sc.SymplecticSystem(1, [1], [-1])
 
 
+def test_system_takes_numpy_integers_as_packed_rows():
+    system = sc.SymplecticSystem(1, [np.int64(1)], [np.uint8(2)])
+    assert system == sc.SymplecticSystem(1, [1], [2])
+    assert [type(v) for v in system._xs + system._ys] == [int, int]
+    with pytest.raises(ValueError, match="packed constraint rows"):
+        sc.SymplecticSystem(1, [np.int64(4)], [1])
+    with pytest.raises(ValueError, match="packed constraint rows"):
+        sc.SymplecticSystem(1, [1], [np.int64(-1)])
+
+
 def test_system_takes_packed_rows_and_compares_by_value():
     e = np.eye(4, dtype=np.uint8)
     packed = sc.SymplecticSystem(2, [1, 4], [2, 8])

@@ -81,6 +81,22 @@ def test_build_system_names_the_first_bad_pair_in_constraint_order(code642):
     assert str(err.value) == "images of X1 and Z1 change their commutation relation"
 
 
+def test_build_system_and_find_symplectic_compare_grams_once(code642, monkeypatch):
+    # the system finds its first mismatched pair once, at construction;
+    # build_system names it and find_symplectic's validation reads it
+    from sympcliff import gf2core, sympsolve
+    calls, compare = [], gf2core._gram_mismatch
+
+    def counted(*args):
+        calls.append(args)
+        return compare(*args)
+
+    for module in (gf2core, sympsolve, synth):
+        monkeypatch.setattr(module, "_gram_mismatch", counted, raising=False)
+    sc.find_symplectic(sc.build_system(code642, _spec("phase1")))
+    assert len(calls) == 1
+
+
 def test_build_system_rows(code642):
     system = sc.build_system(code642, _spec("phase1"))
     pairs = {(x.tobytes(), y.tobytes()) for x, y in zip(system.xs, system.ys)}
@@ -205,6 +221,13 @@ def test_normalizer_to_centralizer_rejects_bad_input(code642):
     escape, _ = sc.induced_symplectic(sc.parse("H 1\n", 6))
     with pytest.raises(ValueError, match="does not normalize"):
         sc.normalizer_to_centralizer(code642, escape)
+
+
+def test_normalizer_to_centralizer_names_the_expected_shape(code642):
+    # a symplectic matrix on the wrong number of qubits
+    with pytest.raises(ValueError, match="f_n must be 12 x 12 for a code on 6 "
+                       "qubits, got 4 x 4"):
+        sc.normalizer_to_centralizer(code642, sc.omega(2))
 
 
 def test_normalizer_to_centralizer_on_a_second_code():

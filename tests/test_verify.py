@@ -191,6 +191,21 @@ def test_conjugate_many_rejects_a_qubit_count_mismatch(labels, sizes):
         sc.conjugate_many(c, [sc.from_label(t) for t in labels])
 
 
+@pytest.mark.parametrize("bad", [
+    sc.Gate("H", (0,)),            # would act on the last qubit
+    sc.Gate("CNOT", (1, 1)),       # would map XI to II
+    sc.Gate("PERMUTE", (1, 1)),    # would map IX to XX
+    sc.Gate("X", (3,)),            # past the last qubit
+])
+def test_tableau_rejects_gates_that_bypassed_gate(bad):
+    c = sc.Circuit(2, (sc.Gate("H", (1,)), bad))
+    with pytest.raises(ValueError, match="gate %s does not act on distinct "
+                       "qubits in 1..2" % (bad,)):
+        sc.conjugate_many(c, [sc.from_label("XI"), sc.from_label("IX")])
+    with pytest.raises(ValueError, match="gate %s does not act" % (bad,)):
+        sc.induced_symplectic(c)
+
+
 def test_fix_signs_and_verify_reject_a_circuit_on_other_qubits(code642):
     c = sc.circuit(5, [])
     with pytest.raises(ValueError, match="acts on 6 qubits, circuit on 5"):

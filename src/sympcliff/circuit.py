@@ -1,7 +1,8 @@
 """Physical circuits: ordered lists of Clifford gates on m qubits.
 
 Gate order in a circuit is execution order (leftmost acts first on states).
-Qubits are numbered 1..m.  The text form is one gate per line, e.g.
+Qubits are numbered 1..m, and a Circuit checks every gate when it is made.
+The text form is one gate per line, e.g.
 
     P 2
     CZ 2 6
@@ -22,6 +23,7 @@ from .gf2core import ParseError, _unpack
 
 _ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 GATE_KINDS = tuple(_ARITY) + ("PERMUTE",)
+_ONE_QUBIT, _TWO_QUBIT = (frozenset(k for k in _ARITY if _ARITY[k] == n) for n in (1, 2))
 
 
 class Gate(NamedTuple):
@@ -57,23 +59,39 @@ def gate(kind: str, *qubits: int) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on qubits 1..m in execution order, each checked here however
+    the circuit is made (ValueError otherwise); every reader trusts them."""
+
     m: int
     gates: tuple[Gate, ...]
+
+    def __post_init__(self):
+        m = self.m
+        for kind, qs in self.gates:
+            # accept the common gates fast, else check by gate()'s rules
+            if len(qs) == 1:
+                q, = qs
+                if kind in _ONE_QUBIT and type(q) is int and 0 < q <= m:
+                    continue
+            elif len(qs) == 2:
+                q, r = qs
+                if (kind in _TWO_QUBIT and type(q) is int and type(r) is int
+                        and q != r and 0 < q <= m and 0 < r <= m):
+                    continue
+            g = gate(kind, *qs)
+            if kind == "PERMUTE":
+                if len(qs) != m:
+                    raise ValueError("PERMUTE image has %d entries on %d qubits"
+                                     % (len(qs), m))
+            elif max(g.qubits) > m:
+                raise ValueError("gate %s exceeds qubit count %d" % (g, m))
 
     def __len__(self):
         return len(self.gates)
 
 
 def circuit(m: int, gates) -> Circuit:
-    gs = tuple(gates)
-    for g in gs:
-        if g.kind == "PERMUTE":
-            if len(g.qubits) != m:
-                raise ValueError("PERMUTE image has %d entries on %d qubits"
-                                 % (len(g.qubits), m))
-        elif max(g.qubits) > m:
-            raise ValueError("gate %s exceeds qubit count %d" % (g, m))
-    return Circuit(int(m), gs)
+    return Circuit(int(m), tuple(gates))
 
 
 def serialize(c: Circuit) -> str:

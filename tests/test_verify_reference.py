@@ -8,6 +8,8 @@ carry every phase kappa in {0, 1, 2, 3}.
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,13 +93,12 @@ def test_unknown_gate_kind_raises_what_the_reference_raises(data):
     circ = data.draw(circuits(max_m=6, max_gates=8))
     at = data.draw(st.integers(0, len(circ.gates)))
     gates = circ.gates[:at] + (sc.Gate("SWAP", (1,)),) + circ.gates[at:]
-    bad = sc.Circuit(circ.m, gates)
     ps = data.draw(rows(circ.m, max_rows=4))
-    calls = ((lambda: sc.conjugate_many(bad, ps), lambda: ref_conjugate_many(bad, ps)),
-             (lambda: sc.induced_symplectic(bad), lambda: ref_induced_symplectic(bad)))
-    for ours, ref in calls:
+    # the reference takes any gate list; Circuit refuses this one when made
+    bad = types.SimpleNamespace(m=circ.m, gates=gates)
+    for ref in (lambda: ref_conjugate_many(bad, ps), lambda: ref_induced_symplectic(bad)):
         with pytest.raises(ValueError) as want:
             ref()
         with pytest.raises(ValueError) as got:
-            ours()
+            sc.Circuit(circ.m, gates)
         assert str(got.value) == str(want.value) == "unknown gate kind 'SWAP'"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +37,17 @@ class Gate(NamedTuple):
         return " ".join([self.kind] + [str(q) for q in self.qubits])
 
 
+def _qubit(q) -> int:
+    try:
+        return index(q)
+    except TypeError:
+        raise ValueError("qubit %r is not an integer" % (q,)) from None
+
+
 def gate(kind: str, *qubits: int) -> Gate:
-    """Build a validated gate.  CZ qubit pairs are stored ascending."""
-    qs = tuple(int(q) for q in qubits)
+    """Build a validated gate.  CZ qubit pairs are stored ascending.  A
+    qubit may be any integer type (numpy's too) and is stored as an int."""
+    qs = tuple(map(_qubit, qubits))
     if kind == "PERMUTE":
         if sorted(qs) != list(range(1, len(qs) + 1)):
             raise ValueError("PERMUTE needs the full image of qubits 1..m")
@@ -117,8 +126,8 @@ def parse(text: str, m: int | None = None) -> Circuit:
             if gates or header_m is not None:
                 raise ParseError("line %d: qubits header must come first" % ln)
             try:
-                header_m = int(toks[1])
-            except (IndexError, ValueError):
+                header_m, = map(int, toks[1:])
+            except ValueError:
                 raise ParseError("line %d: bad qubits header" % ln) from None
             continue
         try:

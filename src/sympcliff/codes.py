@@ -251,6 +251,11 @@ def save_code(code: StabilizerCode) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LINES = {"qubits": "qubits <count>", "stabilizer": "stabilizer <label>",
+          "logicalX": "logicalX <index> <label>",
+          "logicalZ": "logicalZ <index> <label>"}
+
+
 def load_code(text: str) -> StabilizerCode:
     """Parse the save_code format; errors carry the offending line number."""
     m = None
@@ -277,6 +282,8 @@ def load_code(text: str) -> StabilizerCode:
                 dst[idx] = from_label(toks[2], m)
             else:
                 raise ParseError("unknown directive %r" % toks[0])
+            if len(toks) > len(_LINES[toks[0]].split()):
+                raise ParseError("expected '%s'" % _LINES[toks[0]])
         except (IndexError, ValueError) as exc:
             raise ParseError("line %d: %s" % (ln, exc)) from None
     if m is None:

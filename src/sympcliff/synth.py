@@ -24,12 +24,12 @@ from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _emit_lanes, _factor_lanes,
                         _lane_gates, _slice, decompose, factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _echelon_solve, _transpose,
-                      asbits, is_symplectic, mul, omega, rank, solve_linear)
-from .pauli import PauliOperator, from_label, identity, multiply, to_label
+from .gf2core import (InfeasibleError, ParseError, _echelon_solve, asbits,
+                      is_symplectic, mul, omega, rank, solve_linear)
+from .pauli import PauliOperator, from_label, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
-from .verify import (ConjugationReport, _mismatches, expected_images,
-                     verify_solution)
+from .verify import (ConjugationReport, _check_spec, _mismatches,
+                     expected_images, verify_solution)
 
 POLICIES = ("centralize", "normalize")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -82,35 +82,6 @@ class SynthesisResult:
         mine, theirs = dict(vars(self)), dict(vars(other))
         f, g = mine.pop("f"), theirs.pop("f")
         return f.shape == g.shape and f.tobytes() == g.tobytes() and mine == theirs
-
-
-def _check_spec(code: StabilizerCode, spec: CliffordSpec) -> None:
-    n = code.n_logical
-    for label, d, top in (("mapX", spec.images_x, n), ("mapZ", spec.images_z, n),
-                          ("mapS", spec.stab_images, code.k)):
-        for i, p in d.items():
-            if not 1 <= i <= top:
-                raise ValueError("%s index %d out of range 1..%d" % (label, i, top))
-            if p.m != code.m:
-                raise ValueError("%s %d acts on %d qubits, code has %d"
-                                 % (label, i, p.m, code.m))
-    if spec.policy == "normalize":
-        m = code.m
-        # column c of Sg, packed over the generators
-        cols = _transpose([s.x | s.z << m for s in code.stabilizers], 2 * m)
-        for j, target in spec.stab_images.items():
-            t = target.x | target.z << m
-            coeffs = _echelon_solve([], 0, [(c, t >> i & 1) for i, c in enumerate(cols)])
-            if coeffs is None:
-                raise ValueError("mapS %d target %s is not a stabilizer-group "
-                                 "element" % (j, to_label(target)))
-            prod = reduce(multiply, (s for jj, s in enumerate(code.stabilizers)
-                                     if coeffs >> jj & 1), identity(m))
-            if not coeffs or prod != target:
-                want = to_label(prod) if coeffs else "the identity"
-                raise ValueError(
-                    "mapS %d target %s does not carry its intrinsic sign; the "
-                    "generator product is %s" % (j, to_label(target), want))
 
 
 def _layout(lx: list, stabs: list, lz: list) -> list:

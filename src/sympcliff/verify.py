@@ -19,8 +19,8 @@ from operator import or_, xor
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .gf2core import _transpose, _unpack
-from .pauli import PauliOperator, dense, to_label
+from .gf2core import _echelon_solve, _transpose, _unpack
+from .pauli import PauliOperator, dense, identity, multiply, to_label
 
 
 def _tableau(circ: Circuit, xs: list[int], zs: list[int], s: int) -> tuple:
@@ -255,14 +255,20 @@ class ConjugationReport:
         return "\n".join(lines)
 
 
+def _maps(spec) -> tuple[dict, dict, dict, str]:
+    """spec's images_x, images_z, stab_images and policy; spec may be None
+    or any object that carries only some of them."""
+    return (getattr(spec, "images_x", None) or {},
+            getattr(spec, "images_z", None) or {},
+            getattr(spec, "stab_images", None) or {},
+            getattr(spec, "policy", "centralize"))
+
+
 def expected_images(code, spec=None) -> list[tuple[str, PauliOperator, PauliOperator]]:
     """(name, input, required image) for each stabilizer generator and logical
     Pauli.  Unspecified rows default to the identity map; under the centralize
     policy stabilizer rows always map to themselves."""
-    images_x = getattr(spec, "images_x", None) or {}
-    images_z = getattr(spec, "images_z", None) or {}
-    stab_images = getattr(spec, "stab_images", None) or {}
-    policy = getattr(spec, "policy", "centralize")
+    images_x, images_z, stab_images, policy = _maps(spec)
     rows = []
     for j, s in enumerate(code.stabilizers, start=1):
         want = stab_images.get(j, s) if policy == "normalize" else s
@@ -274,14 +280,49 @@ def expected_images(code, spec=None) -> list[tuple[str, PauliOperator, PauliOper
     return rows
 
 
+def _check_spec(code, spec) -> None:
+    """ValueError unless the spec fits the code: every index in range,
+    every image on the code's qubits and, under normalize, every stabilizer
+    image a stabilizer-group element with its intrinsic sign."""
+    images_x, images_z, stab_images, policy = _maps(spec)
+    n = code.n_logical
+    for label, d, top in (("mapX", images_x, n), ("mapZ", images_z, n),
+                          ("mapS", stab_images, code.k)):
+        for i, p in d.items():
+            if not 1 <= i <= top:
+                raise ValueError("%s index %d out of range 1..%d" % (label, i, top))
+            if p.m != code.m:
+                raise ValueError("%s %d acts on %d qubits, code has %d"
+                                 % (label, i, p.m, code.m))
+    if policy == "normalize":
+        m = code.m
+        # column c of Sg, packed over the generators
+        cols = _transpose([s.x | s.z << m for s in code.stabilizers], 2 * m)
+        for j, target in stab_images.items():
+            t = target.x | target.z << m
+            coeffs = _echelon_solve([], 0, [(c, t >> i & 1) for i, c in enumerate(cols)])
+            if coeffs is None:
+                raise ValueError("mapS %d target %s is not a stabilizer-group "
+                                 "element" % (j, to_label(target)))
+            prod = reduce(multiply, (s for jj, s in enumerate(code.stabilizers)
+                                     if coeffs >> jj & 1), identity(m))
+            if not coeffs or prod != target:
+                want = to_label(prod) if coeffs else "the identity"
+                raise ValueError(
+                    "mapS %d target %s does not carry its intrinsic sign; the "
+                    "generator product is %s" % (j, to_label(target), want))
+
+
 def verify_solution(code, spec, solution, dense_check: bool = False) -> ConjugationReport:
     """Check a circuit (or synthesis result) against the requested maps.
 
     Every stabilizer generator and logical Pauli is conjugated symbolically;
     a row passes only if the image matches the requirement exactly, phase
     included.  With dense_check=True each row is additionally verified by
-    dense matrix conjugation (m <= 12).
+    dense matrix conjugation (m <= 12).  A spec that does not fit the code
+    raises ValueError, as in build_system.
     """
+    _check_spec(code, spec)
     circ = getattr(solution, "circuit", solution)
     rows = expected_images(code, spec)
     outs = conjugate_many(circ, [given for _, given, _ in rows])

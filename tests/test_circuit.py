@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympcliff as sc
+from sympcliff.circuit import GATE_KINDS
+from helpers import ref_conjugate_many, ref_depth
 
 
 def test_gate_validation():
@@ -127,3 +134,73 @@ def test_gate_equals_and_hashes_as_its_kind_qubits_tuple():
     assert g == ("CZ", (1, 3)) and hash(g) == hash(("CZ", (1, 3)))
     assert str(g) == "CZ 1 3"
     assert repr(g) == "Gate(kind='CZ', qubits=(1, 3))"
+
+
+@pytest.mark.parametrize("bad,message", [
+    (sc.Gate("H", (1, 2)), "H takes 1 qubit(s), got 2"),
+    (sc.Gate("H", ()), "H takes 1 qubit(s), got 0"),
+    (sc.Gate("CNOT", (1,)), "CNOT takes 2 qubit(s), got 1"),
+    (sc.Gate("H", (1.7,)), "qubit 1.7 is not an integer"),
+    (sc.Gate("H", (1.0,)), "qubit 1.0 is not an integer"),
+    (sc.Gate("CZ", (2, 2.5)), "qubit 2.5 is not an integer"),
+])
+def test_circuit_refuses_gates_built_without_gate(bad, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        sc.Circuit(2, (bad,))
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        dataclasses.replace(sc.circuit(2, []), gates=(bad,))
+
+
+def test_gate_reads_qubits_as_integers_only():
+    for args, message in ((("H", 1.7), "qubit 1.7 is not an integer"),
+                          (("CZ", 2, 2.5), "qubit 2.5 is not an integer"),
+                          (("CNOT", 1, "2"), "qubit '2' is not an integer")):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            sc.gate(*args)
+    g = sc.gate("CZ", np.int64(3), np.uint8(1))
+    assert g == ("CZ", (1, 3)) and all(type(q) is int for q in g.qubits)
+    assert sc.circuit(3, [g, sc.gate("PERMUTE", *np.array([2, 3, 1]))]).m == 3
+
+
+@st.composite
+def raw_gates(draw):
+    """(m, kind, qubits): unknown kinds, arity 0 to 3, qubits from -1 to
+    m + 2 with repeats, and PERMUTEs that are (or are not) permutations."""
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(GATE_KINDS + ("SWAP", "cz")))
+    if kind == "PERMUTE" and draw(st.booleans()):
+        qs = draw(st.permutations(range(1, draw(st.integers(0, m + 1)) + 1)))
+    else:
+        qs = draw(st.lists(st.integers(-1, m + 2), max_size=3))
+    return m, kind, tuple(qs)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_gates(), st.data())
+def test_circuit_checks_exactly_what_gate_and_circuit_check(raw, data):
+    m, kind, qs = raw
+    want = _outcome(lambda: sc.circuit(m, [sc.gate(kind, *qs)]))
+    got = _outcome(lambda: sc.Circuit(m, (sc.Gate(kind, qs),)))
+    replaced = _outcome(lambda: dataclasses.replace(sc.circuit(m, []),
+                                                    gates=(sc.Gate(kind, qs),)))
+    assert replaced == got
+    if isinstance(want, str):
+        assert got == want
+        return
+    # CZ qubit order is the only difference gate() makes
+    assert got.m == m and got.gates[0] == (kind, qs)
+    assert sc.depth(got) == ref_depth(got) == sc.depth(want)
+    word = st.integers(0, (1 << m) - 1)
+    ps = [sc.PauliOperator(m, k, np.array([a >> q & 1 for q in range(m)], np.uint8),
+                           np.array([b >> q & 1 for q in range(m)], np.uint8))
+          for k, a, b in data.draw(st.lists(st.tuples(st.integers(0, 3), word, word),
+                                            min_size=1, max_size=4))]
+    assert sc.conjugate_many(got, ps) == ref_conjugate_many(got, ps) == \
+        sc.conjugate_many(want, ps)

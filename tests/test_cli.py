@@ -157,6 +157,22 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert "FAIL S1" in out and "result: fail" in out
 
 
+@pytest.mark.parametrize("line,message", [
+    ("mapX 7 ZZZZZZ", "mapX index 7 out of range 1..4"),
+    ("mapX 1 ZZZ", "mapX 1 acts on 3 qubits, code has 6"),
+])
+def test_verify_refuses_a_spec_that_synth_refuses(line, message, tmp_path, capsys):
+    spec = tmp_path / "bad.spec"
+    spec.write_text("op bad\n%s\n" % line)
+    empty = tmp_path / "empty.circ"
+    empty.write_text("qubits 6\n")
+    for argv in (["synth", "--out", str(tmp_path / "out")],
+                 ["verify", "--circuit", str(empty)]):
+        assert main(argv + ["--code", CODE642, "--spec", str(spec)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+
+
 def test_decompose_identity_to_stdout(tmp_path, capsys):
     mat = tmp_path / "eye.mat"
     mat.write_text(sc.save_matrix_text(np.eye(12, dtype=np.uint8)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,3 +46,20 @@ def test_parsers_raise_only_parse_error(text):
             continue
         if hasattr(parsed, "m"):  # a code or a circuit
             assert parsed.m >= 1
+
+
+@pytest.mark.parametrize("parser,text,message", [
+    (sc.parse, "qubits 2 7\nH 1\n", "line 1: bad qubits header"),
+    (sc.load_code, "qubits 1 9\n", "line 1: expected 'qubits <count>'"),
+    (sc.load_code, "qubits 1\nstabilizer Z extra\n",
+     "line 2: expected 'stabilizer <label>'"),
+    (sc.load_code, "qubits 1\nlogicalX 1 X extra\n",
+     "line 2: expected 'logicalX <index> <label>'"),
+    (sc.load_spec, "op h\nmapX 1 X extra\n",
+     "line 2: expected 'mapX <index> <label>'"),
+], ids=["parse-header", "code-qubits", "code-stabilizer", "code-logical",
+        "spec-map"])
+def test_parsers_refuse_trailing_tokens(parser, text, message):
+    with pytest.raises(sc.ParseError) as err:
+        parser(text)
+    assert str(err.value) == message

@@ -136,21 +136,6 @@ def test_gate_equals_and_hashes_as_its_kind_qubits_tuple():
     assert repr(g) == "Gate(kind='CZ', qubits=(1, 3))"
 
 
-@pytest.mark.parametrize("bad,message", [
-    (sc.Gate("H", (1, 2)), "H takes 1 qubit(s), got 2"),
-    (sc.Gate("H", ()), "H takes 1 qubit(s), got 0"),
-    (sc.Gate("CNOT", (1,)), "CNOT takes 2 qubit(s), got 1"),
-    (sc.Gate("H", (1.7,)), "qubit 1.7 is not an integer"),
-    (sc.Gate("H", (1.0,)), "qubit 1.0 is not an integer"),
-    (sc.Gate("CZ", (2, 2.5)), "qubit 2.5 is not an integer"),
-])
-def test_circuit_refuses_gates_built_without_gate(bad, message):
-    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        sc.Circuit(2, (bad,))
-    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
-        dataclasses.replace(sc.circuit(2, []), gates=(bad,))
-
-
 def test_gate_reads_qubits_as_integers_only():
     for args, message in ((("H", 1.7), "qubit 1.7 is not an integer"),
                           (("CZ", 2, 2.5), "qubit 2.5 is not an integer"),
@@ -191,7 +176,7 @@ def test_circuit_checks_exactly_what_gate_and_circuit_check(raw, data):
     replaced = _outcome(lambda: dataclasses.replace(sc.circuit(m, []),
                                                     gates=(sc.Gate(kind, qs),)))
     assert replaced == got
-    if isinstance(want, str):
+    if isinstance(want, str) or isinstance(got, str):
         assert got == want
         return
     # CZ qubit order is the only difference gate() makes

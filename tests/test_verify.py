@@ -199,6 +199,12 @@ def test_conjugate_many_rejects_a_qubit_count_mismatch(labels, sizes):
     (sc.Gate("CNOT", (1, 1)), "CNOT needs two distinct qubits"),
     (sc.Gate("PERMUTE", (1, 1)), "PERMUTE needs the full image of qubits 1..m"),
     (sc.Gate("X", (3,)), "gate X 3 exceeds qubit count 2"),  # past the end
+    (sc.Gate("H", (1, 2)), "H takes 1 qubit(s), got 2"),
+    (sc.Gate("H", ()), "H takes 1 qubit(s), got 0"),
+    (sc.Gate("CNOT", (1,)), "CNOT takes 2 qubit(s), got 1"),
+    (sc.Gate("H", (1.7,)), "qubit 1.7 is not an integer"),
+    (sc.Gate("H", (1.0,)), "qubit 1.0 is not an integer"),
+    (sc.Gate("CZ", (2, 2.5)), "qubit 2.5 is not an integer"),
 ])
 def test_tableau_rejects_gates_that_bypassed_gate(bad):
     # a gate that bypassed gate() never reaches the tableau: Circuit refuses it

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import index
+from operator import index, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -69,23 +69,38 @@ def gate(kind: str, *qubits: int) -> Gate:
 @dataclass(frozen=True)
 class Circuit:
     """Gates on qubits 1..m in execution order, each checked here however
-    the circuit is made (ValueError otherwise); every reader trusts them."""
+    the circuit is made (ValueError otherwise); every reader trusts them.
+    The gates are stored as a tuple in gate()'s form: int qubits, CZ pairs
+    ascending."""
 
     m: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        m = self.m
-        for kind, qs in self.gates:
-            # accept the common gates fast, else check by gate()'s rules
+        try:
+            m = index(self.m)
+        except TypeError:
+            raise ValueError("qubit count %r is not an integer" % (self.m,)) from None
+        if m < 0:
+            raise ValueError("qubit count must not be negative, got %d" % m)
+        gates = self.gates
+        if m is not self.m or type(gates) is not tuple:
+            gates = tuple(gates)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "gates", gates)
+        changed = False
+        for kind, qs in gates:
+            # accept the common gates in gate()'s form (int qubits, CZ pairs
+            # ascending) fast, else check by its rules
             if len(qs) == 1:
                 q, = qs
                 if kind in _ONE_QUBIT and type(q) is int and 0 < q <= m:
                     continue
             elif len(qs) == 2:
                 q, r = qs
-                if (kind in _TWO_QUBIT and type(q) is int and type(r) is int
-                        and q != r and 0 < q <= m and 0 < r <= m):
+                if (type(q) is int and type(r) is int and 0 < q <= m and 0 < r <= m
+                        and (kind in _TWO_QUBIT if q < r
+                             else kind == "CNOT" and q != r)):
                     continue
             g = gate(kind, *qs)
             if kind == "PERMUTE":
@@ -94,13 +109,18 @@ class Circuit:
                                      % (len(qs), m))
             elif max(g.qubits) > m:
                 raise ValueError("gate %s exceeds qubit count %d" % (g, m))
+            # gate() returns an int qubit as that same object, in place
+            if not all(map(is_, g.qubits, qs)):
+                changed = True
+        if changed:  # store gate()'s form of every gate
+            object.__setattr__(self, "gates", tuple(gate(kind, *qs) for kind, qs in gates))
 
     def __len__(self):
         return len(self.gates)
 
 
 def circuit(m: int, gates) -> Circuit:
-    return Circuit(int(m), tuple(gates))
+    return Circuit(int(m), gates)
 
 
 def serialize(c: Circuit) -> str:

@@ -136,19 +136,8 @@ def _load_optional(path):
 
 
 def _cmd_css(args) -> int:
-    pair = args.g1 is not None or args.g2 is not None
-    if pair and (args.hc or args.gx or args.gz):
-        raise ValueError("give either --hc/--gx/--gz or --g1/--g2, not both")
-    if pair:
-        if args.g1 is None or args.g2 is None:
-            raise ValueError("--g1 and --g2 are both required")
-        spec = CssSpec(g1=_load_optional(args.g1), g2=_load_optional(args.g2))
-    else:
-        if args.hc is None:
-            raise ValueError("--hc is required (or use --g1/--g2)")
-        spec = CssSpec(hc=_load_optional(args.hc), gx=_load_optional(args.gx),
-                       gz=_load_optional(args.gz))
-    code = css_build(spec)
+    code = css_build(CssSpec(**{name: _load_optional(getattr(args, name))
+                                for name in ("hc", "gx", "gz", "g1", "g2")}))
     Path(args.out).write_text(save_code(code))
     print("m=%d k=%d logical=%d file %s"
           % (code.m, code.k, code.n_logical, args.out))

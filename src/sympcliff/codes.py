@@ -3,7 +3,8 @@
 A code on m qubits with k independent commuting stabilizer generators encodes
 m - k logical qubits; logical_x[i] and logical_z[i] are chosen Hermitian
 representatives pairing like X_i, Z_i (they anticommute within a pair and
-commute across pairs and with every stabilizer).
+commute across pairs and with every stabilizer).  A StabilizerCode checks
+this however it is made, and css_build is the one check of a CssSpec's form.
 """
 
 from __future__ import annotations
@@ -20,10 +21,17 @@ from .pauli import PauliOperator, commutes, from_label, to_label
 
 @dataclass(frozen=True)
 class StabilizerCode:
+    """Checked by validate_code however it is made; operators kept in tuples."""
+
     m: int
     stabilizers: tuple[PauliOperator, ...]
     logical_x: tuple[PauliOperator, ...]
     logical_z: tuple[PauliOperator, ...]
+
+    def __post_init__(self):
+        for name in ("stabilizers", "logical_x", "logical_z"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        validate_code(self)
 
     @property
     def k(self) -> int:
@@ -35,10 +43,7 @@ class StabilizerCode:
 
 
 def make_code(m, stabilizers, logical_x, logical_z) -> StabilizerCode:
-    code = StabilizerCode(int(m), tuple(stabilizers), tuple(logical_x),
-                          tuple(logical_z))
-    validate_code(code)
-    return code
+    return StabilizerCode(int(m), stabilizers, logical_x, logical_z)
 
 
 def validate_code(code: StabilizerCode) -> None:
@@ -98,13 +103,13 @@ def logical_z_gamma(code: StabilizerCode) -> np.ndarray:
     return _gamma_rows(code.logical_z, code.m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CssSpec:
-    """Input to css_build.
+    """Input to css_build, which checks its form.
 
     Either hc (self-orthogonal parity rows, with optional gx/gz completing the
     logical choice) or the nested pair g1, g2 (generators of C1 and of C2
-    inside C1).
+    inside C1) alone.  Like the arrays it holds, a spec equals only itself.
     """
 
     hc: np.ndarray | None = None
@@ -174,7 +179,8 @@ def css_build(spec: CssSpec) -> StabilizerCode:
     Z stabilizers from the dual of g1, logicals from the quotient.
     """
     if spec.g1 is not None or spec.g2 is not None:
-        if spec.g1 is None or spec.g2 is None or spec.hc is not None:
+        if (spec.g1 is None or spec.g2 is None
+                or any(a is not None for a in (spec.hc, spec.gx, spec.gz))):
             raise ValueError("pair form needs exactly g1 and g2")
         return _css_from_pair(asbits(np.atleast_2d(spec.g1)),
                               asbits(np.atleast_2d(spec.g2)))

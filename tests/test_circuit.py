@@ -150,14 +150,16 @@ def test_gate_reads_qubits_as_integers_only():
 @st.composite
 def raw_gates(draw):
     """(m, kind, qubits): unknown kinds, arity 0 to 3, qubits from -1 to
-    m + 2 with repeats, and PERMUTEs that are (or are not) permutations."""
+    m + 2 with repeats, and PERMUTEs that are (or are not) permutations.
+    Each qubit is an int, a numpy integer or (for 0 and 1) a bool."""
     m = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(GATE_KINDS + ("SWAP", "cz")))
     if kind == "PERMUTE" and draw(st.booleans()):
         qs = draw(st.permutations(range(1, draw(st.integers(0, m + 1)) + 1)))
     else:
         qs = draw(st.lists(st.integers(-1, m + 2), max_size=3))
-    return m, kind, tuple(qs)
+    return m, kind, tuple(draw(st.sampled_from(
+        (int, np.int64, np.int32) + ((bool,) if q in (0, 1) else ())))(q) for q in qs)
 
 
 def _outcome(build):
@@ -171,16 +173,20 @@ def _outcome(build):
 @given(raw_gates(), st.data())
 def test_circuit_checks_exactly_what_gate_and_circuit_check(raw, data):
     m, kind, qs = raw
+    box = data.draw(st.sampled_from((list, tuple)))
     want = _outcome(lambda: sc.circuit(m, [sc.gate(kind, *qs)]))
-    got = _outcome(lambda: sc.Circuit(m, (sc.Gate(kind, qs),)))
+    got = _outcome(lambda: sc.Circuit(m, box([sc.Gate(kind, qs)])))
     replaced = _outcome(lambda: dataclasses.replace(sc.circuit(m, []),
-                                                    gates=(sc.Gate(kind, qs),)))
+                                                    gates=box([sc.Gate(kind, qs)])))
     assert replaced == got
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
+    assert got == want
+    for bad in (-m, str(m), float(m)):
+        with pytest.raises(ValueError, match="^qubit count "):
+            sc.Circuit(bad, box([sc.Gate(kind, qs)]))
+    if isinstance(got, str):
         return
-    # CZ qubit order is the only difference gate() makes
-    assert got.m == m and got.gates[0] == (kind, qs)
+    assert type(sc.Circuit(np.int64(m), box(got.gates)).m) is int
+    assert sc.parse(sc.save_circuit_text(got)) == got
     assert sc.depth(got) == ref_depth(got) == sc.depth(want)
     word = st.integers(0, (1 << m) - 1)
     ps = [sc.PauliOperator(m, k, np.array([a >> q & 1 for q in range(m)], np.uint8),

@@ -215,13 +215,16 @@ def test_css_pair_form_matches_fixture(tmp_path, capsys, code642):
 
 
 def test_css_conflicting_forms(tmp_path, capsys):
-    rc = main(["css", "--hc", str(FIXTURES / "hc_642.mat"),
-               "--g1", str(FIXTURES / "hc_642.mat"), "--out",
-               str(tmp_path / "x.code")])
-    assert rc == 2
-    rc = main(["css", "--g1", str(FIXTURES / "hc_642.mat"), "--out",
-               str(tmp_path / "x.code")])
-    assert rc == 2
+    mat = str(FIXTURES / "hc_642.mat")
+    pair = "error: pair form needs exactly g1 and g2\n"
+    for flags, message in ((["--hc", mat, "--g1", mat], pair),
+                           (["--g1", mat], pair),
+                           (["--g1", mat, "--g2", mat, "--gx", mat], pair),
+                           (["--gx", mat], "error: need hc or the g1/g2 pair\n")):
+        rc = main(["css", *flags, "--out", str(tmp_path / "x.code")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "x.code").exists()
 
 
 def test_bad_arguments_exit_2(capsys):

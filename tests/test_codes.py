@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,31 @@ def test_css_build_rejects_non_self_orthogonal_check():
 def test_css_build_rejects_pair_without_containment():
     with pytest.raises(ValueError):
         sc.css_build(sc.CssSpec(g1=bits("110000", "001100"), g2=bits("111111")))
+
+
+def test_css_spec_pair_form_takes_g1_and_g2_alone_and_equals_only_itself():
+    g1 = np.vstack([HC_642, GX_642])
+    for extra in ({"hc": HC_642}, {"gx": GX_642}, {"gz": GZ_642}):
+        with pytest.raises(ValueError, match="^pair form needs exactly g1 and g2$"):
+            sc.css_build(sc.CssSpec(g1=g1, g2=HC_642, **extra))
+    # compares and hashes like the arrays it holds: by identity, never raising
+    spec = sc.CssSpec(hc=HC_642)
+    assert spec == spec and spec != sc.CssSpec(hc=HC_642.copy())
+    assert hash(spec) == hash(spec)
+
+
+def test_a_code_checks_itself_however_it_is_made(code642):
+    with pytest.raises(ValueError,
+                       match="^need 4 logical X and Z operators, got 3 and 3$"):
+        dataclasses.replace(code642, logical_x=code642.logical_x[:3],
+                            logical_z=code642.logical_z[:3])
+    with pytest.raises(ValueError,
+                       match="^stabilizer 1 anticommutes with stabilizer 2$"):
+        sc.StabilizerCode(2, [sc.from_label("XX"), sc.from_label("ZI")], [], [])
+    code = sc.StabilizerCode(code642.m, list(code642.stabilizers),
+                             list(code642.logical_x), list(code642.logical_z))
+    assert code == code642 and type(code.logical_z) is tuple
+    assert dataclasses.replace(code642) == code642
 
 
 def test_derive_logical_z_published_rows():

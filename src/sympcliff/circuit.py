@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2core import ParseError, _unpack
+from .gf2core import ParseError, _tokens, _unpack
 
 _ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 GATE_KINDS = tuple(_ARITY) + ("PERMUTE",)
@@ -88,7 +88,7 @@ class Circuit:
             gates = tuple(gates)
             object.__setattr__(self, "m", m)
             object.__setattr__(self, "gates", gates)
-        changed = False
+        changed = not {*map(type, gates)} <= {Gate}
         for kind, qs in gates:
             # accept the common gates in gate()'s form (int qubits, CZ pairs
             # ascending) fast, else check by its rules
@@ -137,11 +137,7 @@ def parse(text: str, m: int | None = None) -> Circuit:
     otherwise m must be supplied."""
     header_m = None
     gates = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in _tokens(text):
         if toks[0] == "qubits":
             if gates or header_m is not None:
                 raise ParseError("line %d: qubits header must come first" % ln)

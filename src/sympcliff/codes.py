@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import index
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, ParseError, _pack, _rank, _unpack,
-                      asbits, mul, nullspace, rank, solve_linear)
+from .gf2core import (InfeasibleError, ParseError, _pack, _rank, _tokens,
+                      _unpack, asbits, mul, nullspace, rank, solve_linear)
 from .pauli import PauliOperator, commutes, from_label, to_label
 
 
@@ -29,6 +30,10 @@ class StabilizerCode:
     logical_z: tuple[PauliOperator, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "m", index(self.m))
+        except TypeError:
+            raise ValueError("qubit count %r is not an integer" % (self.m,)) from None
         for name in ("stabilizers", "logical_x", "logical_z"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         validate_code(self)
@@ -268,11 +273,7 @@ def load_code(text: str) -> StabilizerCode:
     stabs: list[PauliOperator] = []
     lx: dict[int, PauliOperator] = {}
     lz: dict[int, PauliOperator] = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in _tokens(text):
         try:
             if toks[0] == "qubits":
                 m = int(toks[1])

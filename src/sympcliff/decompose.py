@@ -308,18 +308,12 @@ def factors_to_circuit(factors, m: int) -> Circuit:
     return circuit(m, _emit(factors))
 
 
-# The lane core (see the module docstring).  A sliced matrix is a list of
-# rows of ints, entry (i, j) holding lane l's entry in bit l; full masks
-# all lanes.  Where _factor branches, a lane carries the identity of the
-# factor's kind instead (Q = I, R = 0, Omega and G_k masked off), which
-# emits no gates, so each lane emits exactly _emit's gates.
-
-def _slice(stack: np.ndarray) -> list[list[int]]:
-    """A stack of N matrices (N, r, c) as one sliced r x c matrix."""
-    n, r, c = stack.shape
-    flat = _pack(stack.reshape(n, r * c).T)
-    return [flat[i:i + c] for i in range(0, r * c, c)]
-
+# The lane core (see the module docstring).  A sliced matrix, as
+# synth._sliced builds it, is a list of rows of ints, entry (i, j) holding
+# lane l's entry in bit l; full masks all lanes.  Where _factor branches, a
+# lane carries the identity of the factor's kind instead (Q = I, R = 0,
+# Omega and G_k masked off), which emits no gates, so each lane emits
+# exactly _emit's gates.
 
 def _dots(x, y) -> list[list[int]]:
     """x times y transposed, lane by lane."""

@@ -33,6 +33,15 @@ class ParseError(ValueError):
     """A text input does not match its expected format."""
 
 
+def _tokens(text: str):
+    """(line number, tokens) for each line of a text format that has tokens
+    left once its # comment is cut."""
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield ln, toks
+
+
 def asbits(data) -> np.ndarray:
     """Coerce to a uint8 array of 0/1, reducing mod 2.
 

@@ -22,10 +22,10 @@ import numpy as np
 from .circuit import Circuit, _score_planes, circuit, depth, gate, serialize
 from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
-from .decompose import (ElementaryFactor, _emit_lanes, _factor_lanes,
-                        _lane_gates, _slice, decompose, factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _echelon_solve, asbits,
-                      is_symplectic, mul, omega, solve_linear)
+from .decompose import (ElementaryFactor, _bits, _emit_lanes, _factor_lanes,
+                        _lane_gates, decompose, factors_to_circuit)
+from .gf2core import (InfeasibleError, ParseError, _echelon_solve, _pack,
+                      _tokens, asbits, is_symplectic, mul, omega, solve_linear)
 from .pauli import PauliOperator, from_label, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
 from .verify import (ConjugationReport, _check_spec, _mismatches,
@@ -178,9 +178,9 @@ def solution_count(code: StabilizerCode) -> int:
 _CHUNK = 1 << 10  # solutions per block, the lanes of one sliced batch
 
 
-def _blocks(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
-    """Solutions start..stop-1 of the code's system in closed form, as one
-    stack per aligned block of at most _CHUNK indices.
+def _deltas(code: StabilizerCode, f0: np.ndarray) -> np.ndarray:
+    """The closed form of the code's solutions, as a stack of one 2m x 2m
+    delta per solution index bit.
 
     Every solution is (I + Omega Sg^T S Sg) f0 for one symmetric k x k
     binary S (Sg = stab_gamma(code), f0 any solution): the shift is
@@ -189,45 +189,49 @@ def _blocks(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
     distinct S.  Index i sets the upper triangle of S, row-major, from its
     bits, most significant first; index 0 is S = 0, which gives f0.
 
-    The shift is linear in S, so each solution is f0 plus one fixed 2m x 2m
-    delta per set index bit.  A block's indices share their high bits,
-    which give its offset, and read their low bits off one table of f0
-    plus every combination of the low deltas.
+    The shift is linear in S, so solution i is f0 plus delta b for each set
+    bit b of i.
     """
     sg = stab_gamma(code)
     lt = mul(sg, omega(code.m))  # row a: column a of Omega Sg^T
     right = mul(sg, f0)
     rows, cols = np.triu_indices(code.k)
     # entry (a, b) puts a 1 at (a, b) and (b, a) of S, one 1 when a = b
-    deltas = ((lt[rows, :, None] & right[cols, None, :])
-              ^ (lt[cols, :, None] & right[rows, None, :]
-                 & (rows != cols)[:, None, None]))[::-1]  # [b]: index bit b
-    low = min(len(deltas), _CHUNK.bit_length() - 1)
-    table = f0[None]
-    for d in deltas[:low]:
-        table = np.concatenate([table, table ^ d])
-    for high in range(start >> low << low, stop, len(table)):
-        yield reduce(np.bitwise_xor, (deltas[b] for b in range(low, len(deltas))
-                                      if high >> b & 1),
-                     table[max(start - high, 0):stop - high])
+    return ((lt[rows, :, None] & right[cols, None, :])
+            ^ (lt[cols, :, None] & right[rows, None, :]
+               & (rows != cols)[:, None, None]))[::-1]  # [b]: index bit b
 
 
 def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
-    """Solutions start..stop-1 of the code's system, one by one (see _blocks)."""
-    for block in _blocks(code, f0, start, stop):
-        yield from block
+    """Solutions start..stop-1 of the code's system, one by one (see _deltas)."""
+    deltas = _deltas(code, f0)
+    for i in range(start, stop):
+        yield f0 ^ reduce(np.bitwise_xor, (deltas[b] for b in _bits(i)), 0)
+
+
+def _sliced(f0: np.ndarray, deltas: np.ndarray, idx) -> list[list[int]]:
+    """Solutions idx[l] as lane l of one sliced matrix: entry (r, c) is
+    f0[r, c] in every lane, XOR the mask of lanes whose index has bit b set
+    for each delta b with a 1 at (r, c)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    masks = _pack((idx >> np.arange(len(deltas))[:, None] & 1).astype(np.uint8))
+    full = (1 << len(idx)) - 1
+    out = [[full if x else 0 for x in row] for row in f0.tolist()]
+    for b, r, c in zip(*(a.tolist() for a in np.nonzero(deltas))):
+        out[r][c] ^= masks[b]
+    return out
 
 
 def _min_depth_key(circ: Circuit):
     return (depth(circ), len(circ.gates), serialize(circ))
 
 
-def _rank(code: StabilizerCode, spec: CliffordSpec, fs, best=None):
-    """best, a (min_depth key, F) pair or None, updated with the solutions
-    fs, a list or stack of F, possibly empty.
+def _rank(code: StabilizerCode, spec: CliffordSpec, f0, deltas, idx, best=None):
+    """best, a (min_depth key, S index) pair or None, updated with the
+    solutions of the S indices idx, possibly none.
 
-    fs is sliced into one batch, one lane per solution, for the bit-sliced
-    lane core (decompose._factor_lanes and _emit_lanes, circuit._score_planes),
+    _sliced gives one batch, one lane per index, for the bit-sliced lane
+    core (decompose._factor_lanes and _emit_lanes, circuit._score_planes),
     which gives every lane its unsigned circuit's (depth, gates) pair with
     no circuit built.  The sign correction only prepends single-qubit
     Paulis: it cannot lower the depth, adds one gate per qubit it touches,
@@ -237,28 +241,29 @@ def _rank(code: StabilizerCode, spec: CliffordSpec, fs, best=None):
     template and sign-fixed only while its bound does not exceed the best
     key so far, and the first lane above it ends the batch.
     """
-    if not len(fs):
+    if not len(idx):
         return best
-    m, batch = code.m, np.asarray(fs)
-    full = (1 << len(batch)) - 1
-    gates = _emit_lanes(_factor_lanes(_slice(batch), full), full)
-    depths, counts = _score_planes(gates, m, len(batch))
+    m, full = code.m, (1 << len(idx)) - 1
+    gates = _emit_lanes(_factor_lanes(_sliced(f0, deltas, idx), full), full)
+    depths, counts = _score_planes(gates, m, len(idx))
     for lane in np.lexsort((counts, depths)).tolist():
         if best is not None and (depths[lane], counts[lane]) > best[0][:2]:
             break
         key = _min_depth_key(fix_signs(code, spec, circuit(m, _lane_gates(gates, lane)))[0])
         if best is None or key < best[0]:
-            best = (key, batch[lane].copy())  # not a view pinning the batch
+            best = (key, idx[lane])
     return best
 
 
 def _rank_range(code: StabilizerCode, spec: CliffordSpec, f0: np.ndarray,
                 start: int, stop: int):
     """_rank over solutions start..stop-1 (one worker's share), one batch
-    per block of _blocks."""
+    per aligned block of _CHUNK indices."""
+    deltas = _deltas(code, f0)
     best = None
-    for block in _blocks(code, f0, start, stop):
-        best = _rank(code, spec, block, best)
+    for block in range(start - start % _CHUNK, stop, _CHUNK):
+        best = _rank(code, spec, f0, deltas,
+                     range(max(start, block), min(stop, block + _CHUNK)), best)
     return best
 
 
@@ -281,7 +286,7 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     min_depth ranks by depth, then gate count, then serialized text, so the
     choice is a deterministic function of the solution set.  It scores the
     solutions one aligned block of _CHUNK at a time in the bit-sliced lane
-    core and sign-fixes only contenders (see _blocks and _rank); only the
+    core and sign-fixes only contenders (see _rank); only the
     returned circuit goes through the public decompose, is realized with
     its final correction and verified.  With jobs > 1 the work runs on
     min(jobs, cpu count) worker processes (the pool starts them all at
@@ -303,8 +308,8 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     cuts = [count * i // workers for i in range(workers + 1)]
     ranked = _map(workers, _rank_range, repeat(code), repeat(spec), repeat(f0),
                   cuts[:-1], cuts[1:])
-    _, best_f = min((r for r in ranked if r is not None), key=lambda r: r[0])
-    return [realize(code, spec, best_f, dense_check)]
+    _, i = min((r for r in ranked if r is not None), key=lambda r: r[0])
+    return [realize(code, spec, next(_solutions(code, f0, i, i + 1)), dense_check)]
 
 
 def normalizer_to_centralizer(code: StabilizerCode, f_n: np.ndarray) -> np.ndarray:
@@ -353,11 +358,7 @@ def load_spec(text: str) -> CliffordSpec:
     policy = None
     maps = {"mapX": {}, "mapZ": {}, "mapS": {}}
     qubit_counts = set()
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
+    for ln, toks in _tokens(text):
         try:
             if toks[0] == "op":
                 if name is not None or len(toks) != 2:

@@ -353,8 +353,8 @@ def ref_depth(c) -> int:
 
 # Reference ranking: the per-solution path that synth's batch replaced.  The
 # lane core must give every lane ref_unsigned's gate pairs and (depth,
-# gates) pair, and synth._solutions must list ref_solutions' matrices in
-# the same order.
+# gates) pair, synth._solutions must list ref_solutions' matrices in the
+# same order, and synth._sliced must give ref_slice of them.
 
 def ref_unsigned(f, m):
     """F's unsigned circuit as a list of Gates (each equal to its (kind,
@@ -365,6 +365,15 @@ def ref_unsigned(f, m):
     from sympcliff.gf2core import _pack
     gates = list(_emit(_factor(_pack(f), m)))
     return gates, (depth(circuit(m, gates)), len(gates))
+
+
+def ref_slice(stack):
+    """A stack of N matrices (N, r, c) as one sliced r x c matrix for the
+    lane core: entry (i, j) is an int holding lane l's entry in bit l."""
+    from sympcliff.gf2core import _pack
+    n, r, c = stack.shape
+    flat = _pack(stack.reshape(n, r * c).T)
+    return [flat[i:i + c] for i in range(0, r * c, c)]
 
 
 def ref_solutions(code, f0, start, stop):

@@ -174,17 +174,20 @@ def _outcome(build):
 def test_circuit_checks_exactly_what_gate_and_circuit_check(raw, data):
     m, kind, qs = raw
     box = data.draw(st.sampled_from((list, tuple)))
+    # a plain (kind, qubits) tuple is checked and stored as a Gate
+    g = data.draw(st.sampled_from((sc.Gate(kind, qs), (kind, qs))))
     want = _outcome(lambda: sc.circuit(m, [sc.gate(kind, *qs)]))
-    got = _outcome(lambda: sc.Circuit(m, box([sc.Gate(kind, qs)])))
+    got = _outcome(lambda: sc.Circuit(m, box([g])))
     replaced = _outcome(lambda: dataclasses.replace(sc.circuit(m, []),
-                                                    gates=box([sc.Gate(kind, qs)])))
+                                                    gates=box([g])))
     assert replaced == got
     assert got == want
     for bad in (-m, str(m), float(m)):
         with pytest.raises(ValueError, match="^qubit count "):
-            sc.Circuit(bad, box([sc.Gate(kind, qs)]))
+            sc.Circuit(bad, box([g]))
     if isinstance(got, str):
         return
+    assert [type(x) for x in got.gates] == [sc.Gate]
     assert type(sc.Circuit(np.int64(m), box(got.gates)).m) is int
     assert sc.parse(sc.save_circuit_text(got)) == got
     assert sc.depth(got) == ref_depth(got) == sc.depth(want)

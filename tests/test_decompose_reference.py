@@ -17,11 +17,11 @@ import sympcliff as sc
 from sympcliff import synth
 from sympcliff.circuit import _score_planes
 from sympcliff.decompose import (FACTOR_KINDS, _emit_lanes, _factor_lanes,
-                                 _lane_gates, _slice)
+                                 _lane_gates)
 from conftest import FIXTURES
 from helpers import (_invertible, _symmetric, ref_decompose, ref_depth,
-                     ref_expand, ref_factor_to_gates, ref_mul, ref_unsigned,
-                     symplectic)
+                     ref_expand, ref_factor_to_gates, ref_mul, ref_slice,
+                     ref_solutions, ref_unsigned, symplectic)
 
 
 def _assert_same_factors(got, want):
@@ -119,12 +119,16 @@ def test_whole_sp4_matches_the_reference_factor_for_factor(sp4):
 # _score_planes) against the scalar oracle helpers.ref_unsigned, lane for
 # lane.
 
-def _lane_outputs(fs, m):
-    full = (1 << len(fs)) - 1
-    gates = _emit_lanes(_factor_lanes(_slice(np.stack(fs)), full), full)
-    depths, counts = _score_planes(gates, m, len(fs))
+def _sliced_outputs(sliced, n, m):
+    full = (1 << n) - 1
+    gates = _emit_lanes(_factor_lanes(sliced, full), full)
+    depths, counts = _score_planes(gates, m, n)
     return [(_lane_gates(gates, lane), (depths[lane], counts[lane]))
-            for lane in range(len(fs))]
+            for lane in range(n)]
+
+
+def _lane_outputs(fs, m):
+    return _sliced_outputs(ref_slice(np.stack(fs)), len(fs), m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,10 +163,10 @@ def test_one_corrupted_lane_makes_the_batch_raise():
     rng = np.random.default_rng(9)
     fs = np.stack([ref_mul(*[sc.transvection_matrix(rng.integers(0, 2, 2 * m))
                              for _ in range(5)]) for _ in range(8)])
-    _factor_lanes(_slice(fs), 255)
+    _factor_lanes(ref_slice(fs), 255)
     fs[5, 2, 4] ^= 1
     with pytest.raises(ValueError, match="not symplectic"):
-        _factor_lanes(_slice(fs), 255)
+        _factor_lanes(ref_slice(fs), 255)
 
 
 def test_a_full_block_batch_matches_the_scalar_oracle(code513):
@@ -170,6 +174,8 @@ def test_a_full_block_batch_matches_the_scalar_oracle(code513):
     # so lane masks above bit 63 (past any machine word) are checked too
     spec = sc.load_spec((FIXTURES / "hadamard5q.spec").read_text())
     f0 = sc.find_symplectic(sc.build_system(code513, spec))
-    block = next(synth._blocks(code513, f0, 0, sc.solution_count(code513)))
-    assert len(block) >= 512
-    assert _lane_outputs(list(block), 5) == [ref_unsigned(f, 5) for f in block]
+    n = synth._CHUNK
+    assert 512 <= n <= sc.solution_count(code513)
+    sliced = synth._sliced(f0, synth._deltas(code513, f0), range(n))
+    assert _sliced_outputs(sliced, n, 5) \
+        == [ref_unsigned(f, 5) for f in ref_solutions(code513, f0, 0, n)]

@@ -12,8 +12,8 @@ import sympcliff as sc
 from sympcliff import synth
 from sympcliff.synth import _min_depth_key, _rank
 from conftest import FIXTURES
-from helpers import (as_set, bits, golden_solution_sets, ref_solutions,
-                     ref_unsigned, symplectic)
+from helpers import (as_set, bits, golden_solution_sets, ref_slice,
+                     ref_solutions, ref_unsigned, symplectic)
 
 
 def _spec(name):
@@ -313,15 +313,19 @@ def test_min_depth_streaming_matches_exhaustive_min(code_name, spec, request):
 def test_min_depth_ties_reach_the_text_tie_break():
     # on [[4,2,2]] two solutions of this action tie at depth 9 and 15 gates
     # with no correction, so only their serialized text separates them; in
-    # either stream order the equal unsigned pair must not be pruned
+    # either index order the equal unsigned pair must not be pruned
     code = sc.css_build(sc.CssSpec(hc=bits("1111")))
     spec = sc.load_spec("op tie\nmapX 1 IXIX\nmapX 2 IZIZ\n"
                         "mapZ 1 IIZZ\nmapZ 2 XXII\n")
-    fs = list(sc.iter_all(sc.build_system(code, spec)))
+    system = sc.build_system(code, spec)
+    fs = list(sc.iter_all(system))
     want = min(_min_depth_key(sc.realize(code, spec, f).circuit) for f in fs)
     assert want[:2] == (9, 15)
-    for order in (fs, fs[::-1]):
-        assert _rank(code, spec, order)[0] == want
+    f0 = sc.find_symplectic(system)
+    deltas = synth._deltas(code, f0)
+    idx = list(range(len(fs)))
+    for order in (idx, idx[::-1]):
+        assert _rank(code, spec, f0, deltas, order)[0] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -351,19 +355,20 @@ def test_ranges_of_partial_unaligned_batches_give_the_serial_minimum(code513):
     # best over the pieces must be the best over all 1024
     spec = _spec("hadamard5q")
     f0 = sc.find_symplectic(sc.build_system(code513, spec))
-    want = _rank(code513, spec, list(synth._solutions(code513, f0, 0, 1024)))
+    deltas = synth._deltas(code513, f0)
+    want = _rank(code513, spec, f0, deltas, range(1024))
     pieces = [synth._rank_range(code513, spec, f0, a, b)
               for a, b in [(0, 341), (341, 682), (682, 1024)]]
     best = min(pieces, key=lambda r: r[0])
-    assert best[0] == want[0] and np.array_equal(best[1], want[1])
+    assert best == want
     for a, b in [(5, 37), (700, 701)]:
         got = synth._rank_range(code513, spec, f0, a, b)
-        fs = list(synth._solutions(code513, f0, a, b))
-        assert got[0] == min(_min_depth_key(sc.realize(code513, spec, f).circuit)
-                             for f in fs)
-        assert any(np.array_equal(got[1], f) for f in fs)
+        keys = [_min_depth_key(sc.realize(code513, spec, f).circuit)
+                for f in synth._solutions(code513, f0, a, b)]
+        assert got[0] == min(keys)
+        assert a <= got[1] < b and keys[got[1] - a] == got[0]
     assert synth._rank_range(code513, spec, f0, 5, 5) is None
-    assert _rank(code513, spec, []) is None
+    assert _rank(code513, spec, f0, deltas, []) is None
 
 
 def test_a_range_over_several_blocks_ranks_like_every_solution(code513,
@@ -372,17 +377,25 @@ def test_a_range_over_several_blocks_ranks_like_every_solution(code513,
     # and another clipped one, so later blocks are ranked against the best
     # of earlier ones; the winner is the first solution of least key
     monkeypatch.setattr(synth, "_CHUNK", 256)
+    seen = []
+    real = synth._rank
+
+    def recording(code, spec, f0, deltas, idx, best=None):
+        seen.append(list(idx))
+        return real(code, spec, f0, deltas, idx, best)
+
+    monkeypatch.setattr(synth, "_rank", recording)
     spec = _spec("hadamard5q")
     f0 = sc.find_symplectic(sc.build_system(code513, spec))
-    assert [len(b) for b in synth._blocks(code513, f0, 100, 900)] \
-        == [156, 256, 256, 132]
     fs = list(synth._solutions(code513, f0, 100, 900))
     assert [f.tobytes() for f in fs] \
         == [f.tobytes() for f in ref_solutions(code513, f0, 100, 900)]
     keys = [_min_depth_key(sc.realize(code513, spec, f).circuit) for f in fs]
     got = synth._rank_range(code513, spec, f0, 100, 900)
+    assert [len(idx) for idx in seen] == [156, 256, 256, 132]
+    assert sum(seen, []) == list(range(100, 900))
     assert got[0] == min(keys)
-    assert np.array_equal(got[1], fs[keys.index(min(keys))])
+    assert got[1] == 100 + keys.index(min(keys))
 
 
 def test_synthesis_results_compare_by_value(code642):
@@ -509,6 +522,22 @@ def test_random_code_from_a_symplectic_basis_always_verifies(m, share, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(1, 32), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_normalizer_to_centralizer_on_random_codes(m, share, seed):
+    code, spec = _random_code_and_spec(np.random.default_rng(seed), m,
+                                       round(share * m), normalize=True)
+    f_n = sc.find_symplectic(sc.build_system(code, spec))
+    f_c = sc.normalizer_to_centralizer(code, f_n)
+    sg = sc.stab_gamma(code)
+    assert sc.is_symplectic(f_c)
+    assert np.array_equal(sc.mul(sg, f_c), sg)
+    for rows in (sc.logical_x_gamma(code), sc.logical_z_gamma(code)):
+        assert np.array_equal(sc.mul(rows, f_c), sc.mul(rows, f_n))
+    centralize = dataclasses.replace(spec, stab_images={}, policy="centralize")
+    assert sc.realize(code, centralize, f_c).report.passed
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
 def test_closed_form_solutions_are_the_iter_all_set(m, k, normalize, seed):
     code, spec = _random_code_and_spec(np.random.default_rng(seed), m, min(k, m),
@@ -530,10 +559,10 @@ def _steane():
 
 @pytest.mark.parametrize("name", ["code422", "code513", "code642", "code713"])
 def test_solutions_match_one_product_per_index(name, request):
-    # the table-and-offset generator lists what one closed-form product per
-    # index gives, in S-index order; on [[7,1,3]] (2^21 solutions) every range
-    # but the first crosses a block boundary, one spans two whole blocks, and
-    # the last reaches the last index
+    # f0 XOR one delta per set index bit lists what one closed-form product
+    # per index gives, in S-index order; on [[7,1,3]] (2^21 solutions) the
+    # ranges start at index 0, cross the boundaries of _rank_range's blocks,
+    # and the last reaches the last index
     code = {"code422": lambda: sc.css_build(sc.CssSpec(hc=bits("1111"))),
             "code713": _steane}.get(name, lambda: request.getfixturevalue(name))()
     f0 = sc.find_symplectic(sc.build_system(code, sc.CliffordSpec()))
@@ -544,6 +573,20 @@ def test_solutions_match_one_product_per_index(name, request):
     for start, stop in ranges:
         got = [f.tobytes() for f in synth._solutions(code, f0, start, stop)]
         assert got == [f.tobytes() for f in ref_solutions(code, f0, start, stop)]
+
+
+def test_sliced_indices_in_any_order_match_the_stack_slicer():
+    # 21 deltas; the indices are unsorted and fall in blocks far apart, on
+    # both sides of block boundaries, up to the last index
+    code = _steane()
+    f0 = sc.find_symplectic(sc.build_system(code, sc.CliffordSpec()))
+    deltas = synth._deltas(code, f0)
+    assert len(deltas) == 21
+    c = synth._CHUNK
+    idx = [(1 << 21) - 1, 5, c - 1, c, 70000, 0, 1 << 20, 2 * c - 1, c + 1,
+           999999, 3 * c + 7, 1 << 19]
+    stack = np.stack([next(ref_solutions(code, f0, i, i + 1)) for i in idx])
+    assert synth._sliced(f0, deltas, idx) == ref_slice(stack)
 
 
 def test_min_depth_sign_fixes_contenders_in_bound_order(code513, monkeypatch):

@@ -120,7 +120,19 @@ class Circuit:
 
 
 def circuit(m: int, gates) -> Circuit:
-    return Circuit(int(m), gates)
+    return Circuit(m, gates)
+
+
+def _join(a: Circuit, b: Circuit) -> Circuit:
+    """a's gates, then b's, as one circuit.  Both were checked when they
+    were made, so no gate is checked again; their qubit counts must agree
+    (ValueError otherwise)."""
+    if a.m != b.m:
+        raise ValueError("cannot join circuits on %d and %d qubits" % (a.m, b.m))
+    joined = object.__new__(Circuit)
+    object.__setattr__(joined, "m", a.m)
+    object.__setattr__(joined, "gates", a.gates + b.gates)
+    return joined
 
 
 def serialize(c: Circuit) -> str:
@@ -156,7 +168,7 @@ def parse(text: str, m: int | None = None) -> Circuit:
         raise ParseError("qubit count unknown: no header and no m argument")
     use_m = header_m if header_m is not None else m
     if use_m < 1:
-        raise ParseError("qubit count must be at least 1, got %d" % use_m)
+        raise ParseError("qubit count must be at least 1, got %s" % use_m)
     try:
         return circuit(use_m, gates)
     except ValueError as exc:

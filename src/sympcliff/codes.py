@@ -48,7 +48,7 @@ class StabilizerCode:
 
 
 def make_code(m, stabilizers, logical_x, logical_z) -> StabilizerCode:
-    return StabilizerCode(int(m), stabilizers, logical_x, logical_z)
+    return StabilizerCode(m, stabilizers, logical_x, logical_z)
 
 
 def validate_code(code: StabilizerCode) -> None:

@@ -19,17 +19,17 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import Circuit, _score_planes, circuit, depth, gate, serialize
+from .circuit import Circuit, _score_planes, circuit, depth, serialize
 from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _bits, _emit_lanes, _factor_lanes,
                         _lane_gates, decompose, factors_to_circuit)
-from .gf2core import (InfeasibleError, ParseError, _echelon_solve, _pack,
-                      _tokens, asbits, is_symplectic, mul, omega, solve_linear)
+from .gf2core import (InfeasibleError, ParseError, _pack, _tokens, asbits,
+                      is_symplectic, mul, omega, solve_linear)
 from .pauli import PauliOperator, from_label, to_label
 from .sympsolve import SymplecticSystem, find_symplectic
-from .verify import (ConjugationReport, _check_spec, _mismatches,
-                     expected_images, verify_solution)
+from .verify import (ConjugationReport, _check_spec, _operators, _report,
+                     _sign_fix, expected_images)
 
 POLICIES = ("centralize", "normalize")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_\-]+$")
@@ -119,43 +119,28 @@ def fix_signs(code: StabilizerCode, spec: CliffordSpec,
 
     The raw circuit already realizes the right binary symplectic map; each
     row's sign error is linear in the correction's commutation with the row's
-    input, so one GF(2) solve fixes all rows at once.  The rows go through
-    verify's bit-sliced conjugation pass and are compared with the wanted
-    rows in packed form; the first failing row in expected_images order
-    names the error.
+    input, so one GF(2) solve fixes all rows at once.  The first failing row
+    in expected_images order names an error.  The one conjugation pass and
+    the solve are verify._sign_fix, which realize shares; raw's gates are
+    not checked again.
     """
-    rows = expected_images(code, spec)
-    m = code.m
-    bad_image, bad_phase, err = _mismatches(raw, rows)
-    bad = bad_image | bad_phase
-    if bad:
-        first = bad & -bad
-        name = rows[first.bit_length() - 1][0]
-        if bad_image & first:
-            raise ValueError("row %s: circuit does not realize the requested "
-                             "symplectic map" % name)
-        raise RuntimeError("row %s: image of a Hermitian row is not "
-                           "Hermitian" % name)
-    # each input row gamma = [a | b] times Omega is [b | a]; the solve
-    # gives the lex-min correction [c | d], packed with bit t for column t
-    cd = _echelon_solve([], 0, [(g.z | g.x << m, err >> r & 1)
-                                for r, (_, g, _) in enumerate(rows)])
-    if cd is None:
-        raise RuntimeError("no Pauli correction exists: the code's rows are "
-                           "not independent")
-    correction = PauliOperator(m, 0, cd & ((1 << m) - 1), cd >> m)
-    corr_gates = tuple(gate(kind, t + 1)
-                       for t, kind in enumerate(to_label(correction)) if kind != "I")
-    return circuit(m, corr_gates + raw.gates), correction
+    _, circ, correction, _ = _sign_fix(code, spec, raw)
+    return circ, correction
 
 
 def realize(code: StabilizerCode, spec: CliffordSpec, f: np.ndarray,
             dense_check: bool = False) -> SynthesisResult:
-    """Turn one symplectic solution into a verified physical circuit."""
+    """Turn one symplectic solution into a verified physical circuit.
+
+    A spec that does not fit the code raises ValueError first.  The report
+    is built from the sign fix's own conjugation pass (verify._sign_fix);
+    verify_solution stays an independent check for callers.
+    """
+    _check_spec(code, spec)
     factors = decompose(f)
-    raw = factors_to_circuit(factors, code.m)
-    circ, correction = fix_signs(code, spec, raw)
-    report = verify_solution(code, spec, circ, dense_check)
+    rows, circ, correction, images = _sign_fix(
+        code, spec, factors_to_circuit(factors, code.m))
+    report = _report(rows, _operators(images, code.m, len(rows)), circ, dense_check)
     if not report.passed:
         raise RuntimeError("synthesized circuit failed verification:\n"
                            + report.render())

@@ -7,7 +7,9 @@ bit, and one int holds every row's sign.  The per-gate rules are exact for
 the Hermitian form E(a, b) of ``pauli``: a Clifford gate maps E(a, b) to
 +/- E(a', b'), so it flips only bit 1 of the phase exponent kappa, and bit 0
 is carried through unchanged; the gates were checked when their Circuit
-was made.  A dense-matrix oracle (m <= 12) is available for cross-checks.
+was made.  synth's sign fix runs on one such pass (_sign_fix), and realize
+builds its report from that pass.  A dense-matrix oracle (m <= 12) is
+available for cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import or_, xor
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit, Gate, _join
 from .gf2core import _echelon_solve, _transpose, _unpack
 from .pauli import PauliOperator, dense, identity, multiply, to_label
 
@@ -67,39 +69,31 @@ def _tableau(circ: Circuit, xs: list[int], zs: list[int], s: int) -> tuple:
 
 def _columns(ops: list[PauliOperator], m: int) -> list[int]:
     """Column ints of operators on m qubits, bit r for row r: the x bits
-    of qubits 1..m, their z bits, then bits 0 and 1 of kappa."""
-    return _transpose([p.x | p.z << m | p.kappa << 2 * m for p in ops],
-                      2 * m + 2)
-
-
-def _conjugate_rows(circ: Circuit, ops: list[PauliOperator]) -> list[int]:
-    """Conjugate operators through the circuit on the bit-sliced tableau;
-    returns the images' columns in the layout of _columns."""
-    m = circ.m
+    of qubits 1..m, their z bits, then bits 0 and 1 of kappa.  Every
+    operator must act on m qubits (ValueError otherwise)."""
     for p in ops:
         if p.m != m:
             raise ValueError("operator acts on %d qubits, circuit on %d"
                              % (p.m, m))
-    cols = _columns(ops, m)
+    return _transpose([p.x | p.z << m | p.kappa << 2 * m for p in ops],
+                      2 * m + 2)
+
+
+def _conjugate_rows(circ: Circuit, cols: list[int]) -> list[int]:
+    """Conjugate the rows whose columns are cols (the layout of _columns)
+    through the circuit on the bit-sliced tableau; returns the images'
+    columns in the same layout."""
+    m = circ.m
     xs, zs, hi = _tableau(circ, cols[:m], cols[m:2 * m], cols[2 * m + 1])
     return xs + zs + [cols[2 * m], hi]
 
 
-def _mismatches(circ: Circuit, rows) -> tuple[int, int, int]:
-    """Conjugate each (name, input, wanted) row's input through the circuit
-    and compare the image with the wanted operator, all on packed rows.
-
-    Returns three masks, bit r for row r: a wrong binary image, a wrong
-    bit 0 of kappa (an imaginary phase error), and a wrong bit 1 (a sign
-    error).  No operator is built for the images.
-    """
-    given = [g for _, g, _ in rows]
-    m = circ.m
-    # a wanted row on another qubit count is a wrong image
-    misfit = sum(1 << r for r, (_, _, w) in enumerate(rows) if w.m != m)
-    want = _columns([w if w.m == m else g for g, (_, _, w) in zip(given, rows)], m)
-    diff = list(map(xor, _conjugate_rows(circ, given), want))
-    return reduce(or_, diff[:2 * m], misfit), diff[2 * m], diff[2 * m + 1]
+def _operators(cols: list[int], m: int, n: int) -> list[PauliOperator]:
+    """The n operators on m qubits whose columns (the layout of _columns)
+    are cols."""
+    mask = (1 << m) - 1
+    return [PauliOperator(m, w >> 2 * m, w & mask, w >> m & mask)
+            for w in _transpose(cols, n)] if n else []
 
 
 def conjugate_many(circ: Circuit, paulis) -> list[PauliOperator]:
@@ -109,12 +103,7 @@ def conjugate_many(circ: Circuit, paulis) -> list[PauliOperator]:
     rows go through one bit-sliced pass; operators are built from its output.
     """
     ps = list(paulis)
-    if not ps:
-        return []
-    m = circ.m
-    mask = (1 << m) - 1
-    return [PauliOperator(m, w >> 2 * m, w & mask, w >> m & mask)
-            for w in _transpose(_conjugate_rows(circ, ps), len(ps))]
+    return _operators(_conjugate_rows(circ, _columns(ps, circ.m)), circ.m, len(ps))
 
 
 def conjugate(circ: Circuit, p: PauliOperator) -> PauliOperator:
@@ -313,19 +302,54 @@ def _check_spec(code, spec) -> None:
                     "generator product is %s" % (j, to_label(target), want))
 
 
-def verify_solution(code, spec, solution, dense_check: bool = False) -> ConjugationReport:
-    """Check a circuit (or synthesis result) against the requested maps.
+def _sign_fix(code, spec, raw: Circuit) -> tuple[list, Circuit, PauliOperator, list[int]]:
+    """fix_signs on one conjugation pass: the rows of expected_images, raw
+    with the correction prepended, the correction, and the corrected
+    circuit's images of the rows' inputs as columns (the layout of _columns).
 
-    Every stabilizer generator and logical Pauli is conjugated symbolically;
-    a row passes only if the image matches the requirement exactly, phase
-    included.  With dense_check=True each row is additionally verified by
-    dense matrix conjugation (m <= 12).  A spec that does not fit the code
-    raises ValueError, as in build_system.
+    The correction's Pauli gates move no x or z bit, and every gate's sign
+    term ignores the incoming sign, so the corrected circuit's sign column
+    is the raw pass's XOR the correction circuit's own pass over the inputs.
     """
-    _check_spec(code, spec)
-    circ = getattr(solution, "circuit", solution)
     rows = expected_images(code, spec)
-    outs = conjugate_many(circ, [given for _, given, _ in rows])
+    m = raw.m
+    given = _columns([g for _, g, _ in rows], m)
+    images = _conjugate_rows(raw, given)
+    # a wanted row on another qubit count is a wrong image
+    misfit = sum(1 << r for r, (_, _, w) in enumerate(rows) if w.m != m)
+    diff = list(map(xor, images, _columns([w if w.m == m else g
+                                           for _, g, w in rows], m)))
+    bad_image = reduce(or_, diff[:2 * m], misfit)
+    bad = bad_image | diff[2 * m]
+    if bad:
+        first = bad & -bad
+        name = rows[first.bit_length() - 1][0]
+        if bad_image & first:
+            raise ValueError("row %s: circuit does not realize the requested "
+                             "symplectic map" % name)
+        raise RuntimeError("row %s: image of a Hermitian row is not "
+                           "Hermitian" % name)
+    # each input row gamma = [a | b] times Omega is [b | a]; the solve
+    # gives the lex-min correction [c | d], packed with bit t for column t
+    err = diff[2 * m + 1]
+    cd = _echelon_solve([], 0, [(g.z | g.x << m, err >> r & 1)
+                                for r, (_, g, _) in enumerate(rows)])
+    if cd is None:
+        raise RuntimeError("no Pauli correction exists: the code's rows are "
+                           "not independent")
+    correction = PauliOperator(m, 0, cd & ((1 << m) - 1), cd >> m)
+    fix = Circuit(m, tuple(Gate(kind, (t + 1,))
+                           for t, kind in enumerate(to_label(correction)) if kind != "I"))
+    images[2 * m + 1] ^= _tableau(fix, given[:m], given[m:2 * m], 0)[2]
+    return rows, _join(fix, raw), correction, images
+
+
+def _report(rows, outs: list[PauliOperator], circ: Circuit,
+            dense_check: bool) -> ConjugationReport:
+    """The report on (name, input, wanted) rows whose images through circ
+    are outs: a row passes only if its image equals the wanted operator,
+    phase included, and, with dense_check, also under dense matrix
+    conjugation (m <= 12)."""
     u = dense_unitary(circ) if dense_check else None
     report = []
     for (name, given, want), got in zip(rows, outs):
@@ -335,3 +359,21 @@ def verify_solution(code, spec, solution, dense_check: bool = False) -> Conjugat
             ok = bool(np.max(np.abs(lhs - dense(want))) <= 1e-10)
         report.append(ReportRow(name, given, want, got, ok))
     return ConjugationReport(tuple(report))
+
+
+def verify_solution(code, spec, solution, dense_check: bool = False) -> ConjugationReport:
+    """Check a circuit (or synthesis result) against the requested maps.
+
+    Every stabilizer generator and logical Pauli is conjugated symbolically
+    in a bit-sliced pass of its own; a row passes only if the image matches
+    the requirement exactly, phase included.  With dense_check=True each
+    row is additionally verified by dense matrix conjugation (m <= 12).  A
+    spec that does not fit the code raises ValueError, as in build_system.
+    realize builds the same report from the sign fix's pass (_sign_fix);
+    this function checks any circuit independently of that.
+    """
+    _check_spec(code, spec)
+    circ = getattr(solution, "circuit", solution)
+    rows = expected_images(code, spec)
+    outs = conjugate_many(circ, [given for _, given, _ in rows])
+    return _report(rows, outs, circ, dense_check)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
-from sympcliff.circuit import GATE_KINDS
+from sympcliff.circuit import GATE_KINDS, _join
 from helpers import ref_conjugate_many, ref_depth
 
 
@@ -38,6 +38,15 @@ def test_cnot_keeps_direction():
 def test_circuit_rejects_out_of_range_qubits():
     with pytest.raises(ValueError):
         sc.circuit(2, [sc.gate("H", 3)])
+
+
+def test_join_concatenates_circuits_on_the_same_qubits():
+    a = sc.circuit(3, [sc.gate("X", 2)])
+    b = sc.circuit(3, [sc.gate("CZ", 3, 1), sc.gate("H", 1)])
+    assert _join(a, b) == sc.circuit(3, list(a.gates) + list(b.gates))
+    assert _join(sc.circuit(3, []), b) == b
+    with pytest.raises(ValueError, match="^cannot join circuits on 3 and 2 qubits$"):
+        _join(a, sc.circuit(2, []))
 
 
 def test_serialize_phase_circuit():
@@ -182,11 +191,16 @@ def test_circuit_checks_exactly_what_gate_and_circuit_check(raw, data):
                                                     gates=box([g])))
     assert replaced == got
     assert got == want
-    for bad in (-m, str(m), float(m)):
-        with pytest.raises(ValueError, match="^qubit count "):
-            sc.Circuit(bad, box([g]))
+    for bad in (-m, str(m), float(m), m + 0.9):
+        for build in (sc.Circuit, sc.circuit):
+            with pytest.raises(ValueError, match="^qubit count "):
+                build(bad, box([g]))
     if isinstance(got, str):
         return
+    for bad in (float(m), m + 0.5):
+        with pytest.raises(sc.ParseError, match="^qubit count %s is not an integer$"
+                           % re.escape(repr(bad))):
+            sc.parse(sc.serialize(got), m=bad)
     assert [type(x) for x in got.gates] == [sc.Gate]
     assert type(sc.Circuit(np.int64(m), box(got.gates)).m) is int
     assert sc.parse(sc.save_circuit_text(got)) == got

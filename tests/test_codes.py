@@ -135,10 +135,13 @@ def test_a_code_checks_itself_however_it_is_made(code642):
                              list(code642.logical_x), list(code642.logical_z))
     assert code == code642 and type(code.logical_z) is tuple
     assert dataclasses.replace(code642) == code642
-    for bad in (6.0, "6"):
-        with pytest.raises(ValueError, match="^qubit count %r is not an integer$"
-                           % (bad,)):
-            dataclasses.replace(code642, m=bad)
+    for bad in (6.0, 6.9, "6"):
+        for make in (lambda: dataclasses.replace(code642, m=bad),
+                     lambda: sc.make_code(bad, code642.stabilizers,
+                                          code642.logical_x, code642.logical_z)):
+            with pytest.raises(ValueError, match="^qubit count %r is not an integer$"
+                               % (bad,)):
+                make()
     code = dataclasses.replace(code642, m=np.int64(6))
     assert type(code.m) is int and code == code642
 

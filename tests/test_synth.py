@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
-from sympcliff import synth
+from sympcliff import synth, verify
 from sympcliff.synth import _min_depth_key, _rank
 from conftest import FIXTURES
 from helpers import (as_set, bits, golden_solution_sets, ref_slice,
@@ -448,17 +448,18 @@ def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
 
 
 def test_min_depth_verifies_only_the_returned_circuit(code642, monkeypatch):
-    calls = []
-    real = synth.verify_solution
+    # one report is built, for the returned circuit
+    reports = []
+    real = synth._report
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(rows, outs, circ, dense_check):
+        reports.append((circ, real(rows, outs, circ, dense_check)))
+        return reports[-1][1]
 
-    monkeypatch.setattr(synth, "verify_solution", counting)
+    monkeypatch.setattr(synth, "_report", counting)
     res, = sc.synthesize(code642, _spec("hadamard1"), mode="min_depth")
     assert res.report.passed
-    assert len(calls) == 1
+    assert reports == [(res.circuit, res.report)]
 
 
 @pytest.mark.parametrize("mode", ["all", "min_depth"])
@@ -538,6 +539,62 @@ def test_normalizer_to_centralizer_on_random_codes(m, share, seed):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(1, 32), st.floats(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+def test_one_pass_report_equals_an_independent_verify(m, share, normalize, seed):
+    # realize builds its report from the sign fix's pass; verify_solution
+    # conjugates the returned circuit on its own
+    code, spec = _random_code_and_spec(np.random.default_rng(seed), m,
+                                       round(share * m), normalize)
+    res = sc.realize(code, spec, sc.find_symplectic(sc.build_system(code, spec)))
+    assert res.report == sc.verify_solution(code, spec, res.circuit)
+    raw = sc.factors_to_circuit(res.factors, m)
+    assert sc.fix_signs(code, spec, raw) == (res.circuit, res.pauli_correction)
+
+
+@pytest.mark.parametrize("code_name,spec_name",
+                         [("code642", n) for n in ("cnot21", "cz12", "hadamard1",
+                                                   "phase1", "swapxz")]
+                         + [("code513", "hadamard5q")])
+def test_realize_conjugates_the_raw_circuit_once(code_name, spec_name, request,
+                                                 monkeypatch):
+    code, spec = request.getfixturevalue(code_name), _spec(spec_name)
+    passes = []
+    real = verify._tableau
+
+    def recording(circ, *args):
+        passes.append(circ)
+        return real(circ, *args)
+
+    monkeypatch.setattr(verify, "_tableau", recording)
+    f0 = sc.find_symplectic(sc.build_system(code, spec))
+    for i, f in enumerate(synth._solutions(code, f0, 0, 8)):
+        passes.clear()
+        res = sc.realize(code, spec, f, dense_check=i == 0)
+        raw = sc.factors_to_circuit(res.factors, code.m)
+        fix = sc.Circuit(code.m, res.circuit.gates[:len(res.circuit) - len(raw)])
+        # one pass over the raw circuit, one over the correction's Paulis
+        assert passes == [raw, fix]
+        assert res.report == sc.verify_solution(code, spec, res.circuit, i == 0)
+        assert sc.fix_signs(code, spec, raw) == (res.circuit, res.pauli_correction)
+
+
+@pytest.mark.parametrize("misfit,message", [
+    ({"images_x": {7: sc.from_label("ZZZZZZ")}}, "^mapX index 7 out of range 1..4$"),
+    ({"policy": "normalize", "stab_images": {1: sc.from_label("-XXXXXX")}},
+     "^mapS 1 target -XXXXXX does not carry its intrinsic sign; the generator "
+     "product is XXXXXX$"),
+])
+def test_realize_refuses_a_spec_that_does_not_fit_the_code(code642, misfit, message):
+    # f realizes cz12, and the misfit spec asks for the same rows, so only
+    # the spec check can refuse it
+    spec = _spec("cz12")
+    f = sc.find_symplectic(sc.build_system(code642, spec))
+    bad = dataclasses.replace(spec, **misfit)
+    with pytest.raises(ValueError, match=message):
+        sc.realize(code642, bad, f)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
 def test_closed_form_solutions_are_the_iter_all_set(m, k, normalize, seed):
     code, spec = _random_code_and_spec(np.random.default_rng(seed), m, min(k, m),
@@ -591,17 +648,19 @@ def test_sliced_indices_in_any_order_match_the_stack_slicer():
 
 def test_min_depth_sign_fixes_contenders_in_bound_order(code513, monkeypatch):
     # visiting the 1024 solutions by ascending unsigned bound sign-fixes two
-    # contenders, and realize sign-fixes the winner once more
+    # contenders, and realize's one pass sign-fixes the winner once more
     calls = []
-    real = synth.fix_signs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(synth, "fix_signs", counting)
+    monkeypatch.setattr(synth, "fix_signs", counting("fix_signs", synth.fix_signs))
+    monkeypatch.setattr(synth, "_sign_fix", counting("_sign_fix", synth._sign_fix))
     sc.synthesize(code513, _spec("hadamard5q"), mode="min_depth")
-    assert len(calls) == 3
+    assert calls == ["fix_signs", "_sign_fix"] * 2 + ["_sign_fix"]
 
 
 def test_min_depth_on_a_code_wider_than_64_columns():

@@ -25,6 +25,11 @@ from .gf2core import ParseError, _tokens, _unpack
 _ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
 GATE_KINDS = tuple(_ARITY) + ("PERMUTE",)
 _ONE_QUBIT, _TWO_QUBIT = (frozenset(k for k in _ARITY if _ARITY[k] == n) for n in (1, 2))
+# Gate(kind, qubits) runs the NamedTuple's Python-level __new__; the package
+# builds its own gates with this builtin instead, as _new(Gate, (kind, qubits))
+_new = tuple.__new__
+# Gate.__str__'s text for up to two qubits; %s is str(), as in the join for more
+_FORMATS = ("%s", "%s %s", "%s %s %s")
 
 
 class Gate(NamedTuple):
@@ -34,7 +39,10 @@ class Gate(NamedTuple):
     qubits: tuple[int, ...]
 
     def __str__(self):
-        return " ".join([self.kind] + [str(q) for q in self.qubits])
+        qs = self.qubits
+        if len(qs) < 3:
+            return _FORMATS[len(qs)] % (self.kind, *qs)
+        return " ".join([self.kind] + [str(q) for q in qs])
 
 
 def _qubit(q) -> int:
@@ -51,7 +59,7 @@ def gate(kind: str, *qubits: int) -> Gate:
     if kind == "PERMUTE":
         if sorted(qs) != list(range(1, len(qs) + 1)):
             raise ValueError("PERMUTE needs the full image of qubits 1..m")
-        return Gate(kind, qs)
+        return _new(Gate, (kind, qs))
     arity = _ARITY.get(kind)
     if arity is None:
         raise ValueError("unknown gate kind %r" % kind)
@@ -61,9 +69,9 @@ def gate(kind: str, *qubits: int) -> Gate:
         raise ValueError("qubits are numbered from 1")
     if arity == 2 and qs[0] == qs[1]:
         raise ValueError("%s needs two distinct qubits" % kind)
-    if kind == "CZ":
-        qs = tuple(sorted(qs))
-    return Gate(kind, qs)
+    if kind == "CZ" and qs[0] > qs[1]:
+        qs = qs[1], qs[0]
+    return _new(Gate, (kind, qs))
 
 
 @dataclass(frozen=True)
@@ -150,7 +158,8 @@ def parse(text: str, m: int | None = None) -> Circuit:
     header_m = None
     gates = []
     for ln, toks in _tokens(text):
-        if toks[0] == "qubits":
+        kind = toks[0]
+        if kind == "qubits":
             if gates or header_m is not None:
                 raise ParseError("line %d: qubits header must come first" % ln)
             try:
@@ -159,9 +168,24 @@ def parse(text: str, m: int | None = None) -> Circuit:
                 raise ParseError("line %d: bad qubits header" % ln) from None
             continue
         try:
-            gates.append(gate(toks[0], *[int(t) for t in toks[1:]]))
+            qs = tuple(map(int, toks[1:]))
+            # one table check accepts a valid line; only a refused one (and
+            # a PERMUTE, which the table does not hold) goes through gate(),
+            # whose error is the line's message
+            n = len(qs)
+            if _ARITY.get(kind) == n and min(qs) > 0 and (n == 1 or qs[0] != qs[1]):
+                if kind == "CZ" and qs[0] > qs[1]:
+                    qs = qs[1], qs[0]
+                gates.append(_new(Gate, (kind, qs)))
+            else:
+                gates.append(gate(kind, *qs))
         except ValueError as exc:
             raise ParseError("line %d: %s" % (ln, exc)) from None
+    if m is not None:
+        try:
+            m = index(m)
+        except TypeError:
+            raise ParseError("qubit count %r is not an integer" % (m,)) from None
     if header_m is not None and m is not None and header_m != m:
         raise ParseError("header says %d qubits, caller says %d" % (header_m, m))
     if header_m is None and m is None:

@@ -53,7 +53,7 @@ from operator import and_, getitem, index, or_, xor
 
 import numpy as np
 
-from .circuit import Circuit, Gate, circuit
+from .circuit import Circuit, Gate, _new, circuit
 from .gf2core import (SingularMatrixError, _eliminate, _frozen, _gram_mismatch,
                       _inverse, _lu, _mul_rows, _pack, _transpose, _unpack,
                       asbits)
@@ -268,30 +268,30 @@ def _emit(factors):
         m = f.m
         if f.kind == "OMEGA" or f.kind == "GK":
             for q in range(1, (m if f.kind == "OMEGA" else f.k) + 1):
-                yield Gate("H", (q,))
+                yield _new(Gate, ("H", (q,)))
         elif f.kind == "TR":
             for i, r in enumerate(f.rows):
                 if r >> i & 1:
-                    yield Gate("P", (i + 1,))
+                    yield _new(Gate, ("P", (i + 1,)))
             for i, r in enumerate(f.rows):
                 for j in _bits(r >> (i + 1)):
-                    yield Gate("CZ", (i + 1, i + j + 2))
+                    yield _new(Gate, ("CZ", (i + 1, i + j + 2)))
         else:
             perm, low, up = _lu(list(f.rows), m)
             image = [0] * m
             for i, p in enumerate(perm):
                 image[p] = i + 1
             if perm != list(range(m)):
-                yield Gate("PERMUTE", tuple(image))
+                yield _new(Gate, ("PERMUTE", tuple(image)))
             # CNOT matrix I + E_ct adds the control coordinate onto the
             # target; emitting L's entries with controls ascending multiplies
             # out to L exactly, and U's with controls descending to U
             for c in range(1, m):
                 for t in _bits(low[c] & ((1 << c) - 1)):
-                    yield Gate("CNOT", (c + 1, t + 1))
+                    yield _new(Gate, ("CNOT", (c + 1, t + 1)))
             for c in range(m - 2, -1, -1):
                 for t in _bits(up[c] >> (c + 1)):
-                    yield Gate("CNOT", (c + 1, c + t + 2))
+                    yield _new(Gate, ("CNOT", (c + 1, c + t + 2)))
 
 
 def factor_to_gates(f: ElementaryFactor) -> list[Gate]:
@@ -486,5 +486,5 @@ def _lane_gates(gates, lane: int) -> list[Gate]:
             if kind == "PERMUTE":  # row i holds qubit p's image i + 1
                 qs = tuple(i + 1 for col in zip(*qs) for i, x in enumerate(col)
                            if x >> lane & 1)
-            out.append(Gate(kind, qs))
+            out.append(_new(Gate, (kind, qs)))
     return out

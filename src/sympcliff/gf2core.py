@@ -319,11 +319,12 @@ def _transpose(rows: list[int], cols: int) -> list[int]:
     """Packed columns of packed rows: bit i of column c is bit c of row i."""
     if not rows:
         return [0] * cols
-    # zip reads the binary strings (row last to first, bit cols - 1 first)
-    # one character position, that is one column, at a time
+    # the rows' binary strings (row last to first, bit cols - 1 first)
+    # joined: column c is character cols - 1 - c of every row, the strided
+    # slice buf[cols - 1 - c::cols]
     fmt = "0%db" % cols
-    return [int("".join(t), 2)
-            for t in zip(*[format(r, fmt) for r in reversed(rows)])][::-1]
+    buf = "".join([format(r, fmt) for r in reversed(rows)])
+    return [int(buf[j::cols], 2) for j in range(cols - 1, -1, -1)]
 
 
 def _mul_rows(xs: list[int], rows: list[int]) -> list[int]:

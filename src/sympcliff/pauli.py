@@ -177,7 +177,9 @@ def to_label(p: PauliOperator) -> str:
 def from_label(text: str, m: int | None = None) -> PauliOperator:
     """Parse a label: optional prefix in {+, -, +i, -i}, then m letters IXYZ."""
     s = text.strip()
-    pref = next(p for p in ("+i", "-i", "+", "-", "") if s.startswith(p))
+    pref = s[:2] if s[1:2] == "i" else s[:1]
+    if pref not in _KAPPA:
+        pref = ""
     kappa, s = _KAPPA[pref], s[len(pref):]
     if not s:
         raise ParseError("label %r has no Pauli letters" % text)

@@ -20,7 +20,7 @@ from operator import or_, xor
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _join
+from .circuit import Circuit, Gate, _join, _new
 from .gf2core import _echelon_solve, _transpose, _unpack
 from .pauli import PauliOperator, dense, identity, multiply, to_label
 
@@ -237,9 +237,11 @@ class ConjugationReport:
         lines = []
         for r in self.rows:
             verdict = "ok" if r.ok else "FAIL"
+            # equal operators have equal labels
+            got = to_label(r.computed)
+            want = got if r.computed == r.expected else to_label(r.expected)
             lines.append("%-4s %-4s %s -> %s (want %s)"
-                         % (verdict, r.name, to_label(r.given),
-                            to_label(r.computed), to_label(r.expected)))
+                         % (verdict, r.name, to_label(r.given), got, want))
         lines.append("result: %s" % ("pass" if self.passed else "fail"))
         return "\n".join(lines)
 
@@ -338,7 +340,7 @@ def _sign_fix(code, spec, raw: Circuit) -> tuple[list, Circuit, PauliOperator, l
         raise RuntimeError("no Pauli correction exists: the code's rows are "
                            "not independent")
     correction = PauliOperator(m, 0, cd & ((1 << m) - 1), cd >> m)
-    fix = Circuit(m, tuple(Gate(kind, (t + 1,))
+    fix = Circuit(m, tuple(_new(Gate, (kind, (t + 1,)))
                            for t, kind in enumerate(to_label(correction)) if kind != "I"))
     images[2 * m + 1] ^= _tableau(fix, given[:m], given[m:2 * m], 0)[2]
     return rows, _join(fix, raw), correction, images

@@ -1,8 +1,9 @@
 """Matrix literals shared across test modules, including the four published
 eight-element solution sets for the [[6,4,2]] code's logical gates; the
 numpy reference implementations that sympcliff's packed kernels are checked
-against; the per-letter reference Pauli labels; random circuits over every
-gate kind; and a hypothesis strategy for random symplectic matrices."""
+against; the per-letter reference Pauli labels; the gate()-per-line circuit
+parser; random circuits over every gate kind; and a hypothesis strategy for
+random symplectic matrices."""
 
 from __future__ import annotations
 
@@ -349,6 +350,40 @@ def ref_depth(c) -> int:
             stage[q] = s
         deepest = max(deepest, s)
     return deepest
+
+
+def ref_parse(text: str, m: int | None = None):
+    """circuit.parse as it read every line: gate() on each gate line, whose
+    error is that line's message; then the header and m checks; then
+    Circuit's own.  Only an integer m (or None) is in its domain."""
+    import sympcliff as sc
+    from sympcliff.gf2core import ParseError, _tokens
+    header_m = None
+    gates = []
+    for ln, toks in _tokens(text):
+        if toks[0] == "qubits":
+            if gates or header_m is not None:
+                raise ParseError("line %d: qubits header must come first" % ln)
+            try:
+                header_m, = map(int, toks[1:])
+            except ValueError:
+                raise ParseError("line %d: bad qubits header" % ln) from None
+            continue
+        try:
+            gates.append(sc.gate(toks[0], *[int(t) for t in toks[1:]]))
+        except ValueError as exc:
+            raise ParseError("line %d: %s" % (ln, exc)) from None
+    if header_m is not None and m is not None and header_m != m:
+        raise ParseError("header says %d qubits, caller says %d" % (header_m, m))
+    if header_m is None and m is None:
+        raise ParseError("qubit count unknown: no header and no m argument")
+    use_m = header_m if header_m is not None else m
+    if use_m < 1:
+        raise ParseError("qubit count must be at least 1, got %s" % use_m)
+    try:
+        return sc.circuit(use_m, gates)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 # Reference ranking: the per-solution path that synth's batch replaced.  The

@@ -171,6 +171,21 @@ def raw_gates(draw):
         (int, np.int64, np.int32) + ((bool,) if q in (0, 1) else ())))(q) for q in qs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw_gates())
+def test_gate_text_is_its_kind_and_qubits_joined(raw):
+    """str() formats through the per-arity table, for canonical gates and
+    for Gates built directly with any qubits (numpy ints, bools, repeats)."""
+    _, kind, qs = raw
+    gates = [sc.Gate(kind, qs), sc.Gate(kind, list(qs))]
+    try:
+        gates.append(sc.gate(kind, *qs))
+    except ValueError:
+        pass
+    for g in gates:
+        assert str(g) == " ".join([g.kind] + [str(q) for q in g.qubits])
+
+
 def _outcome(build):
     try:
         return build()
@@ -197,10 +212,11 @@ def test_circuit_checks_exactly_what_gate_and_circuit_check(raw, data):
                 build(bad, box([g]))
     if isinstance(got, str):
         return
-    for bad in (float(m), m + 0.5):
-        with pytest.raises(sc.ParseError, match="^qubit count %s is not an integer$"
-                           % re.escape(repr(bad))):
-            sc.parse(sc.serialize(got), m=bad)
+    for bad in (float(m), m + 0.5, str(m)):
+        for text in (sc.serialize(got), sc.save_circuit_text(got)):
+            with pytest.raises(sc.ParseError, match="^qubit count %s is not an integer$"
+                               % re.escape(repr(bad))):
+                sc.parse(text, m=bad)
     assert [type(x) for x in got.gates] == [sc.Gate]
     assert type(sc.Circuit(np.int64(m), box(got.gates)).m) is int
     assert sc.parse(sc.save_circuit_text(got)) == got

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import sympcliff as sc
-from sympcliff.gf2core import _eliminate, _pack, _rank
+from sympcliff.gf2core import _eliminate, _pack, _rank, _transpose
 from helpers import (ref_coset_leader, ref_invert, ref_lex_min_nonzero,
                      ref_lu_decompose, ref_mul, ref_nullspace, ref_rank,
                      ref_rref, ref_solve_linear)
@@ -69,6 +69,12 @@ def outcome(fn, *args):
         return fn(*args)
     except (sc.SingularMatrixError, sc.InfeasibleError) as err:
         return type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_transpose_matches_numpy(m):
+    assert _transpose(_pack(m), m.shape[1]) == _pack(m.T)
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
+from sympcliff.circuit import GATE_KINDS
+from helpers import ref_parse
+
+# the module: sc.circuit is the function of that name
+CIRCUIT = importlib.import_module("sympcliff.circuit")
 
 DIRECTIVES = (
     "qubits", "stabilizer", "logicalX", "logicalZ", "op", "policy", "mapX",
@@ -63,3 +71,55 @@ def test_parsers_refuse_trailing_tokens(parser, text, message):
     with pytest.raises(sc.ParseError) as err:
         parser(text)
     assert str(err.value) == message
+
+
+# Circuit text lines: every gate kind and an unknown one at arity 0 to 3 on
+# qubits 0, -1, 1-7, huge and non-integer; well-formed one-qubit lines and
+# CZ and CNOT pairs (equal and descending ones among them), weighted up so
+# that many texts parse; PERMUTE images, headers and comments.
+QUBITS = ("0", "-1", "1", "2", "3", "4", "5", "6", "7",
+          "100000000000000000000", "1.5", "two")
+_gate_lines = st.builds(lambda kind, qs: " ".join((kind,) + tuple(qs)),
+                        st.sampled_from(GATE_KINDS + ("SWAP",)),
+                        st.lists(st.sampled_from(QUBITS), max_size=3))
+_singles = st.builds("{} {}".format, st.sampled_from(("H", "P", "X", "Y", "Z")),
+                     st.integers(1, 7))
+_pairs = st.builds("{} {} {}".format, st.sampled_from(("CZ", "CNOT")),
+                   st.integers(1, 7), st.integers(1, 7))
+_permutes = st.integers(1, 7).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(
+    lambda image: "PERMUTE " + " ".join(map(str, image)))
+_headers = st.sampled_from(("qubits 1", "qubits 2", "qubits 3", "qubits 6",
+                            "qubits 0", "qubits", "qubits x", "qubits 2 7"))
+_circuit_lines = st.tuples(
+    st.one_of(_singles, _pairs, _singles, _pairs, _gate_lines, _permutes,
+              _headers, st.just("")),
+    st.sampled_from(("", "  # note", "#"))).map("".join)
+
+
+def _parse_outcome(parse, text, m):
+    try:
+        return parse(text, m)
+    except sc.ParseError as exc:
+        return "ParseError: %s" % exc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_circuit_lines, min_size=1, max_size=5).map("\n".join))
+def test_parse_matches_the_gate_per_line_parser(text):
+    """parse's one table check per line gives ref_parse's circuit or its
+    ParseError text, and hands Circuit every gate already in gate()'s form
+    (int qubits, CZ pairs ascending), so Circuit rebuilds none of them."""
+    real = CIRCUIT.circuit
+    for m in (None, 1, 2, 3, 6):
+        want = _parse_outcome(ref_parse, text, m)
+        handed = []
+        with mock.patch.object(CIRCUIT, "circuit",
+                               lambda m, gates: real(m, handed.extend(gates) or gates)):
+            got = _parse_outcome(sc.parse, text, m)
+        assert got == want
+        if not isinstance(want, str):
+            assert handed == list(want.gates)
+            assert all(type(g) is sc.Gate and all(type(q) is int for q in g.qubits)
+                       for g in handed)
+

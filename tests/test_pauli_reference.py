@@ -84,6 +84,15 @@ def test_operations_match_reference(pair, data):
     assert sc.conjugate_many(circ, [p, q]) == ref_conjugate_many(circ, [rp, rq])
 
 
+@pytest.mark.parametrize("label", [
+    "+XZ", "-ZY", "+iYI", "-iXX", "XZ", "iX", "+-X", "", "+", "-", "+i", "-i",
+    "ii", " -iZ ", "Xi", "é", "-é", "+iéX",
+])
+@pytest.mark.parametrize("m", [None, 1, 2])
+def test_from_label_reads_every_phase_prefix_as_the_reference(label, m):
+    assert _parsed(sc.from_label, label, m) == _parsed(ref_from_label, label, m)
+
+
 def test_bit_arrays_are_read_only_uint8():
     p = sc.from_label("-XYZI")
     for bits, want in ((p.a, [1, 1, 0, 0]), (p.b, [0, 1, 1, 0])):

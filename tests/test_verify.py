@@ -180,6 +180,29 @@ def test_verify_reports_the_exact_failing_row(code642):
     assert "FAIL S1" in text and text.endswith("result: fail")
 
 
+def _three_label_render(report):
+    """ConjugationReport.render as it formatted all three labels of a row."""
+    lines = ["%-4s %-4s %s -> %s (want %s)"
+             % ("ok" if r.ok else "FAIL", r.name, sc.to_label(r.given),
+                sc.to_label(r.computed), sc.to_label(r.expected))
+             for r in report.rows]
+    return "\n".join(lines + ["result: %s" % ("pass" if report.passed else "fail")])
+
+
+def test_render_reuses_the_computed_label_only_for_an_equal_wanted_operator(code642):
+    spec = sc.load_spec((FIXTURES / "cz12.spec").read_text())
+    passing = sc.verify_solution(code642, spec, _circ(6, "Z 6\nCZ 2 3\nCZ 2 6\nCZ 3 6\n"))
+    # a deliberately wrong circuit: the sign fix and a CZ dropped, an H added
+    failing = sc.verify_solution(code642, spec, _circ(6, "CZ 2 3\nCZ 2 6\nH 4\n"))
+    assert passing.passed and not failing.passed
+    row = passing.rows[0]
+    # a row whose images agree but that failed the dense check
+    odd = sc.ConjugationReport((sc.ReportRow(row.name, row.given, row.expected,
+                                             row.computed, False),))
+    for report in (passing, failing, odd):
+        assert report.render() == _three_label_render(report)
+
+
 @pytest.mark.parametrize("labels,sizes", [
     (["XIIZZ"], (5, 3)),           # too long: the extra qubits were ignored
     (["XII", "XIIZ"], (4, 3)),     # mixed sizes

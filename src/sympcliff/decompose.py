@@ -30,10 +30,13 @@ picking A's pivot columns, then columns k..m-1 of B Q2^T,
 
     Q1 = [A | B Q2^T] S,   R1 = Q1^T [C | D Q2^T] S,
 
-and R2 is the top-left k x k block of T B Q2^T.  Four self-checks raise:
-F is symplectic (ValueError), B Q2^T = Q1 (R2 + diag(0, I)) with R2
-symmetric, R1 is symmetric, and the kept factors multiply back to F
-(RuntimeError).  The scalar core, _factor, runs this on packed rows.
+and R2 is the top-left k x k block of T B Q2^T.  Three self-checks raise
+RuntimeError: B Q2^T = Q1 (R2 + diag(0, I)) with R2 symmetric, R1 is
+symmetric, and the kept factors multiply back to F.  Every kept factor is
+symplectic by construction, so the last check also proves F symplectic;
+only when the closed form fails is F's Gram matrix compared with Omega,
+to raise ValueError for an input that is not symplectic.  The scalar core,
+_factor, runs this on packed rows.
 
 A bit-sliced lane core (_factor_lanes, _emit_lanes; McBits' layout,
 Bernstein, Chou & Schwabe, CHES 2013) runs the same closed form and
@@ -122,8 +125,8 @@ class ElementaryFactor:
 
 def _made(kind: str, m: int, rows=(), inv_t=(), k: int | None = None,
           f: ElementaryFactor | None = None) -> ElementaryFactor:
-    """A factor of packed rows, unchecked (_factor's product check covers
-    every factor it returns); fills f when given."""
+    """A factor of packed rows, unchecked (_closed_form's product check
+    covers every factor it returns); fills f when given."""
     f = object.__new__(ElementaryFactor) if f is None else f
     for name, value in zip(f.__slots__, (kind, m, k, tuple(rows), tuple(inv_t))):
         object.__setattr__(f, name, value)
@@ -194,11 +197,24 @@ def _factor(rows: list[int], m: int) -> list[ElementaryFactor]:
 
     Identity factors are dropped, and so are Omega and G_m when nothing is
     left between them.  Raises ValueError when F is not symplectic, and
-    RuntimeError when a self-check fails.
+    RuntimeError when a self-check fails on a symplectic F.  Only a failed
+    closed form compares F's Gram matrix with Omega: the product check of
+    a passing one already proves F symplectic.
     """
-    if _gram_mismatch(rows, [1 << c for c in range(2 * m)], m) is not None:
-        raise ValueError("input matrix is not symplectic")
+    try:
+        return _closed_form(rows, m)
+    except (RuntimeError, SingularMatrixError):
+        if _gram_mismatch(rows, [1 << c for c in range(2 * m)], m) is not None:
+            raise ValueError("input matrix is not symplectic") from None
+        raise
 
+
+def _closed_form(rows: list[int], m: int) -> list[ElementaryFactor]:
+    """_factor without its symplectic check.  Each kept factor is
+    symplectic by construction (Q with Q^-T, a checked-symmetric R, G_k,
+    Omega), so the factors' product, checked to be F, is too.  On an input
+    that is not symplectic some check fails: a RuntimeError, or a
+    SingularMatrixError from inverting Q1."""
     # one elimination of [A | I] gives the pivots and the row operations T
     identity = [1 << i for i in range(m)]
     low = (1 << m) - 1

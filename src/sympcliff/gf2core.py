@@ -7,10 +7,15 @@ module.  Underneath, each row is one Python int, bit c holding column c, so
 a row operation is one integer XOR, as in the packed tableau rows of CHP
 and Stim; products (mul) run in float64 through BLAS.  The private kernels
 take and return such ints: _eliminate, _inverse, _lu, _mul_rows and
-_transpose serve decompose's factoring core, _rank serves every rank-only
-check, and the growing echelon form (_echelon_insert, _echelon_solve), the
-affine solve (_solve), the basis completion (_hyperbolic) and the Gram
-comparison (_gram_mismatch) serve sympsolve and synth.
+_transpose serve decompose's factoring core, and the basis completion
+(_hyperbolic) and the Gram comparison (_gram_mismatch) serve sympsolve and
+synth.  Every other elimination uses one echelon form: a dict mapping each
+row's highest set bit, as its bit_length, to that row (_echelon_insert).
+_rank counts its rows.  Each solve puts its rows, each with its right-hand
+side in an extra low bit, through that forward elimination (_augment) and
+reads solutions off it by back-substitution (_substitute): the lex-min
+solution of the transvection chain and the sign fix (_echelon_solve), and
+the affine solve with its reduced nullspace basis (_solve).
 """
 
 from __future__ import annotations
@@ -190,102 +195,92 @@ def _eliminate(rows: list[int], cols: int) -> list[int]:
     return pivots
 
 
-def _rank(rows: list[int]) -> int:
-    """Rank of packed rows, without Gauss-Jordan: each row is reduced only
-    against the rows kept so far whose highest bit it has, highest first,
-    and is kept under its own highest bit when something is left."""
-    kept: dict[int, int] = {}
-    for r in rows:
-        while r:
-            top = r.bit_length()
-            if top not in kept:
-                kept[top] = r
-                break
-            r ^= kept[top]
-    return len(kept)
+def _echelon_insert(ech: dict[int, int], row: int) -> int:
+    """Add a packed row to an echelon form, in place, and return what is
+    left of it (0 when it lies in the span).
 
-
-def _echelon_insert(ech: list[tuple[int, int]], row: int) -> None:
-    """Add a packed row to a reduced echelon form, in place.
-
-    ech holds (pivot bit, row) pairs: each pivot is its row's highest set
-    bit, and no other row has a 1 there.  A row already in the span is
-    dropped.
+    ech maps each stored row's highest set bit, as its bit_length, to that
+    row.  The row is reduced only by the stored rows whose highest bit it
+    has, highest first, and is kept under its own highest bit when
+    something is left; the stored rows are not touched.
     """
-    for bit, e in ech:
-        if row & bit:
-            row ^= e
-    if row:
-        bit = 1 << (row.bit_length() - 1)
-        ech[:] = [(p, e ^ row) if e & bit else (p, e) for p, e in ech]
-        ech.append((bit, row))
+    while row:
+        top = row.bit_length()
+        if (e := ech.get(top)) is None:
+            ech[top] = row
+            break
+        row ^= e
+    return row
 
 
-def _reduce(ech: list[tuple[int, int]], y: int,
-            extra: list[tuple[int, int]]) -> list[tuple[int, int, int]] | None:
-    """The (row, rhs) pairs of extra, each reduced against ech (whose rows e
-    have the right-hand sides parity(e & y)) and the rows before it, as
-    (pivot bit, row, rhs) triples in reduced echelon form, each pivot its
-    row's highest set bit; None when they are inconsistent."""
-    new: list[tuple[int, int, int]] = []
-    for row, rhs in extra:
-        start = row
-        for bit, e in ech:
-            if row & bit:
-                row ^= e
-        rhs ^= ((row ^ start) & y).bit_count() & 1
-        for bit, u, s in new:
-            if row & bit:
-                row ^= u
-                rhs ^= s
-        if not row:
-            if rhs:
-                return None
-            continue
-        bit = 1 << (row.bit_length() - 1)
-        new = [(p, u ^ row, s ^ rhs) if u & bit else (p, u, s) for p, u, s in new]
-        new.append((bit, row, rhs))
-    return new
+def _rank(rows: list[int]) -> int:
+    """Rank of packed rows, without Gauss-Jordan (_echelon_insert)."""
+    ech: dict[int, int] = {}
+    for r in rows:
+        _echelon_insert(ech, r)
+    return len(ech)
 
 
-def _echelon_solve(ech: list[tuple[int, int]], y: int,
+def _augment(ech: dict[int, int], pairs) -> bool:
+    """Insert (row, rhs) pairs into an echelon form of augmented rows, in
+    place: row << 1 | rhs, so bit 0 carries the right-hand side through
+    every XOR and column c sits at bit c + 1.  False when a pair is
+    inconsistent with the rows before it (it reduces to the bare rhs 1)."""
+    for row, rhs in pairs:
+        if _echelon_insert(ech, row << 1 | rhs) == 1:
+            return False
+    return True
+
+
+def _substitute(pivots: list[tuple[int, int]], w: int) -> int:
+    """Back-substitution over the (top, row) pairs of an augmented echelon
+    form (_augment), in ascending order.  The start w is packed as
+    w << 1 | 1 to honour the right-hand sides, or as w << 1 for the
+    homogeneous system.  Each pivot column is set when its row's parity
+    with w so far is 1, which makes it 0; the free columns keep the start's
+    values.  Returns the solution, unshifted."""
+    for top, r in pivots:
+        if (r & w).bit_count() & 1:
+            w |= 1 << (top - 1)
+    return w >> 1
+
+
+def _echelon_solve(ech: dict[int, int], y: int,
                    extra: list[tuple[int, int]]) -> int | None:
     """Lexicographically smallest packed w (column 0 most significant) with
     parity(e & w) = parity(e & y) for every stored row e of ech and
     parity(row & w) = rhs for every extra (row, rhs) pair; None when the
     system is inconsistent.
 
-    With the extras reduced (_reduce), every free column at 0 is the lex-min
-    choice, as in _solve, and the new pivots take their right-hand sides z;
-    each stored row e, which has a 1 at no other stored pivot, then takes
-    parity(e & (y ^ z)) without being back-reduced or carrying a transform.
+    The stored rows, with their right-hand sides, and the extras go
+    through one forward elimination (_augment), then one back-substitution
+    (_substitute) with every free column at 0.  The pivot columns are an
+    invariant of the row space, so only the free columns are a choice, and
+    all at 0 is the lex-min one.
     """
-    new = _reduce(ech, y, extra)
-    if new is None:
+    aug = {top + 1: e << 1 | (e & y).bit_count() & 1 for top, e in ech.items()}
+    if not _augment(aug, extra):
         return None
-    w = sum(bit for bit, _, s in new if s)  # distinct pivot bits: sum is OR
-    yz = y ^ w
-    for bit, e in ech:
-        if (e & yz).bit_count() & 1:
-            w |= bit
-    return w
+    return _substitute(sorted(aug.items()), 1)
 
 
 def _solve(rows: list[tuple[int, int]], cols: int) -> tuple[int, list[int]] | None:
     """(x, null) for parity(row & x) = rhs over the (row, rhs) pairs of
     cols bits, or None when inconsistent: x is the lexicographically
     smallest solution (column 0 most significant) and null the reduced
-    echelon basis of the nullspace.  Each reduced row's pivot is its highest
-    bit and its other 1s are at free columns below, so the free columns at
-    0 give x, and free column f gives e_f plus the pivots of its rows.
+    echelon basis of the nullspace.
+
+    One forward elimination (_augment) serves every back-substitution
+    (_substitute): x has every free column at 0, and the nullspace row of
+    free column f is the homogeneous solution with e_f on the free
+    columns, which is that basis's row for f.
     """
-    new = _reduce([], 0, rows)
-    if new is None:
+    ech: dict[int, int] = {}
+    if not _augment(ech, rows):
         return None
-    pivots = sum(bit for bit, _, _ in new)
-    return (sum(bit for bit, _, s in new if s),
-            [1 << f | sum(bit for bit, u, _ in new if u >> f & 1)
-             for f in range(cols) if not pivots >> f & 1])
+    pivots = sorted(ech.items())
+    free = [f for f in range(cols) if f + 2 not in ech]  # column f is bit f + 1
+    return _substitute(pivots, 1), [_substitute(pivots, 2 << f) for f in free]
 
 
 def rref(m_in) -> tuple[np.ndarray, list[int], np.ndarray]:

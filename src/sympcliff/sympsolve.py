@@ -54,12 +54,12 @@ def map_vector(x, y) -> list[np.ndarray]:
     if not x.any() or not y.any():
         raise InfeasibleError("transvections move only nonzero vectors")
     px, py = _pack(np.vstack([x, y]))
-    return list(_unpack(_step(px, py, [], x.shape[0] // 2), x.shape[0]))
+    return list(_unpack(_step(px, py, {}, x.shape[0] // 2), x.shape[0]))
 
 
-def _step(xt: int, y: int, ech: list[tuple[int, int]], m: int) -> list[int]:
+def _step(xt: int, y: int, ech: dict[int, int], m: int) -> list[int]:
     """Packed transvection vectors taking xt to y while fixing the earlier
-    targets, whose rows y_j Omega ech holds in reduced echelon form:
+    targets, whose rows y_j Omega ech holds in echelon form:
     [] when xt == y, [xt + y] when <xt, y> = 1, else [w + y, xt + w] for the
     smallest w with <xt, w> = <y, w> = 1 and <y_j, w> = <y_j, y>, so fixing
     this constraint disturbs none before it."""
@@ -146,7 +146,7 @@ def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
     _validate(system)
     m = system.m
     f = [1 << c for c in range(2 * m)]
-    ech: list[tuple[int, int]] = []
+    ech: dict[int, int] = {}
     hs: list[int] = []
     for x, y in zip(system._xs, system._ys):
         xt = 0  # x F: the XOR of F's rows at the set bits of x

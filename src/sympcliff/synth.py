@@ -132,11 +132,18 @@ def realize(code: StabilizerCode, spec: CliffordSpec, f: np.ndarray,
             dense_check: bool = False) -> SynthesisResult:
     """Turn one symplectic solution into a verified physical circuit.
 
-    A spec that does not fit the code raises ValueError first.  The report
-    is built from the sign fix's own conjugation pass (verify._sign_fix);
+    A spec that does not fit the code raises ValueError first, then an f
+    that is not 2m x 2m for the code's m qubits.  f is read once, reduced
+    mod 2, into a uint8 array that the result owns.  The report is built
+    from the sign fix's own conjugation pass (verify._sign_fix);
     verify_solution stays an independent check for callers.
     """
     _check_spec(code, spec)
+    f = asbits(f).copy()
+    n = 2 * code.m
+    if f.shape != (n, n):
+        raise ValueError("f must be %d x %d for a code on %d qubits, got %s"
+                         % (n, n, code.m, " x ".join(map(str, f.shape)) or "a scalar"))
     factors = decompose(f)
     rows, circ, correction, images = _sign_fix(
         code, spec, factors_to_circuit(factors, code.m))

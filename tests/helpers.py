@@ -2,8 +2,9 @@
 eight-element solution sets for the [[6,4,2]] code's logical gates; the
 numpy reference implementations that sympcliff's packed kernels are checked
 against; the per-letter reference Pauli labels; the gate()-per-line circuit
-parser; random circuits over every gate kind; and a hypothesis strategy for
-random symplectic matrices."""
+parser; random circuits over every gate kind; a hypothesis strategy for
+random symplectic matrices; and Hamming codes with random logical
+Cliffords."""
 
 from __future__ import annotations
 
@@ -922,3 +923,30 @@ def symplectic(draw, max_m=12, families=SYMPLECTIC_FAMILIES, min_m=1):
                            max_size=3 * m)):
         f = ref_mul(f, sc.transvection_matrix(h))
     return f
+
+
+# Hamming codes
+
+def hamming_parity(r: int) -> np.ndarray:
+    """The r x (2^r - 1) Hamming parity check matrix: column c - 1 holds c
+    in binary, least significant bit in row 0."""
+    return np.array([[(c >> i) & 1 for c in range(1, 1 << r)] for i in range(r)],
+                    dtype=np.uint8)
+
+
+def random_logical_spec(code, rng, name: str):
+    """A CliffordSpec sending the code's logical Paulis to the images of a
+    random product of 3n + 1 transvections on them, with random signs."""
+    import sympcliff as sc
+    n = code.n_logical
+    logical = np.vstack([sc.logical_x_gamma(code), sc.logical_z_gamma(code)])
+    g = np.eye(2 * n, dtype=np.uint8)
+    for _ in range(3 * n + 1):
+        g = sc.mul(g, sc.transvection_matrix(
+            rng.integers(0, 2, size=2 * n, dtype=np.uint8)))
+    images = sc.mul(g, logical)
+    signs = 2 * rng.integers(0, 2, size=2 * n)
+    return sc.CliffordSpec(
+        name=name,
+        images_x={i + 1: sc.from_gamma(images[i], signs[i]) for i in range(n)},
+        images_z={i + 1: sc.from_gamma(images[n + i], signs[n + i]) for i in range(n)})

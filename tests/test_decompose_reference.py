@@ -8,6 +8,8 @@ helpers.symplectic, whose families reach every branch of the factoring.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from sympcliff.circuit import _score_planes
 from sympcliff.decompose import (FACTOR_KINDS, _emit_lanes, _factor_lanes,
                                  _lane_gates)
 from conftest import FIXTURES
-from helpers import (_invertible, _symmetric, ref_decompose, ref_depth,
-                     ref_expand, ref_factor_to_gates, ref_mul, ref_slice,
-                     ref_solutions, ref_unsigned, symplectic)
+from helpers import (_invertible, _symmetric, bit_arrays, hamming_parity,
+                     random_logical_spec, ref_decompose, ref_depth, ref_expand,
+                     ref_factor_to_gates, ref_mul, ref_slice, ref_solutions,
+                     ref_unsigned, symplectic)
 
 
 def _assert_same_factors(got, want):
@@ -69,6 +72,45 @@ def test_flipped_bits_raise_what_the_reference_raises(f, data):
         assert str(got.value) == str(exc)
         return
     _assert_same_factors(sc.decompose(g), want)
+
+
+def _refused_or_factored_as_the_reference(f):
+    """decompose refuses f with exactly the ValueError of a matrix that is
+    not symplectic, or factors it as ref_decompose does."""
+    if sc.is_symplectic(f):
+        _assert_same_factors(sc.decompose(f), ref_decompose(f))
+        return
+    with pytest.raises(Exception) as got:
+        sc.decompose(f)
+    assert type(got.value) is ValueError
+    assert str(got.value) == "input matrix is not symplectic"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: bit_arrays(2 * m, 2 * m)))
+def test_uniform_random_matrices_are_refused_or_factored(f):
+    # almost none of these is symplectic, so the closed form fails on them
+    # and only the Gram comparison behind it names the fault
+    _refused_or_factored_as_the_reference(f)
+
+
+@functools.cache
+def _hamming_solution(r: int) -> np.ndarray:
+    code = sc.css_build(sc.CssSpec(hc=hamming_parity(r)))
+    spec = random_logical_spec(code, np.random.default_rng(r), "flip%d" % r)
+    return sc.find_symplectic(sc.build_system(code, spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((4, 5)), st.data())
+def test_flipped_bits_of_hamming_solutions_are_refused(r, data):
+    # one or two flipped bits of a [[15,7,3]] or [[31,21,3]] solution
+    f = _hamming_solution(r).copy()
+    n = f.shape[0]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in data.draw(st.lists(cells, min_size=1, max_size=2, unique=True)):
+        f[i, j] ^= 1
+    _refused_or_factored_as_the_reference(f)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
-from sympcliff.gf2core import _echelon_insert, _echelon_solve, _unpack
-from helpers import bits
+from sympcliff.gf2core import _echelon_insert, _echelon_solve, _pack, _unpack
+from helpers import bits, hamming_parity, ref_nullspace
 
 
 @st.composite
@@ -218,13 +218,12 @@ def test_echelon_solve_matches_solve_linear(data):
     width = data.draw(st.sampled_from((2, 8, 62, 64)))
     word = st.integers(0, (1 << width) - 1)
     inserted = data.draw(st.lists(word, max_size=width))
-    ech = []
+    ech = {}
     for row in inserted:
         _echelon_insert(ech, row)
-    # reduced echelon: each pivot is its row's highest bit, in no other row
-    for bit, e in ech:
-        assert bit == 1 << (e.bit_length() - 1)
-        assert [o & bit != 0 for _, o in ech].count(True) == 1
+    # echelon: each key is its row's highest bit, as its bit_length
+    for top, e in ech.items():
+        assert top == e.bit_length()
     assert len(ech) == sc.rank(_unpack(inserted, width))
     y = data.draw(word)
     extra = []
@@ -245,6 +244,48 @@ def test_echelon_solve_matches_solve_linear(data):
     assert (got is None) == (want is None)
     if want is not None:
         assert np.array_equal(_unpack([got], width)[0], want[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_solve_is_lex_min_over_every_w(data):
+    width = data.draw(st.integers(1, 10))
+    word = st.integers(0, (1 << width) - 1)
+    stored = data.draw(st.lists(word, max_size=width + 2))
+    extra = data.draw(st.lists(st.tuples(word, st.integers(0, 1)), max_size=width + 2))
+    y = data.draw(word)
+    ech = {}
+    for row in stored:
+        _echelon_insert(ech, row)
+    hits = [w for w in range(1 << width)
+            if all((e & w).bit_count() % 2 == (e & y).bit_count() % 2 for e in stored)
+            and all((row & w).bit_count() % 2 == rhs for row, rhs in extra)]
+    # lex order, column 0 most significant
+    want = min(hits, key=lambda w: [w >> c & 1 for c in range(width)], default=None)
+    assert _echelon_solve(ech, y, extra) == want
+
+
+@pytest.mark.parametrize("r", (3, 4, 5))
+def test_echelon_solve_on_the_sign_fix_systems_of_hamming_codes(r):
+    # the sign fix solves for [c | d] with one row [z | x] per stabilizer
+    # generator and logical Pauli: k + 2n rows of 2m columns, m up to 31
+    code = sc.css_build(sc.CssSpec(hc=hamming_parity(r)))
+    m = code.m
+    given = [g.z | g.x << m
+             for g in (*code.stabilizers, *code.logical_x, *code.logical_z)]
+    # every nullspace vector n, from the numpy reference: got ^ n is the
+    # larger solution exactly when got has a 0 at n's lowest set bit
+    span = [0]
+    for n in _pack(ref_nullspace(_unpack(given, 2 * m))):
+        span += [s ^ n for s in span]
+    rng = np.random.default_rng(r)
+    for _ in range(20):
+        rhs = rng.integers(0, 2, size=len(given)).tolist()
+        got = _echelon_solve({}, 0, list(zip(given, rhs)))
+        # the rows are independent, so every right-hand side is reachable
+        assert got is not None
+        assert [(row & got).bit_count() & 1 for row in given] == rhs
+        assert not any(got & n & -n for n in span[1:])
 
 
 def test_lu_identity():

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import sympcliff as sc
 from sympcliff import sympsolve
-from helpers import (as_set, golden_solution_sets, ref_find_symplectic,
-                     symplectic)
+from helpers import (as_set, golden_solution_sets, hamming_parity,
+                     random_logical_spec, ref_find_symplectic, symplectic)
 
 
 def test_transvection_of_zero_is_identity():
@@ -286,30 +286,13 @@ def test_find_symplectic_rejections_match_numpy_oracle(xs, ys):
     assert got == _outcome(ref_find_symplectic, system)
 
 
-def _hamming_parity(r):
-    return np.array([[(c >> i) & 1 for c in range(1, 1 << r)] for i in range(r)],
-                    dtype=np.uint8)
-
-
 @pytest.mark.parametrize("r", (3, 4, 5))
 def test_find_symplectic_on_hamming_codes_matches_oracle_and_realizes(r):
     # [[7,1,3]], [[15,7,3]] and [[31,21,3]]: m up to 31, t up to 52
-    code = sc.css_build(sc.CssSpec(hc=_hamming_parity(r)))
-    n = code.n_logical
-    logical = np.vstack([sc.logical_x_gamma(code), sc.logical_z_gamma(code)])
+    code = sc.css_build(sc.CssSpec(hc=hamming_parity(r)))
     rng = np.random.default_rng(1000 + r)
     for trial in range(3):
-        g = np.eye(2 * n, dtype=np.uint8)
-        for _ in range(3 * n + 1):
-            g = sc.mul(g, sc.transvection_matrix(
-                rng.integers(0, 2, size=2 * n, dtype=np.uint8)))
-        images = sc.mul(g, logical)
-        signs = 2 * rng.integers(0, 2, size=2 * n)
-        spec = sc.CliffordSpec(
-            name="hamming%d_%d" % (r, trial),
-            images_x={i + 1: sc.from_gamma(images[i], signs[i]) for i in range(n)},
-            images_z={i + 1: sc.from_gamma(images[n + i], signs[n + i])
-                      for i in range(n)})
+        spec = random_logical_spec(code, rng, "hamming%d_%d" % (r, trial))
         system = sc.build_system(code, spec)
         f = sc.find_symplectic(system)
         assert f.tobytes() == ref_find_symplectic(system).tobytes()

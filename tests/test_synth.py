@@ -412,6 +412,48 @@ def test_synthesis_results_compare_by_value(code642):
         hash(a)
 
 
+def _cz12_solution(code642):
+    spec = _spec("cz12")
+    return spec, sc.find_symplectic(sc.build_system(code642, spec))
+
+
+def test_realize_reads_a_list_into_a_uint8_array(code642):
+    spec, f = _cz12_solution(code642)
+    res = sc.realize(code642, spec, f.tolist())
+    assert res.f.dtype == np.uint8 and res.f.shape == f.shape
+    assert res == sc.realize(code642, spec, f)
+
+
+def test_realize_reduces_other_dtypes_to_the_same_result(code642):
+    spec, f = _cz12_solution(code642)
+    want = sc.realize(code642, spec, f)
+    for g in (f.astype(np.int64), f.astype(bool), f.astype(np.int64) + 2):
+        res = sc.realize(code642, spec, g)
+        assert res.f.dtype == np.uint8 and res == want
+
+
+def test_realize_keeps_its_own_copy_of_f(code642):
+    spec, f = _cz12_solution(code642)
+    res = sc.realize(code642, spec, f)
+    before = res.f.copy()
+    f ^= 1
+    assert np.array_equal(res.f, before)
+    assert res == sc.realize(code642, spec, before)
+
+
+@pytest.mark.parametrize("f, got", [
+    (np.eye(16, dtype=np.uint8), "16 x 16"),
+    (sc.omega(2), "4 x 4"),
+    (np.eye(12, dtype=np.uint8)[:11], "11 x 12"),
+    (np.zeros(144, np.uint8), "144"),
+    (1, "a scalar"),
+])
+def test_realize_names_the_expected_shape(code642, f, got):
+    with pytest.raises(ValueError, match="^f must be 12 x 12 for a code on 6 "
+                       "qubits, got %s$" % got):
+        sc.realize(code642, _spec("cz12"), f)
+
+
 def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
     # a fake pool that records its size and maps in this process, so no
     # worker process starts whatever jobs asks for

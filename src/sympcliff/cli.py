@@ -46,8 +46,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="allow stabilizer generators to map across the group")
     syn.add_argument("--out", default=".", help="output directory")
     syn.add_argument("--jobs", type=int, default=1,
-                     help="parallel worker processes; min_depth splits its "
-                          "ranking of the solutions across them")
+                     help="worker processes for the min-depth ranking, each "
+                          "ranking one range of solutions; --all runs in "
+                          "this process")
     syn.add_argument("--max-solutions", type=int, default=1 << 20,
                      help="abort if the solution count exceeds this")
     syn.add_argument("--dense", action="store_true",

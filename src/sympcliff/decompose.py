@@ -395,13 +395,38 @@ def _factor_lanes(f, full: int) -> list[tuple]:
 
     The factors follow the closed form of the module docstring.  Each
     self-check of _factor runs on every lane as an OR over a difference,
-    and raises as _factor does when any lane fails.
+    and raises as _factor does when any lane fails: as in _factor, the
+    lanes' Gram matrices are compared with Omega only after a failed
+    check, and ValueError is raised when any lane is not symplectic.
     """
+    try:
+        return _closed_form_lanes(f, full)
+    except (RuntimeError, SingularMatrixError):
+        m = len(f) // 2
+        omega = [r[m:] + r[:m] for r in _diag([full] * 2 * m)]
+        if _differ(_dots([r[m:] + r[:m] for r in f], f), omega):
+            raise ValueError("input matrix is not symplectic") from None
+        raise
+
+
+def _closed_form_lanes(f, full: int) -> list[tuple]:
+    """_factor_lanes without its symplectic check.  Q2 is inverted (a
+    singular lane raises), R1 and R2 are checked symmetric, and the block
+    checks give A = Q1 U Q2, B = Q1 (R2 + L) Q2^-T and
+
+        Q1^T [C | D] = [(R1 U + L) Q2 | (U + R1 (R2 + L)) Q2^-T],
+
+    U = diag(I_k, 0) and L = diag(0, I_{m-k}).  Q1 is never inverted here,
+    but a lane that passes has Q1 invertible.  Take v with v (R1 U + L) = 0
+    and v (U + R1 (R2 + L)) = 0.  The L block of the first forces v's last
+    m - k entries to 0, and the rest of it leaves v R1 zero on the first k
+    columns; the first k entries of the second are then v's first k
+    entries, so v = 0.  The right side has rank m, so Q1^T does, and F is
+    the product of the template's factors, each symplectic by
+    construction.  A lane that is not symplectic therefore fails some
+    check."""
     m = len(f) // 2
     top, bottom = f[:m], f[m:]
-    omega = [r[m:] + r[:m] for r in _diag([full] * 2 * m)]
-    if _differ(_dots([r[m:] + r[:m] for r in f], f), omega):
-        raise ValueError("input matrix is not symplectic")
 
     # A's pivot rows, each with its row operations riding along, take slots
     # 0..k-1; free column c of A gives the nullspace row e_c plus the pivots

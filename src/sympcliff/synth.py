@@ -194,9 +194,8 @@ def _deltas(code: StabilizerCode, f0: np.ndarray) -> np.ndarray:
                & (rows != cols)[:, None, None]))[::-1]  # [b]: index bit b
 
 
-def _solutions(code: StabilizerCode, f0: np.ndarray, start: int, stop: int):
+def _solutions(f0: np.ndarray, deltas: np.ndarray, start: int, stop: int):
     """Solutions start..stop-1 of the code's system, one by one (see _deltas)."""
-    deltas = _deltas(code, f0)
     for i in range(start, stop):
         yield f0 ^ reduce(np.bitwise_xor, (deltas[b] for b in _bits(i)), 0)
 
@@ -248,23 +247,14 @@ def _rank(code: StabilizerCode, spec: CliffordSpec, f0, deltas, idx, best=None):
 
 
 def _rank_range(code: StabilizerCode, spec: CliffordSpec, f0: np.ndarray,
-                start: int, stop: int):
+                deltas: np.ndarray, start: int, stop: int):
     """_rank over solutions start..stop-1 (one worker's share), one batch
     per aligned block of _CHUNK indices."""
-    deltas = _deltas(code, f0)
     best = None
     for block in range(start - start % _CHUNK, stop, _CHUNK):
         best = _rank(code, spec, f0, deltas,
                      range(max(start, block), min(stop, block + _CHUNK)), best)
     return best
-
-
-def _map(workers: int, fn, *args) -> list:
-    """list(map(fn, *args)), over worker processes when workers > 1."""
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, *args))
-    return list(map(fn, *args))
 
 
 def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
@@ -273,16 +263,18 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     """All verified circuit solutions ("all"), or the best one ("min_depth").
 
     The solutions are f0 = find_symplectic(build_system(code, spec)) shifted
-    in closed form by every symmetric k x k binary S (see _solutions);
-    "all" lists them in S-index order, so the first result is f0.
-    min_depth ranks by depth, then gate count, then serialized text, so the
-    choice is a deterministic function of the solution set.  It scores the
-    solutions one aligned block of _CHUNK at a time in the bit-sliced lane
-    core and sign-fixes only contenders (see _rank); only the
-    returned circuit goes through the public decompose, is realized with
-    its final correction and verified.  With jobs > 1 the work runs on
-    min(jobs, cpu count) worker processes (the pool starts them all at
-    once), and min_depth gives each one contiguous range of S indices.
+    by every symmetric k x k binary S, all read from one closed form
+    (_deltas); "all" realizes them in S-index order, so the first result
+    is f0.  min_depth ranks by depth, then gate count, then serialized
+    text, so the choice is a deterministic function of the solution set.
+    It scores the solutions one aligned block of _CHUNK at a time in the
+    bit-sliced lane core and sign-fixes only contenders (see _rank); only
+    the returned circuit goes through the public decompose, is realized
+    with its final correction and verified.  jobs splits only min_depth's
+    ranking, over min(jobs, cpu count) worker processes (the pool starts
+    them all at once) that each rank one contiguous range of S indices.
+    "all" runs in this process: a worker's results reach the parent
+    pickled, and unpickling one costs about as much as realizing it.
     Raises ValueError before enumerating anything when the solution count
     exceeds cap.
     """
@@ -293,15 +285,20 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     if count > cap:
         raise ValueError("solution count exceeds cap %d" % cap)
     f0 = find_symplectic(system)
-    workers = max(min(jobs, os.cpu_count() or 1), 1)
+    deltas = _deltas(code, f0)
     if mode == "all":
-        return _map(workers, realize, repeat(code), repeat(spec),
-                    _solutions(code, f0, 0, count), repeat(dense_check))
-    cuts = [count * i // workers for i in range(workers + 1)]
-    ranked = _map(workers, _rank_range, repeat(code), repeat(spec), repeat(f0),
-                  cuts[:-1], cuts[1:])
+        return [realize(code, spec, f, dense_check)
+                for f in _solutions(f0, deltas, 0, count)]
+    workers = max(min(jobs, os.cpu_count() or 1), 1)
+    if workers > 1:
+        cuts = [count * i // workers for i in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            ranked = list(ex.map(_rank_range, repeat(code), repeat(spec), repeat(f0),
+                                 repeat(deltas), cuts[:-1], cuts[1:]))
+    else:
+        ranked = [_rank_range(code, spec, f0, deltas, 0, count)]
     _, i = min((r for r in ranked if r is not None), key=lambda r: r[0])
-    return [realize(code, spec, next(_solutions(code, f0, i, i + 1)), dense_check)]
+    return [realize(code, spec, next(_solutions(f0, deltas, i, i + 1)), dense_check)]
 
 
 def normalizer_to_centralizer(code: StabilizerCode, f_n: np.ndarray) -> np.ndarray:

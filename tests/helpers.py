@@ -389,8 +389,10 @@ def ref_parse(text: str, m: int | None = None):
 
 # Reference ranking: the per-solution path that synth's batch replaced.  The
 # lane core must give every lane ref_unsigned's gate pairs and (depth,
-# gates) pair, synth._solutions must list ref_solutions' matrices in the
-# same order, and synth._sliced must give ref_slice of them.
+# gates) pair.  From f0 and the per-bit deltas of synth._deltas (the closed
+# form, built once per synthesize call), synth._solutions must list
+# ref_solutions' matrices in the same order, and synth._sliced must give
+# ref_slice of them.
 
 def ref_unsigned(f, m):
     """F's unsigned circuit as a list of Gates (each equal to its (kind,

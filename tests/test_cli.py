@@ -10,7 +10,7 @@ import pytest
 
 import sympcliff as sc
 from conftest import FIXTURES
-from sympcliff import cli
+from sympcliff import cli, synth
 from sympcliff.cli import entry, main
 
 CODE642 = str(FIXTURES / "sixfourtwo.code")
@@ -74,6 +74,27 @@ def test_synth_all_writes_every_solution(tmp_path, capsys, code642):
     for i in range(1, 9):
         circ = sc.parse((tmp_path / ("phase1_%d.circ" % i)).read_text())
         assert sc.verify_solution(code642, spec, circ).passed
+
+
+def test_synth_all_runs_in_process_at_any_jobs(tmp_path, capsys, monkeypatch):
+    # --all never starts a process pool: with one that refuses to start,
+    # --jobs 2 prints the same text and writes the same bytes as --jobs 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 4)
+    runs = []
+    for jobs in ("1", "2"):
+        cwd = tmp_path / ("jobs" + jobs)
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        rc = main(["synth", "--all", "--jobs", jobs, "--code", CODE642,
+                   "--spec", str(FIXTURES / "hadamard1.spec"), "--out", "out"])
+        files = {p.name: p.read_bytes() for p in (cwd / "out").iterdir()}
+        runs.append((rc, capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and len(runs[0][2]) == 8
 
 
 def test_synth_policy_override(tmp_path, capsys):

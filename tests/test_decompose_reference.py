@@ -95,17 +95,19 @@ def test_uniform_random_matrices_are_refused_or_factored(f):
 
 
 @functools.cache
-def _hamming_solution(r: int) -> np.ndarray:
+def _hamming_solution(r: int) -> tuple[sc.StabilizerCode, np.ndarray]:
+    """The Hamming CSS code of r parity checks, with one solution f0 of a
+    seeded random logical spec."""
     code = sc.css_build(sc.CssSpec(hc=hamming_parity(r)))
     spec = random_logical_spec(code, np.random.default_rng(r), "flip%d" % r)
-    return sc.find_symplectic(sc.build_system(code, spec))
+    return code, sc.find_symplectic(sc.build_system(code, spec))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((4, 5)), st.data())
 def test_flipped_bits_of_hamming_solutions_are_refused(r, data):
     # one or two flipped bits of a [[15,7,3]] or [[31,21,3]] solution
-    f = _hamming_solution(r).copy()
+    f = _hamming_solution(r)[1].copy()
     n = f.shape[0]
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     for i, j in data.draw(st.lists(cells, min_size=1, max_size=2, unique=True)):
@@ -200,6 +202,40 @@ def test_whole_sp4_in_one_lane_batch_matches_the_scalar_oracle(sp4):
     assert _lane_outputs(sp4, 2) == [ref_unsigned(f, 2) for f in sp4]
 
 
+def _lane_refused_or_factored(f):
+    """A one-lane batch of f gives ref_unsigned's gates and pair, or raises
+    exactly the ValueError of a matrix that is not symplectic."""
+    m = f.shape[0] // 2
+    if sc.is_symplectic(f):
+        assert _lane_outputs([f], m) == [ref_unsigned(f, m)]
+        return
+    with pytest.raises(Exception) as got:
+        _lane_outputs([f], m)
+    assert type(got.value) is ValueError
+    assert str(got.value) == "input matrix is not symplectic"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: bit_arrays(2 * m, 2 * m)))
+def test_uniform_random_one_lane_batches_are_refused_or_factored(f):
+    # Gram matrices are compared only after a failed check, so every lane
+    # that is not symplectic must fail one of the closed form's checks
+    _lane_refused_or_factored(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symplectic(max_m=6), st.data())
+def test_flipped_bits_of_one_lane_batches_are_refused_or_factored(f, data):
+    # one to three flips of a symplectic matrix, near the symplectic group
+    # where a check that proves too little would let a lane through
+    n = f.shape[0]
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    g = f.copy()
+    for i, j in data.draw(st.lists(cells, min_size=1, max_size=3, unique=True)):
+        g[i, j] ^= 1
+    _lane_refused_or_factored(g)
+
+
 def test_one_corrupted_lane_makes_the_batch_raise():
     m = 3
     rng = np.random.default_rng(9)
@@ -221,3 +257,21 @@ def test_a_full_block_batch_matches_the_scalar_oracle(code513):
     sliced = synth._sliced(f0, synth._deltas(code513, f0), range(n))
     assert _sliced_outputs(sliced, n, 5) \
         == [ref_unsigned(f, 5) for f in ref_solutions(code513, f0, 0, n)]
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_scattered_lanes_of_a_large_hamming_batch_match_the_scalar_oracle(r):
+    # [[15,7,3]] has 36 index bits and [[31,21,3]] 55: one batch built by
+    # _sliced holds index 0, single bits below and past bit 32, the last
+    # index and 20 seeded indices, most of them past bit 32
+    code, f0 = _hamming_solution(r)
+    bits = code.k * (code.k + 1) // 2
+    assert (code.m, bits) == {4: (15, 36), 5: (31, 55)}[r]
+    rng = np.random.default_rng(1000 + r)
+    idx = [0, 1, 1 << 32, (1 << bits) - 1] \
+        + [int(i) for i in rng.integers(2, 1 << bits, 20)]
+    assert sum(i >> 33 > 0 for i in idx) >= 15
+    sliced = synth._sliced(f0, synth._deltas(code, f0), idx)
+    assert _sliced_outputs(sliced, len(idx), code.m) \
+        == [ref_unsigned(next(ref_solutions(code, f0, i, i + 1)), code.m)
+            for i in idx]

@@ -357,17 +357,17 @@ def test_ranges_of_partial_unaligned_batches_give_the_serial_minimum(code513):
     f0 = sc.find_symplectic(sc.build_system(code513, spec))
     deltas = synth._deltas(code513, f0)
     want = _rank(code513, spec, f0, deltas, range(1024))
-    pieces = [synth._rank_range(code513, spec, f0, a, b)
+    pieces = [synth._rank_range(code513, spec, f0, deltas, a, b)
               for a, b in [(0, 341), (341, 682), (682, 1024)]]
     best = min(pieces, key=lambda r: r[0])
     assert best == want
     for a, b in [(5, 37), (700, 701)]:
-        got = synth._rank_range(code513, spec, f0, a, b)
+        got = synth._rank_range(code513, spec, f0, deltas, a, b)
         keys = [_min_depth_key(sc.realize(code513, spec, f).circuit)
-                for f in synth._solutions(code513, f0, a, b)]
+                for f in synth._solutions(f0, deltas, a, b)]
         assert got[0] == min(keys)
         assert a <= got[1] < b and keys[got[1] - a] == got[0]
-    assert synth._rank_range(code513, spec, f0, 5, 5) is None
+    assert synth._rank_range(code513, spec, f0, deltas, 5, 5) is None
     assert _rank(code513, spec, f0, deltas, []) is None
 
 
@@ -387,11 +387,12 @@ def test_a_range_over_several_blocks_ranks_like_every_solution(code513,
     monkeypatch.setattr(synth, "_rank", recording)
     spec = _spec("hadamard5q")
     f0 = sc.find_symplectic(sc.build_system(code513, spec))
-    fs = list(synth._solutions(code513, f0, 100, 900))
+    deltas = synth._deltas(code513, f0)
+    fs = list(synth._solutions(f0, deltas, 100, 900))
     assert [f.tobytes() for f in fs] \
         == [f.tobytes() for f in ref_solutions(code513, f0, 100, 900)]
     keys = [_min_depth_key(sc.realize(code513, spec, f).circuit) for f in fs]
-    got = synth._rank_range(code513, spec, f0, 100, 900)
+    got = synth._rank_range(code513, spec, f0, deltas, 100, 900)
     assert [len(idx) for idx in seen] == [156, 256, 256, 132]
     assert sum(seen, []) == list(range(100, 900))
     assert got[0] == min(keys)
@@ -480,13 +481,16 @@ def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
     spec = _spec("hadamard5q")
     best, = sc.synthesize(code513, spec, mode="min_depth", jobs=100000)
     assert [(p.max_workers, p.tasks) for p in pools] == [(3, 3)]
-    sc.synthesize(code642, _spec("phase1"), mode="all", jobs=100000)
-    assert [(p.max_workers, p.tasks) for p in pools[1:]] == [(3, 8)]
+    # "all" realizes its solutions in this process whatever jobs asks for
+    spec642 = _spec("phase1")
+    assert sc.synthesize(code642, spec642, mode="all", jobs=100000) \
+        == sc.synthesize(code642, spec642, mode="all")
+    assert len(pools) == 1
     # an unknown cpu count runs serially, and three ranges pick the same winner
     monkeypatch.setattr(synth.os, "cpu_count", lambda: None)
     serial, = sc.synthesize(code513, spec, mode="min_depth", jobs=100000)
     assert sc.serialize(serial.circuit) == sc.serialize(best.circuit)
-    assert len(pools) == 2
+    assert len(pools) == 1
 
 
 def test_min_depth_verifies_only_the_returned_circuit(code642, monkeypatch):
@@ -506,15 +510,47 @@ def test_min_depth_verifies_only_the_returned_circuit(code642, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["all", "min_depth"])
 def test_over_cap_is_refused_before_enumerating(mode, monkeypatch):
+    # both modes build the closed form first, so a lost cap check fails at
+    # once in either mode
     hamming7 = sc.css_build(sc.CssSpec(hc=bits("1010101", "0110011", "0001111")))
     assert sc.solution_count(hamming7) == 1 << 21
 
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(synth, "_solutions", refuse)
+    monkeypatch.setattr(synth, "_deltas", refuse)
     with pytest.raises(ValueError, match="exceeds cap"):
         sc.synthesize(hamming7, sc.CliffordSpec(), mode=mode)
+
+
+@pytest.mark.parametrize("code_name,spec_name,mode",
+                         [("code642", "hadamard1", "all"),
+                          ("code513", "hadamard5q", "min_depth")])
+def test_the_closed_form_is_built_once_per_call(code_name, spec_name, mode,
+                                               request, monkeypatch):
+    # every solution, the min_depth winner included, is read from one
+    # _deltas per call, and "all" starts no process pool at any jobs
+    code, spec = request.getfixturevalue(code_name), _spec(spec_name)
+    want = sc.synthesize(code, spec, mode=mode)
+    calls = []
+    real = synth._deltas
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(synth, "_deltas", counting)
+    assert sc.synthesize(code, spec, mode=mode) == want
+    assert len(calls) == 1
+    if mode == "all":
+        monkeypatch.setattr(synth, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(synth.os, "cpu_count", lambda: 64)
+        for jobs in (2, 3, 64, 100000):
+            assert sc.synthesize(code, spec, mode=mode, jobs=jobs) == want
+        assert len(calls) == 5
 
 
 def _random_symplectic(rng, m):
@@ -609,7 +645,7 @@ def test_realize_conjugates_the_raw_circuit_once(code_name, spec_name, request,
 
     monkeypatch.setattr(verify, "_tableau", recording)
     f0 = sc.find_symplectic(sc.build_system(code, spec))
-    for i, f in enumerate(synth._solutions(code, f0, 0, 8)):
+    for i, f in enumerate(synth._solutions(f0, synth._deltas(code, f0), 0, 8)):
         passes.clear()
         res = sc.realize(code, spec, f, dense_check=i == 0)
         raw = sc.factors_to_circuit(res.factors, code.m)
@@ -644,11 +680,12 @@ def test_closed_form_solutions_are_the_iter_all_set(m, k, normalize, seed):
     system = sc.build_system(code, spec)
     f0 = sc.find_symplectic(system)
     count = sc.solution_count(code)
-    closed = list(synth._solutions(code, f0, 0, count))
+    deltas = synth._deltas(code, f0)
+    closed = list(synth._solutions(f0, deltas, 0, count))
     assert np.array_equal(closed[0], f0)
     assert len(as_set(closed)) == count
     assert as_set(closed) == as_set(sc.iter_all(system))
-    tail = list(synth._solutions(code, f0, 1, count))
+    tail = list(synth._solutions(f0, deltas, 1, count))
     assert [f.tobytes() for f in tail] == [f.tobytes() for f in closed[1:]]
 
 
@@ -665,12 +702,13 @@ def test_solutions_match_one_product_per_index(name, request):
     code = {"code422": lambda: sc.css_build(sc.CssSpec(hc=bits("1111"))),
             "code713": _steane}.get(name, lambda: request.getfixturevalue(name))()
     f0 = sc.find_symplectic(sc.build_system(code, sc.CliffordSpec()))
+    deltas = synth._deltas(code, f0)
     count = sc.solution_count(code)
     c = synth._CHUNK
     ranges = [(0, count)] if count <= c else \
         [(0, 40), (c - 3, c + 2), (3 * c - 7, 5 * c + 2), (count - c - 30, count)]
     for start, stop in ranges:
-        got = [f.tobytes() for f in synth._solutions(code, f0, start, stop)]
+        got = [f.tobytes() for f in synth._solutions(f0, deltas, start, stop)]
         assert got == [f.tobytes() for f in ref_solutions(code, f0, start, stop)]
 
 
@@ -709,8 +747,8 @@ def test_min_depth_on_a_code_wider_than_64_columns():
     # m = 33: each packed row has 2m = 66 bits; k = 2 gives 8 solutions
     code, spec = _random_code_and_spec(np.random.default_rng(33), 33, 2)
     best, = sc.synthesize(code, spec, mode="min_depth")
-    fs = synth._solutions(code, sc.find_symplectic(sc.build_system(code, spec)),
-                          0, sc.solution_count(code))
+    f0 = sc.find_symplectic(sc.build_system(code, spec))
+    fs = synth._solutions(f0, synth._deltas(code, f0), 0, sc.solution_count(code))
     want = min((_min_depth_key(sc.realize(code, spec, f).circuit), f.tobytes())
                for f in fs)
     assert (_min_depth_key(best.circuit), best.f.tobytes()) == want

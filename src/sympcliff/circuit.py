@@ -1,7 +1,8 @@
 """Physical circuits: ordered lists of Clifford gates on m qubits.
 
 Gate order in a circuit is execution order (leftmost acts first on states).
-Qubits are numbered 1..m, and a Circuit checks every gate when it is made.
+Qubits are numbered 1..m, and a Circuit checks every gate when it is made,
+by the one gate rule (_checked) that gate() and parse also check through.
 The text form is one gate per line, e.g.
 
     P 2
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import index, is_
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -45,41 +46,73 @@ class Gate(NamedTuple):
         return " ".join([self.kind] + [str(q) for q in qs])
 
 
-def _qubit(q) -> int:
-    try:
-        return index(q)
-    except TypeError:
-        raise ValueError("qubit %r is not an integer" % (q,)) from None
+def _checked(gates, m: int | None = None) -> tuple[Gate, ...]:
+    """The gate rule, written only here: each (kind, qubits) pair of gates
+    as a Gate in gate()'s form (int qubits, CZ pairs ascending), each pair
+    checked before the next is read, so the first bad one raises ValueError.
+    A Gate already in that form is kept as the same object.  With m, a qubit
+    must also be at most m, and a PERMUTE image must have m entries."""
+    top = float("inf") if m is None else m
+    out = []
+    append = out.append
+    for g in gates:
+        try:
+            kind, qs = g
+            n = len(qs)
+        except (TypeError, ValueError):
+            raise ValueError("gate %r is not a (kind, qubits) pair" % (g,)) from None
+        canonical = type(g) is Gate and type(qs) is tuple  # kept if it passes as is
+        # one table test accepts the common gates in gate()'s form
+        if n == 1:
+            q, = qs
+            if kind in _ONE_QUBIT and type(q) is int and 0 < q <= top:
+                append(g if canonical else _new(Gate, (kind, (q,))))
+                continue
+        elif n == 2:
+            q, r = qs
+            if (type(q) is int and type(r) is int and 0 < q <= top and 0 < r <= top
+                    and (kind in _TWO_QUBIT if q < r else kind == "CNOT" and q != r)):
+                append(g if canonical else _new(Gate, (kind, (q, r))))
+                continue
+        try:  # the rest are checked in full, on their qubits as ints; q is the one read
+            ints = qs if {*map(type, qs)} <= {int} else [index(q := x) for x in qs]
+        except TypeError:
+            raise ValueError("qubit %r is not an integer" % (q,)) from None
+        if kind == "PERMUTE":
+            if sorted(ints) != list(range(1, n + 1)):
+                raise ValueError("PERMUTE needs the full image of qubits 1..m")
+            if m is not None and n != m:
+                raise ValueError("PERMUTE image has %d entries on %d qubits" % (n, m))
+        else:
+            arity = _ARITY.get(kind)
+            if arity is None:
+                raise ValueError("unknown gate kind %r" % kind)
+            if n != arity:
+                raise ValueError("%s takes %d qubit(s), got %d" % (kind, arity, n))
+            if min(ints) < 1:
+                raise ValueError("qubits are numbered from 1")
+            if arity == 2 and ints[0] == ints[1]:
+                raise ValueError("%s needs two distinct qubits" % kind)
+            if kind == "CZ" and ints[0] > ints[1]:
+                ints = ints[::-1]
+            if max(ints) > top:
+                raise ValueError("gate %s exceeds qubit count %d"
+                                 % (" ".join(map(str, [kind, *ints])), m))
+        append(g if canonical and ints is qs else _new(Gate, (kind, tuple(ints))))
+    return tuple(out)
 
 
 def gate(kind: str, *qubits: int) -> Gate:
     """Build a validated gate.  CZ qubit pairs are stored ascending.  A
     qubit may be any integer type (numpy's too) and is stored as an int."""
-    qs = tuple(map(_qubit, qubits))
-    if kind == "PERMUTE":
-        if sorted(qs) != list(range(1, len(qs) + 1)):
-            raise ValueError("PERMUTE needs the full image of qubits 1..m")
-        return _new(Gate, (kind, qs))
-    arity = _ARITY.get(kind)
-    if arity is None:
-        raise ValueError("unknown gate kind %r" % kind)
-    if len(qs) != arity:
-        raise ValueError("%s takes %d qubit(s), got %d" % (kind, arity, len(qs)))
-    if any(q < 1 for q in qs):
-        raise ValueError("qubits are numbered from 1")
-    if arity == 2 and qs[0] == qs[1]:
-        raise ValueError("%s needs two distinct qubits" % kind)
-    if kind == "CZ" and qs[0] > qs[1]:
-        qs = qs[1], qs[0]
-    return _new(Gate, (kind, qs))
+    return _checked([(kind, qubits)])[0]
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gates on qubits 1..m in execution order, each checked here however
-    the circuit is made (ValueError otherwise); every reader trusts them.
-    The gates are stored as a tuple in gate()'s form: int qubits, CZ pairs
-    ascending."""
+    """Gates on qubits 1..m in execution order, each checked here by the one
+    gate rule, _checked, however the circuit is made (ValueError otherwise);
+    every reader trusts them.  They are stored as a tuple in gate()'s form."""
 
     m: int
     gates: tuple[Gate, ...]
@@ -91,37 +124,8 @@ class Circuit:
             raise ValueError("qubit count %r is not an integer" % (self.m,)) from None
         if m < 0:
             raise ValueError("qubit count must not be negative, got %d" % m)
-        gates = self.gates
-        if m is not self.m or type(gates) is not tuple:
-            gates = tuple(gates)
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "gates", gates)
-        changed = not {*map(type, gates)} <= {Gate}
-        for kind, qs in gates:
-            # accept the common gates in gate()'s form (int qubits, CZ pairs
-            # ascending) fast, else check by its rules
-            if len(qs) == 1:
-                q, = qs
-                if kind in _ONE_QUBIT and type(q) is int and 0 < q <= m:
-                    continue
-            elif len(qs) == 2:
-                q, r = qs
-                if (type(q) is int and type(r) is int and 0 < q <= m and 0 < r <= m
-                        and (kind in _TWO_QUBIT if q < r
-                             else kind == "CNOT" and q != r)):
-                    continue
-            g = gate(kind, *qs)
-            if kind == "PERMUTE":
-                if len(qs) != m:
-                    raise ValueError("PERMUTE image has %d entries on %d qubits"
-                                     % (len(qs), m))
-            elif max(g.qubits) > m:
-                raise ValueError("gate %s exceeds qubit count %d" % (g, m))
-            # gate() returns an int qubit as that same object, in place
-            if not all(map(is_, g.qubits, qs)):
-                changed = True
-        if changed:  # store gate()'s form of every gate
-            object.__setattr__(self, "gates", tuple(gate(kind, *qs) for kind, qs in gates))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "gates", _checked(self.gates, m))
 
     def __len__(self):
         return len(self.gates)
@@ -155,32 +159,25 @@ def save_circuit_text(c: Circuit) -> str:
 def parse(text: str, m: int | None = None) -> Circuit:
     """Inverse of serialize.  Accepts an optional ``qubits <m>`` header line,
     otherwise m must be supplied."""
-    header_m = None
-    gates = []
-    for ln, toks in _tokens(text):
-        kind = toks[0]
-        if kind == "qubits":
-            if gates or header_m is not None:
-                raise ParseError("line %d: qubits header must come first" % ln)
-            try:
-                header_m, = map(int, toks[1:])
-            except ValueError:
-                raise ParseError("line %d: bad qubits header" % ln) from None
-            continue
-        try:
-            qs = tuple(map(int, toks[1:]))
-            # one table check accepts a valid line; only a refused one (and
-            # a PERMUTE, which the table does not hold) goes through gate(),
-            # whose error is the line's message
-            n = len(qs)
-            if _ARITY.get(kind) == n and min(qs) > 0 and (n == 1 or qs[0] != qs[1]):
-                if kind == "CZ" and qs[0] > qs[1]:
-                    qs = qs[1], qs[0]
-                gates.append(_new(Gate, (kind, qs)))
+    header_m = ln = None
+
+    def gate_lines():  # a header's errors, too, get its line number below
+        nonlocal header_m, ln
+        for i, (ln, toks) in enumerate(_tokens(text)):
+            if toks[0] != "qubits":
+                yield toks[0], tuple(map(int, toks[1:]))
+            elif i:
+                raise ValueError("qubits header must come first")
             else:
-                gates.append(gate(kind, *qs))
-        except ValueError as exc:
-            raise ParseError("line %d: %s" % (ln, exc)) from None
+                try:
+                    header_m, = map(int, toks[1:])
+                except ValueError:
+                    raise ValueError("bad qubits header") from None
+
+    try:  # the rule reads no line past the first bad one, so ln is that line
+        gates = _checked(gate_lines())
+    except ValueError as exc:
+        raise ParseError("line %d: %s" % (ln, exc)) from None
     if m is not None:
         try:
             m = index(m)

@@ -47,8 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     syn.add_argument("--out", default=".", help="output directory")
     syn.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the min-depth ranking, each "
-                          "ranking one range of solutions; --all runs in "
-                          "this process")
+                          "ranking one range of 1024-solution blocks; --all, "
+                          "and 1024 or fewer solutions, run in this process")
     syn.add_argument("--max-solutions", type=int, default=1 << 20,
                      help="abort if the solution count exceeds this")
     syn.add_argument("--dense", action="store_true",

@@ -271,8 +271,10 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     bit-sliced lane core and sign-fixes only contenders (see _rank); only
     the returned circuit goes through the public decompose, is realized
     with its final correction and verified.  jobs splits only min_depth's
-    ranking, over min(jobs, cpu count) worker processes (the pool starts
-    them all at once) that each rank one contiguous range of S indices.
+    ranking, over min(jobs, cpu count, block count) worker processes (the
+    pool starts them all at once) that each rank one contiguous range of
+    whole blocks, since a block split across workers costs each of them
+    nearly the whole block; so 1024 or fewer solutions rank in this process.
     "all" runs in this process: a worker's results reach the parent
     pickled, and unpickling one costs about as much as realizing it.
     Raises ValueError before enumerating anything when the solution count
@@ -289,9 +291,10 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     if mode == "all":
         return [realize(code, spec, f, dense_check)
                 for f in _solutions(f0, deltas, 0, count)]
-    workers = max(min(jobs, os.cpu_count() or 1), 1)
-    if workers > 1:
-        cuts = [count * i // workers for i in range(workers + 1)]
+    blocks = -(-count // _CHUNK)
+    workers = max(min(jobs, os.cpu_count() or 1, blocks), 1)
+    if workers > 1:  # each worker ranks whole blocks
+        cuts = [min(blocks * i // workers * _CHUNK, count) for i in range(workers + 1)]
         with ProcessPoolExecutor(max_workers=workers) as ex:
             ranked = list(ex.map(_rank_range, repeat(code), repeat(spec), repeat(f0),
                                  repeat(deltas), cuts[:-1], cuts[1:]))

@@ -40,6 +40,51 @@ def test_circuit_rejects_out_of_range_qubits():
         sc.circuit(2, [sc.gate("H", 3)])
 
 
+@pytest.mark.parametrize("bad, text", [
+    (("H", 1), "('H', 1)"),
+    (sc.Gate("H", 1), "Gate(kind='H', qubits=1)"),
+    ("H 1", "'H 1'"),
+], ids=["int-qubits", "gate-int-qubits", "text-line"])
+def test_circuit_refuses_a_malformed_gate_naming_it(bad, text):
+    message = "gate %s is not a (kind, qubits) pair" % text
+    for gates in ([bad], [sc.gate("H", 1), bad]):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            sc.Circuit(2, gates)
+
+
+@pytest.mark.parametrize("g, message", [
+    (sc.gate("H", 1), "gate H 1 exceeds qubit count 0"),
+    (sc.gate("CZ", 2, 1), "gate CZ 1 2 exceeds qubit count 0"),
+    (sc.gate("CNOT", 2, 1), "gate CNOT 2 1 exceeds qubit count 0"),
+    (sc.gate("PERMUTE", 1), "PERMUTE image has 1 entries on 0 qubits"),
+])
+def test_a_circuit_on_zero_qubits_refuses_every_gate_on_a_qubit(g, message):
+    for gates in ([g], [tuple(g)]):
+        with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+            sc.Circuit(0, gates)
+    assert sc.Circuit(0, [sc.gate("PERMUTE")]).gates == (("PERMUTE", ()),)
+
+
+def test_circuit_keeps_each_canonical_gate_as_the_same_object():
+    gates = [sc.gate("H", 1), sc.gate("CZ", 1, 3), sc.gate("CNOT", 3, 2),
+             sc.gate("PERMUTE", 2, 3, 1), sc.gate("Z", 3)]
+    for box in (list, tuple, iter):
+        c = sc.Circuit(3, box(gates))
+        assert type(c.gates) is tuple
+        assert all(a is b for a, b in zip(c.gates, gates, strict=True))
+    # any other form is stored as a new Gate in gate()'s form
+    other = [("H", (1,)), sc.Gate("H", [1]), sc.Gate("CZ", (3, 1)),
+             sc.Gate("X", (True,)), sc.Gate("PERMUTE", [2, 1, np.int64(3)])]
+    c = sc.Circuit(3, other)
+    assert c.gates == (("H", (1,)), ("H", (1,)), ("CZ", (1, 3)), ("X", (1,)),
+                       ("PERMUTE", (2, 1, 3)))
+    assert all(type(g) is sc.Gate and type(g.qubits) is tuple
+               and {*map(type, g.qubits)} == {int} for g in c.gates)
+    assert not any(a is b for a, b in zip(c.gates, other))
+    for g in other:  # alone, too
+        assert type(sc.Circuit(3, [g]).gates[0].qubits) is tuple
+
+
 def test_join_concatenates_circuits_on_the_same_qubits():
     a = sc.circuit(3, [sc.gate("X", 2)])
     b = sc.circuit(3, [sc.gate("CZ", 3, 1), sc.gate("H", 1)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -18,16 +19,43 @@ CODE513 = str(FIXTURES / "fivequbit.code")
 SRC = str(Path(sc.__file__).resolve().parents[1])
 
 
-def run_fresh(argv, *flags, cwd=None):
-    """(exit code, stdout, stderr) of `python <flags> -m sympcliff <argv>` in
-    a new process, importing this checkout's package, at 80 columns."""
+def _python(*args, **kwargs):
+    """subprocess.run of `python <args>`, importing this checkout's package,
+    at 80 columns, with its output captured as text."""
     env = dict(os.environ, COLUMNS="80",
                PYTHONPATH=os.pathsep.join(
                    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, *flags, "-m", "sympcliff", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120, **kwargs)
+
+
+def run_fresh(argv, *flags, cwd=None):
+    """(exit code, stdout, stderr) of `python <flags> -m sympcliff <argv>` in
+    a new process."""
+    proc = _python(*flags, "-m", "sympcliff", *argv, cwd=cwd)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# Calls cli.main on each argv of the JSON list on stdin, capturing its
+# streams, and prints the JSON list of (exit code, stdout, stderr).
+_DRIVER = """
+import contextlib, io, json, sys
+from sympcliff.cli import main
+runs = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    runs.append((rc, out.getvalue(), err.getvalue()))
+json.dump(runs, sys.stdout)
+"""
+
+
+def run_in_one_process(argvs, *flags, cwd=None):
+    """[(exit code, stdout, stderr)] of cli.main on each argv in turn, in one
+    new `python <flags>` process."""
+    proc = _python(*flags, "-c", _DRIVER, cwd=cwd, input=json.dumps(argvs), check=True)
+    return [tuple(run) for run in json.loads(proc.stdout)]
 
 
 def test_info_published_code(capsys):
@@ -290,20 +318,20 @@ def test_cli_under_optimize_flag_matches_plain_run(tmp_path):
     for flags in ((), ("-O",)):
         cwd = tmp_path / ("run%s" % "".join(flags))
         cwd.mkdir()
+        # the first run goes through the entry point, the rest through
+        # cli.main in one process
         out = [run_fresh(["synth", "--all", "--code", CODE642, "--spec", spec,
                           "--out", "out"], *flags, cwd=cwd)]
         files = sorted((cwd / "out").iterdir())
         assert len(files) == 8
-        for path in files:
-            out.append(run_fresh(["verify", "--code", CODE642, "--spec", spec,
-                                  "--circuit", str(path.relative_to(cwd))],
-                                 *flags, cwd=cwd))
-        for mat in (str(FIXTURES / "omega6.mat"), str(bad)):
-            out.append(run_fresh(["decompose", "--matrix", mat], *flags, cwd=cwd))
+        argvs = [["verify", "--code", CODE642, "--spec", spec,
+                  "--circuit", str(path.relative_to(cwd))] for path in files]
+        argvs += [["decompose", "--matrix", mat]
+                  for mat in (str(FIXTURES / "omega6.mat"), str(bad))]
         # the default mode, min_depth, ranks through the bit-sliced lane core
-        out.append(run_fresh(["synth", "--code", CODE513, "--spec",
-                              str(FIXTURES / "hadamard5q.spec"), "--out", "min"],
-                             *flags, cwd=cwd))
+        argvs.append(["synth", "--code", CODE513, "--spec",
+                      str(FIXTURES / "hadamard5q.spec"), "--out", "min"])
+        out += run_in_one_process(argvs, *flags, cwd=cwd)
         files += sorted((cwd / "min").iterdir())
         runs[flags] = out, {p.name: p.read_text() for p in files}
     assert runs[("-O",)] == runs[()]

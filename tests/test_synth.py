@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -339,10 +340,24 @@ def test_rank_key_is_depth_and_length_of_the_public_circuit(f):
     assert [sc.Gate(kind, qs) for kind, qs in pairs] == list(c.gates)
 
 
-def test_min_depth_parallel_jobs_match_serial(code513):
+def test_min_depth_parallel_jobs_match_serial(code513, monkeypatch):
+    # 256-solution blocks give the 1024 solutions four blocks, so jobs=2
+    # starts a real two-worker pool, each worker ranking two whole blocks
+    started = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(synth, "_CHUNK", 256)
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(synth.os, "cpu_count", lambda: 2)
     spec = _signed_513_specs(7, 1)[0]
     serial, = sc.synthesize(code513, spec, mode="min_depth")
+    assert started == []
     parallel, = sc.synthesize(code513, spec, mode="min_depth", jobs=2)
+    assert started == [2]
     assert sc.serialize(parallel.circuit) == sc.serialize(serial.circuit)
     assert sc.to_label(parallel.pauli_correction) \
         == sc.to_label(serial.pauli_correction)
@@ -472,6 +487,7 @@ def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
             return False
 
         def map(self, fn, *args):
+            self.ranges = list(zip(*args[-2:]))  # (start, stop) of each task
             out = list(map(fn, *args))
             self.tasks += len(out)
             return out
@@ -479,8 +495,17 @@ def test_jobs_never_exceed_cpu_count(code642, code513, monkeypatch):
     monkeypatch.setattr(synth, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(synth.os, "cpu_count", lambda: 3)
     spec = _spec("hadamard5q")
+    # the 1024 solutions are one block, which ranks in this process
+    one_block, = sc.synthesize(code513, spec, mode="min_depth")
+    for jobs in (2, 3, 64, 100000):
+        assert sc.synthesize(code513, spec, mode="min_depth", jobs=jobs) == [one_block]
+    assert pools == []
+    # 256-solution blocks make four, more than the three cpus
+    monkeypatch.setattr(synth, "_CHUNK", 256)
     best, = sc.synthesize(code513, spec, mode="min_depth", jobs=100000)
     assert [(p.max_workers, p.tasks) for p in pools] == [(3, 3)]
+    assert pools[0].ranges == [(0, 256), (256, 512), (512, 1024)]
+    assert best == one_block
     # "all" realizes its solutions in this process whatever jobs asks for
     spec642 = _spec("phase1")
     assert sc.synthesize(code642, spec642, mode="all", jobs=100000) \

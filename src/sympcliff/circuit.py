@@ -23,8 +23,8 @@ import numpy as np
 
 from .gf2core import ParseError, _tokens, _unpack
 
-_ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
-GATE_KINDS = tuple(_ARITY) + ("PERMUTE",)
+_ARITY = {"H": 1, "P": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2, "PERMUTE": None}
+GATE_KINDS = tuple(_ARITY)
 _ONE_QUBIT, _TWO_QUBIT = (frozenset(k for k in _ARITY if _ARITY[k] == n) for n in (1, 2))
 # Gate(kind, qubits) runs the NamedTuple's Python-level __new__; the package
 # builds its own gates with this builtin instead, as _new(Gate, (kind, qubits))
@@ -62,31 +62,34 @@ def _checked(gates, m: int | None = None) -> tuple[Gate, ...]:
         except (TypeError, ValueError):
             raise ValueError("gate %r is not a (kind, qubits) pair" % (g,)) from None
         canonical = type(g) is Gate and type(qs) is tuple  # kept if it passes as is
-        # one table test accepts the common gates in gate()'s form
-        if n == 1:
-            q, = qs
-            if kind in _ONE_QUBIT and type(q) is int and 0 < q <= top:
-                append(g if canonical else _new(Gate, (kind, (q,))))
-                continue
-        elif n == 2:
-            q, r = qs
-            if (type(q) is int and type(r) is int and 0 < q <= top and 0 < r <= top
-                    and (kind in _TWO_QUBIT if q < r else kind == "CNOT" and q != r)):
-                append(g if canonical else _new(Gate, (kind, (q, r))))
-                continue
+        try:  # one table test accepts the common gates in gate()'s form
+            if n == 1:
+                q, = qs
+                if kind in _ONE_QUBIT and type(q) is int and 0 < q <= top:
+                    append(g if canonical else _new(Gate, (kind, (q,))))
+                    continue
+            elif n == 2:
+                q, r = qs
+                if (type(q) is int and type(r) is int and 0 < q <= top and 0 < r <= top
+                        and (kind in _TWO_QUBIT if q < r else kind == "CNOT" and q != r)):
+                    append(g if canonical else _new(Gate, (kind, (q, r))))
+                    continue
+        except (TypeError, ValueError):  # a kind that is unhashable or compares
+            pass  # as an array is named by the full check below
         try:  # the rest are checked in full, on their qubits as ints; q is the one read
             ints = qs if {*map(type, qs)} <= {int} else [index(q := x) for x in qs]
         except TypeError:
             raise ValueError("qubit %r is not an integer" % (q,)) from None
-        if kind == "PERMUTE":
+        try:
+            arity = _ARITY[kind]
+        except (KeyError, TypeError):
+            raise ValueError("unknown gate kind %r" % (kind,)) from None
+        if arity is None:  # PERMUTE
             if sorted(ints) != list(range(1, n + 1)):
                 raise ValueError("PERMUTE needs the full image of qubits 1..m")
             if m is not None and n != m:
                 raise ValueError("PERMUTE image has %d entries on %d qubits" % (n, m))
         else:
-            arity = _ARITY.get(kind)
-            if arity is None:
-                raise ValueError("unknown gate kind %r" % kind)
             if n != arity:
                 raise ValueError("%s takes %d qubit(s), got %d" % (kind, arity, n))
             if min(ints) < 1:

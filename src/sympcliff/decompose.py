@@ -293,7 +293,7 @@ def _emit(factors):
                 for j in _bits(r >> (i + 1)):
                     yield _new(Gate, ("CZ", (i + 1, i + j + 2)))
         else:
-            perm, low, up = _lu(list(f.rows), m)
+            perm, low, up = _lu(f.rows, m)
             image = [0] * m
             for i, p in enumerate(perm):
                 image[p] = i + 1

@@ -7,21 +7,24 @@ module.  Underneath, each row is one Python int, bit c holding column c, so
 a row operation is one integer XOR, as in the packed tableau rows of CHP
 and Stim; products (mul) run in float64 through BLAS.  The private kernels
 take and return such ints: _eliminate, _inverse, _lu, _mul_rows and
-_transpose serve decompose's factoring core, and the basis completion
-(_hyperbolic) and the Gram comparison (_gram_mismatch) serve sympsolve and
-synth.  Every other elimination uses one echelon form: a dict mapping each
-row's highest set bit, as its bit_length, to that row (_echelon_insert).
-_rank counts its rows.  Each solve puts its rows, each with its right-hand
-side in an extra low bit, through that forward elimination (_augment) and
-reads solutions off it by back-substitution (_substitute): the lex-min
-solution of the transvection chain and the sign fix (_echelon_solve), and
-the affine solve with its reduced nullspace basis (_solve).
+_transpose serve decompose's factoring core.  The three bulk kernels
+(_mul_rows, _eliminate, _lu) work on the whole matrix as one int: row i
+in bits [i w, (i + 1) w), w = 8 b for a slot of b bytes that holds every
+operand row (_slotted).  An operation on many rows is one multiply: a
+selection with bit 0 of each chosen slot set, times a row below 2^w, puts
+one copy of that row in each chosen slot, and no carry crosses a slot.
+The basis completion (_hyperbolic) and the Gram comparison
+(_gram_mismatch) serve sympsolve and synth.  Every other elimination uses
+one echelon form: a dict mapping each row's highest set bit, as its
+bit_length, to that row (_echelon_insert).  _rank counts its rows.  Each
+solve puts its rows, each with its right-hand side in an extra low bit,
+through that forward elimination (_augment) and reads solutions off it by
+back-substitution (_substitute): the lex-min solution of the transvection
+chain and the sign fix (_echelon_solve), and the affine solve with its
+reduced nullspace basis (_solve).
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import or_, xor
 
 import numpy as np
 
@@ -167,6 +170,22 @@ def _frozen(rows: list[int], cols: int) -> np.ndarray:
     return out
 
 
+def _slotted(rows: list[int], bits: int) -> tuple[int, int, int]:
+    """(x, ones, w): packed rows as one int x of w-bit slots, row i in bits
+    [i w, (i + 1) w), w = 8 b for the fewest bytes b (at least one) that
+    hold bits bits; ones holds bit 0 of every slot."""
+    b = (bits + 7) // 8 or 1
+    ones = int.from_bytes((b"\x01" + bytes(b - 1)) * len(rows), "little")
+    return (int.from_bytes(b"".join([r.to_bytes(b, "little") for r in rows]), "little"),
+            ones, 8 * b)
+
+
+def _unslotted(x: int, n: int, w: int) -> list[int]:
+    """The n rows of the w-bit slots of x (_slotted)."""
+    full = (1 << w) - 1
+    return [x >> i & full for i in range(0, n * w, w)]
+
+
 def _eliminate(rows: list[int], cols: int) -> list[int]:
     """Gauss-Jordan elimination of packed rows, in place, on bits 0..cols-1.
 
@@ -174,24 +193,37 @@ def _eliminate(rows: list[int], cols: int) -> list[int]:
     with a 1 there.  Bits from cols up ride along with every row operation,
     so a caller that puts the identity there reads the transform T back.
     Returns the pivot columns in ascending order.
+
+    The rows work as one int of slots (_slotted), each wide enough for
+    cols and every row's bits.  For column c, x >> c & ones marks the
+    rows with a 1 at c; the lowest mark at or below the current slot is
+    the pivot, the swap is one XOR of the two slots, and every other
+    marked row gains the pivot row in one multiply.
     """
-    mask = (1 << cols) - 1
+    n = len(rows)
+    x, ones, w = _slotted(rows, max(cols, max(rows, default=0).bit_length()))
+    full = (1 << w) - 1
+    below = ones  # bit 0 of the slots from the current row on
+    at = 0  # the current row's slot offset
     pivots: list[int] = []
-    for pr in range(len(rows)):
-        # rows from pr on are zero left of the next pivot column, so the
-        # lowest bit of their union is that column
-        below = reduce(or_, rows[pr:]) & mask
+    for c in range(cols):
+        col = x >> c & ones
+        mark = col & below
+        if not mark:
+            continue
+        mark &= -mark
+        piv = mark.bit_length() - 1  # the pivot row's slot offset
+        p = x >> piv & full
+        if piv != at:  # the current row has no 1 at c, so it is no target
+            d = (x >> at ^ p) & full
+            x ^= d << at | d << piv
+        x ^= (col ^ mark) * p
+        pivots.append(c)
+        below &= below - 1
         if not below:
             break
-        bit = below & -below
-        piv = pr
-        while not rows[piv] & bit:
-            piv += 1
-        p = rows[piv]
-        rows[piv] = rows[pr]
-        rows[:] = [r ^ p if r & bit else r for r in rows]
-        rows[pr] = p
-        pivots.append(bit.bit_length() - 1)
+        at += w
+    rows[:] = _unslotted(x, n, w)
     return pivots
 
 
@@ -324,25 +356,22 @@ def _transpose(rows: list[int], cols: int) -> list[int]:
 
 def _mul_rows(xs: list[int], rows: list[int]) -> list[int]:
     """Packed product X M: row i is the XOR of the rows of M at the set bits
-    of xs[i], which must lie below len(rows).
+    of xs[i] below len(rows).  Bits of xs[i] from len(rows) up are ignored.
 
-    Each group of five rows of M gets a table of its 32 XOR combinations
-    (an all-zero group is skipped), so a product row costs one lookup per
-    five columns of X.  Five keeps a matrix of up to five rows to a single
-    table and, at 31 rows, balances building the tables against the
-    lookups.
+    X works as one int of slots (_slotted), each wide enough for every row
+    of X and of M.  For row c of M below X's highest bit, and so inside
+    every slot, x >> c & ones marks the X rows with bit c set; times
+    rows[c] < 2^w it puts a copy of rows[c] in exactly those slots, so the
+    product is one multiply and XOR per nonzero row of M.
     """
-    out = None
-    for g in range(0, len(rows), 5):
-        group = rows[g:g + 5]
-        if not any(group):
-            continue
-        tab = [0]
-        for r in group:
-            tab += [v ^ r for v in tab]
-        part = [tab[x >> g & 31] for x in xs]
-        out = part if out is None else list(map(xor, out, part))
-    return [0] * len(xs) if out is None else out
+    n = len(xs)
+    xbits = max(xs, default=0).bit_length()
+    x, ones, w = _slotted(xs, max(xbits, max(rows, default=0).bit_length()))
+    acc = 0
+    for c, r in enumerate(rows[:xbits]):
+        if r:
+            acc ^= (x >> c & ones) * r
+    return _unslotted(acc, n, w)
 
 
 def invert(m_in) -> np.ndarray:
@@ -381,25 +410,37 @@ def solve_linear(m_in, rhs) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _lu(a: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
-    """Row-pivoted LU of an n x n matrix of packed rows, consumed in place.
+    """Row-pivoted LU of an n x n matrix of packed rows; a is not changed.
 
     Returns (perm, L, U) with L and U as packed rows; the pivot for column c
-    is the first row at or below row c with a 1 there.
+    is the first row at or below row c with a 1 there.  The rows work as
+    one int of slots (_slotted), as in _eliminate: the swap is one XOR of
+    two slots, and every lower row with a 1 at c gains the pivot row's bits
+    right of c in one multiply, keeping bit c as the multiplier L[r, c].
     """
     perm = list(range(n))
+    x, ones, w = _slotted(a, max(n, max(a, default=0).bit_length()))
+    full = (1 << w) - 1
+    below = ones  # bit 0 of the slots from row c on
+    at = 0  # row c's slot offset
     for c in range(n):
-        bit = 1 << c
-        piv = next((r for r in range(c, n) if a[r] & bit), None)
-        if piv is None:
+        col = x >> c & ones
+        mark = col & below
+        if not mark:
             raise SingularMatrixError("matrix is singular over GF(2)")
-        a[c], a[piv] = a[piv], a[c]
-        perm[c], perm[piv] = perm[piv], perm[c]
-        right = a[c] >> (c + 1) << (c + 1)
-        for r in range(c + 1, n):
-            if a[r] & bit:
-                a[r] ^= right  # a[r] keeps bit c: the multiplier L[r, c]
-    low = [(a[r] & ((1 << r) - 1)) | 1 << r for r in range(n)]
-    up = [a[r] >> r << r for r in range(n)]
+        mark &= -mark
+        piv = mark.bit_length() - 1  # the pivot row's slot offset
+        p = x >> piv & full
+        if piv != at:
+            d = (x >> at ^ p) & full
+            x ^= d << at | d << piv
+            perm[c], perm[piv // w] = perm[piv // w], perm[c]
+        below &= below - 1
+        x ^= ((col ^ mark) & below) * (p >> (c + 1) << (c + 1))
+        at += w
+    rows = _unslotted(x, n, w)
+    low = [(rows[r] & ((1 << r) - 1)) | 1 << r for r in range(n)]
+    up = [rows[r] >> r << r for r in range(n)]
     return perm, low, up
 
 

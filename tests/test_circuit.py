@@ -52,6 +52,27 @@ def test_circuit_refuses_a_malformed_gate_naming_it(bad, text):
             sc.Circuit(2, gates)
 
 
+@pytest.mark.parametrize("kind, text", [
+    (["H"], "['H']"),
+    ({"CZ": 2}, "{'CZ': 2}"),
+    (("H",), "('H',)"),
+    (("CZ", "X"), "('CZ', 'X')"),
+    ("Q", "'Q'"),
+    (np.array(["CNOT", "X"]), repr(np.array(["CNOT", "X"]))),
+], ids=["list", "dict", "1-tuple", "2-tuple", "str", "array"])
+def test_an_unknown_gate_kind_of_any_type_is_refused_naming_it(kind, text):
+    message = "^%s$" % re.escape("unknown gate kind %s" % text)
+    for qubits in ((1,), (1, 2), (2, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match=message):
+            sc.gate(kind, *qubits)
+        for gates in ([(kind, qubits)], [sc.gate("H", 1), (kind, qubits)]):
+            with pytest.raises(ValueError, match=message):
+                sc.Circuit(3, gates)
+    # the qubits are checked before the kind, as for a known kind
+    with pytest.raises(ValueError, match=r"^qubit 1\.5 is not an integer$"):
+        sc.gate(kind, 1.5)
+
+
 @pytest.mark.parametrize("g, message", [
     (sc.gate("H", 1), "gate H 1 exceeds qubit count 0"),
     (sc.gate("CZ", 2, 1), "gate CZ 1 2 exceeds qubit count 0"),

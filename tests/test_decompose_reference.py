@@ -23,8 +23,8 @@ from sympcliff.decompose import (FACTOR_KINDS, _emit_lanes, _factor_lanes,
 from conftest import FIXTURES
 from helpers import (_invertible, _symmetric, bit_arrays, hamming_parity,
                      random_logical_spec, ref_decompose, ref_depth, ref_expand,
-                     ref_factor_to_gates, ref_mul, ref_slice, ref_solutions,
-                     ref_unsigned, symplectic)
+                     ref_factor_to_gates, ref_find_symplectic, ref_mul,
+                     ref_slice, ref_solutions, ref_unsigned, symplectic)
 
 
 def _assert_same_factors(got, want):
@@ -157,6 +157,48 @@ def test_decompose_rejects_shapes_that_are_not_2m_square(shape):
 def test_whole_sp4_matches_the_reference_factor_for_factor(sp4):
     for f in sp4:
         _assert_same_factors(sc.decompose(f), ref_decompose(f))
+
+
+def _transvections(rng, m, count):
+    f = np.eye(2 * m, dtype=np.uint8)
+    for _ in range(count):
+        f = ref_mul(f, sc.transvection_matrix(rng.integers(0, 2, 2 * m, dtype=np.uint8)))
+    return f
+
+
+@pytest.mark.parametrize("m", (31, 32, 33))
+def test_decompose_and_find_symplectic_match_the_oracles_across_64_bits(m):
+    # rows of 2m = 62, 64 and 66 bits: the GF(2) kernels' slots are 8, 8
+    # and 9 bytes wide.  Seeded members of helpers.symplectic's families,
+    # and G_k times a few transvections for A blocks of rank below m.
+    rng = np.random.default_rng(m)
+    eye = np.eye(m, dtype=np.uint8)
+
+    def aq():
+        low = np.tril(rng.integers(0, 2, (m, m), dtype=np.uint8), -1) | eye
+        up = np.triu(rng.integers(0, 2, (m, m), dtype=np.uint8), 1) | eye
+        return sc.expand(sc.f_aq(ref_mul(low, up)[rng.permutation(m)]))
+
+    def tr():
+        s = rng.integers(0, 2, (m, m), dtype=np.uint8)
+        return sc.expand(sc.f_tr(np.triu(s) | np.triu(s, 1).T))
+
+    near = _transvections(rng, m, 4)
+    fs = [ref_mul(aq(), tr(), aq()), ref_mul(aq(), sc.omega(m), tr()),
+          ref_mul(sc.omega(m), tr(), sc.omega(m)), _transvections(rng, m, 3 * m)]
+    fs += [ref_mul(sc.expand(sc.f_gk(m, k)), near) for k in (1, m // 2, m)]
+    assert {sc.rank(f[:m, :m]) for f in fs} > {0, m}  # and ranks between
+    for f in fs:
+        _assert_same_factors(sc.decompose(f), ref_decompose(f))
+    # sources: 2m - 3 rows of a symplectic matrix; targets: their images
+    g = fs[3]
+    xs = fs[0][rng.permutation(2 * m)[:2 * m - 3]]
+    system = sc.SymplecticSystem(m, xs, ref_mul(xs, g))
+    f, hs = sc.find_symplectic(system, return_transvections=True)
+    ref_f, ref_hs = ref_find_symplectic(system, return_transvections=True)
+    assert f.tobytes() == ref_f.tobytes()
+    assert [h.tobytes() for h in hs] == [h.tobytes() for h in ref_hs]
+    _assert_same_factors(sc.decompose(f), ref_decompose(f))
 
 
 # The bit-sliced lane core (_factor_lanes, _emit_lanes, _lane_gates,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import sympcliff as sc
-from sympcliff.gf2core import _eliminate, _pack, _rank, _transpose
+from sympcliff.gf2core import _eliminate, _mul_rows, _pack, _rank, _transpose
 from helpers import (ref_coset_leader, ref_invert, ref_lex_min_nonzero,
                      ref_lu_decompose, ref_mul, ref_nullspace, ref_rank,
                      ref_rref, ref_solve_linear)
@@ -137,6 +137,21 @@ def test_mul_matches_reference(data):
     assert_same(sc.mul(a, b, d), ref_mul(a, b, d))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mul_rows_matches_reference_and_ignores_stray_high_bits(data):
+    # X is r x k and M is k x c; each packed X row also carries stray bits
+    # from k up, which must neither count nor reach a neighbouring row
+    k, c = data.draw(WIDTHS), data.draw(WIDTHS)
+    x = data.draw(matrices(cols=k))
+    m = data.draw(matrices(rows=k, cols=c))
+    m[data.draw(st.lists(st.booleans(), min_size=k, max_size=k))] = 0
+    x[:, data.draw(st.integers(0, k)):] = 0  # X's rows may end well before row k of M
+    stray = st.integers(0, (1 << data.draw(st.sampled_from([0, 1, 8, 200]))) - 1)
+    xs = [r | data.draw(stray) << k for r in _pack(x)]
+    assert _mul_rows(xs, _pack(m)) == _pack(ref_mul(x, m))
+
+
 
 ASBITS_ELEMENTS = {
     np.uint8: st.integers(0, 255),
@@ -190,6 +205,16 @@ def test_asbits_examples():
                 np.array([1, 0, 1], dtype=np.uint8))
     assert_same(sc.asbits(np.array([True, False])), np.array([1, 0], dtype=np.uint8))
     assert sc.asbits(np.float64(3.0)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.sampled_from([0, 1, 8, 64, 200]))
+def test_eliminate_matches_reference_past_the_rows_last_bit(m, extra):
+    # zero columns past every row's last bit give no pivot
+    r, pivots, _ = ref_rref(m)
+    rows = _pack(m)
+    assert _eliminate(rows, m.shape[1] + extra) == pivots
+    assert rows == _pack(r)
 
 
 @settings(max_examples=150, deadline=None)

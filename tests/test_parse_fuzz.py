@@ -107,9 +107,10 @@ def _parse_outcome(parse, text, m):
 @settings(max_examples=400, deadline=None)
 @given(st.lists(_circuit_lines, min_size=1, max_size=5).map("\n".join))
 def test_parse_matches_the_gate_per_line_parser(text):
-    """parse's one table check per line gives ref_parse's circuit or its
-    ParseError text, and hands Circuit every gate already in gate()'s form
-    (int qubits, CZ pairs ascending), so Circuit rebuilds none of them."""
+    """parse, which checks each gate line once by the one gate rule
+    (circuit._checked), gives ref_parse's circuit or its ParseError text,
+    and hands Circuit every gate already in gate()'s form (int qubits, CZ
+    pairs ascending), so Circuit rebuilds none of them."""
     real = CIRCUIT.circuit
     for m in (None, 1, 2, 3, 6):
         want = _parse_outcome(ref_parse, text, m)

@@ -19,9 +19,11 @@ one echelon form: a dict mapping each row's highest set bit, as its
 bit_length, to that row (_echelon_insert).  _rank counts its rows.  Each
 solve puts its rows, each with its right-hand side in an extra low bit,
 through that forward elimination (_augment) and reads solutions off it by
-back-substitution (_substitute): the lex-min solution of the transvection
-chain and the sign fix (_echelon_solve), and the affine solve with its
-reduced nullspace basis (_solve).
+back-substitution (_substitute).  _echelon_solve adds a few rows to a copy
+of a stored form, which the transvection chain keeps with right-hand side
+0 and the sign fix leaves empty, and back-substitutes from a given start
+on the free columns (0 for the lex-min solution); _solve is the affine
+solve with its reduced nullspace basis.
 """
 
 from __future__ import annotations
@@ -268,32 +270,34 @@ def _substitute(pivots: list[tuple[int, int]], w: int) -> int:
     """Back-substitution over the (top, row) pairs of an augmented echelon
     form (_augment), in ascending order.  The start w is packed as
     w << 1 | 1 to honour the right-hand sides, or as w << 1 for the
-    homogeneous system.  Each pivot column is set when its row's parity
+    homogeneous system.  Each pivot column is flipped when its row's parity
     with w so far is 1, which makes it 0; the free columns keep the start's
-    values.  Returns the solution, unshifted."""
+    values, and the start's pivot columns do not matter.  Returns the
+    solution, unshifted."""
     for top, r in pivots:
         if (r & w).bit_count() & 1:
-            w |= 1 << (top - 1)
+            w ^= 1 << (top - 1)
     return w >> 1
 
 
-def _echelon_solve(ech: dict[int, int], y: int,
-                   extra: list[tuple[int, int]]) -> int | None:
-    """Lexicographically smallest packed w (column 0 most significant) with
-    parity(e & w) = parity(e & y) for every stored row e of ech and
-    parity(row & w) = rhs for every extra (row, rhs) pair; None when the
-    system is inconsistent.
+def _echelon_solve(aug: dict[int, int], extra: list[tuple[int, int]],
+                   free: int = 0) -> int | None:
+    """The packed w with parity(row & w) = rhs for every row of the
+    augmented echelon form aug (_augment) and every extra (row, rhs) pair
+    whose free columns are those of free; None when the system is
+    inconsistent.  aug is not changed.
 
-    The stored rows, with their right-hand sides, and the extras go
-    through one forward elimination (_augment), then one back-substitution
-    (_substitute) with every free column at 0.  The pivot columns are an
-    invariant of the row space, so only the free columns are a choice, and
-    all at 0 is the lex-min one.
+    A copy of aug takes the extras through the same forward elimination
+    (_augment), then one back-substitution (_substitute) starts from free.
+    The pivot columns are an invariant of the row space, so only the free
+    columns are a choice: free = 0 gives the lexicographically smallest
+    solution (column 0 most significant), and in general w ^ free is the
+    smallest of s ^ free over all solutions s.
     """
-    aug = {top + 1: e << 1 | (e & y).bit_count() & 1 for top, e in ech.items()}
+    aug = dict(aug)
     if not _augment(aug, extra):
         return None
-    return _substitute(sorted(aug.items()), 1)
+    return _substitute(sorted(aug.items()), free << 1 | 1)
 
 
 def _solve(rows: list[tuple[int, int]], cols: int) -> tuple[int, list[int]] | None:

@@ -4,11 +4,14 @@ A constraint system asks for F in Sp(2m, F2) with x_i F = y_i for given row
 pairs.  It holds its rows packed (one Python int per row, bit c holding
 column c, as in gf2core), and all work below runs on such ints; numpy
 arrays appear only at the public edge.  One solution comes from a chain of
-at most 2t transvections (t = constraint count), each a rank-1 update of
-F's rows, with intermediate vectors read off one echelon form of the
-targets that grows by one row per constraint.  The full solution set comes
-from a depth-first sweep over the images of the unconstrained half of a
-hyperbolic basis containing the x_i.
+at most 2t transvections (t = constraint count).  F's rows and the
+sources' images are one int of power-of-two-width slots, one row per slot,
+so a transvection is a few whole-int operations: a parity fold inside
+every slot and one multiply.  The intermediate vectors are read off one
+echelon form of the targets, with right-hand side 0, that grows by one row
+per constraint.  The full solution set comes from a depth-first sweep over
+the images of the unconstrained half of a hyperbolic basis containing the
+x_i.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve,
                       _gram_mismatch, _hyperbolic, _inverse, _mul_rows,
-                      _pack, _rank, _solve, _swap, _unpack, asbits, eye, mul,
-                      omega, sp_group_order)
+                      _pack, _rank, _slotted, _solve, _swap, _unpack,
+                      _unslotted, asbits, eye, mul, omega, sp_group_order)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -44,7 +47,8 @@ def map_vector(x, y) -> list[np.ndarray]:
 
     Both inputs must be nonzero and of the same even length.  Returns [] when
     x == y, [x + y] when <x, y> = 1, else [w + y, x + w] for the smallest
-    valid intermediate w.
+    valid intermediate w: _step with an empty echelon form, so w's only
+    conditions are <x, w> = <y, w> = 1.
     """
     x = asbits(x).ravel()
     y = asbits(y).ravel()
@@ -57,34 +61,54 @@ def map_vector(x, y) -> list[np.ndarray]:
     return list(_unpack(_step(px, py, {}, x.shape[0] // 2), x.shape[0]))
 
 
-def _step(xt: int, y: int, ech: dict[int, int], m: int) -> list[int]:
+def _step(xt: int, y: int, aug: dict[int, int], m: int) -> list[int]:
     """Packed transvection vectors taking xt to y while fixing the earlier
-    targets, whose rows y_j Omega ech holds in echelon form:
-    [] when xt == y, [xt + y] when <xt, y> = 1, else [w + y, xt + w] for the
-    smallest w with <xt, w> = <y, w> = 1 and <y_j, w> = <y_j, y>, so fixing
-    this constraint disturbs none before it."""
+    targets y_j: [] when xt == y, [xt + y] when <xt, y> = 1, else
+    [w + y, xt + w] for the smallest w with <xt, w> = <y, w> = 1 and
+    <y_j, w> = <y_j, y>, so fixing this constraint disturbs none before it.
+
+    In z = w + y those conditions are homogeneous in the y_j: <y_j, z> = 0,
+    and <xt, z> = <y, z> = 1 since <xt, y> = <y, y> = 0 here.  So aug holds
+    the rows y_j Omega once, as an augmented echelon form with right-hand
+    side 0, and the smallest w is the z whose free columns are y's
+    (_echelon_solve)."""
     if xt == y:
         return []
     yw = _swap(y, m)
     if (xt & yw).bit_count() & 1:
         return [xt ^ y]
-    w = _echelon_solve(ech, y, [(_swap(xt, m), 1), (yw, 1)])
-    if w is None:
+    z = _echelon_solve(aug, [(_swap(xt, m), 1), (yw, 1)], y)
+    if z is None:
         raise RuntimeError("intermediate vector system is not solvable")
-    return [w ^ y, xt ^ w]
+    return [z, xt ^ y ^ z]
 
 
-def _row(v, m: int) -> int:
+def _integer(value, name: str) -> int:
+    """value as an int, read with operator.index; ValueError naming the
+    argument for anything else (a float, a str)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+
+
+def _row(v, m: int, where: str) -> int:
     """One constraint row, an int (numpy ints too) or an array of 2m bits,
-    as a packed int."""
+    as a packed int.  Anything else raises ValueError naming where, the
+    row's side and position."""
     if isinstance(v, (int, np.integer)):
         v = int(v)
         if not 0 <= v < 1 << 2 * m:
-            raise ValueError("packed constraint rows must lie in [0, 2^2m), got %d" % v)
+            raise ValueError("%s: packed constraint rows must lie in [0, 2^2m), got %d"
+                             % (where, v))
         return v
-    bits = asbits(v).ravel()
-    if bits.shape != (2 * m,):
-        raise ValueError("constraint vectors must have length 2m")
+    try:
+        bits = asbits(v).ravel()
+    except (TypeError, ValueError):
+        bits = None
+    if bits is None or bits.shape != (2 * m,):
+        raise ValueError("%s must be a packed int or an array of 2m = %d bits, got %.60r"
+                         % (where, 2 * m, v))
     return _pack(bits.reshape(1, -1))[0]
 
 
@@ -106,18 +130,15 @@ class SymplecticSystem:
     _mismatch: tuple[int, int] | None = field(compare=False, repr=False)
 
     def __init__(self, m: int, xs=(), ys=()):
-        try:
-            m = index(m)
-        except TypeError:
-            raise ValueError("m must be an integer, got %r" % (m,)) from None
+        m = _integer(m, "m")
         if m < 0:
             raise ValueError("m must be nonnegative, got %d" % m)
         xs, ys = list(xs), list(ys)
         if len(xs) != len(ys):
             raise ValueError("source and target counts differ")
         self.m = m
-        self._xs = [_row(v, m) for v in xs]
-        self._ys = [_row(v, m) for v in ys]
+        self._xs = [_row(v, m, "source row %d" % i) for i, v in enumerate(xs)]
+        self._ys = [_row(v, m, "target row %d" % i) for i, v in enumerate(ys)]
         self._mismatch = _gram_mismatch(self._xs, self._ys, m)
 
     @property
@@ -142,24 +163,39 @@ def _validate(system: SymplecticSystem) -> None:
 
 
 def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
-    """find_symplectic on packed rows: F's rows and the transvections."""
+    """find_symplectic on packed rows: F's rows and the transvections.
+
+    F's rows and the sources' images x_i F are one int of w-bit slots
+    (_slotted): F's row r in slot r and x_i F in slot 2m + i, w the
+    smallest power of two, at least 8, that holds 2m bits.  So x_i F is
+    one slot read, and the transvection by h, which adds h to every row r
+    with <r, h> = 1, is a few whole-int operations: the int AND h Omega in
+    every slot, then t ^= t >> k for k = w/2, ..., 1 leaves each slot's
+    parity in its bit 0, and those bits times h add h to the marked rows
+    in one multiply.  After the step for k, bits [0, k) of each slot hold
+    bits of that slot only, which is why w must be a power of two.  F is
+    unslotted once, for the final check.
+    """
     _validate(system)
     m = system.m
-    f = [1 << c for c in range(2 * m)]
-    ech: dict[int, int] = {}
+    n = 2 * m
+    w = max(8, 1 << (n - 1).bit_length())
+    full = (1 << w) - 1
+    ones = ((1 << (n + len(system)) * w) - 1) // full  # bit 0 of every slot
+    # the identity (bit r of slot r), then the sources
+    s = ((1 << n * (w + 1)) - 1) // ((2 << w) - 1) | _slotted(system._xs, w)[0] << n * w
+    folds = [w >> i for i in range(1, w.bit_length())]
+    aug: dict[int, int] = {}  # y_j Omega with right-hand side 0 (_step)
     hs: list[int] = []
-    for x, y in zip(system._xs, system._ys):
-        xt = 0  # x F: the XOR of F's rows at the set bits of x
-        while x:
-            low = x & -x
-            xt ^= f[low.bit_length() - 1]
-            x ^= low
-        for h in _step(xt, y, ech, m):
-            # F F_h = F + (F Omega h^T) h: row r gains h when <r, h> = 1
-            hw = _swap(h, m)
-            f = [r ^ h if (r & hw).bit_count() & 1 else r for r in f]
+    for at, y in enumerate(system._ys, n):
+        for h in _step(s >> at * w & full, y, aug, m):
+            t = s & _swap(h, m) * ones
+            for k in folds:
+                t ^= t >> k
+            s ^= (t & ones) * h
             hs.append(h)
-        _echelon_insert(ech, _swap(y, m))
+        _echelon_insert(aug, _swap(y, m) << 1)
+    f = _unslotted(s, n, w)
     if _mul_rows(system._xs, f) != system._ys:
         raise RuntimeError("transvection chain does not satisfy the system")
     return f, hs
@@ -273,7 +309,9 @@ def iter_all(system: SymplecticSystem):
 
 def enumerate_all(system: SymplecticSystem, cap: int = 1 << 20) -> list[np.ndarray]:
     """All solutions, materialized.  Raises before enumerating anything when
-    the count exceeds cap (use iter_all to stream beyond)."""
+    the count exceeds cap (use iter_all to stream beyond); cap must be an
+    integer (operator.index), else ValueError."""
+    cap = _integer(cap, "cap")
     frame = _frame(system)
     if _count(frame[2]) > cap:
         raise ValueError("solution count exceeds cap %d" % cap)

@@ -27,7 +27,7 @@ from .decompose import (ElementaryFactor, _bits, _emit_lanes, _factor_lanes,
 from .gf2core import (InfeasibleError, ParseError, _pack, _tokens, asbits,
                       is_symplectic, mul, omega, solve_linear)
 from .pauli import PauliOperator, from_label, to_label
-from .sympsolve import SymplecticSystem, find_symplectic
+from .sympsolve import SymplecticSystem, _integer, find_symplectic
 from .verify import (ConjugationReport, _check_spec, _operators, _report,
                      _sign_fix, expected_images)
 
@@ -278,10 +278,13 @@ def synthesize(code: StabilizerCode, spec: CliffordSpec, mode: str = "all",
     "all" runs in this process: a worker's results reach the parent
     pickled, and unpickling one costs about as much as realizing it.
     Raises ValueError before enumerating anything when the solution count
-    exceeds cap.
+    exceeds cap.  cap and jobs are read as integers (operator.index) before
+    any work, and anything else (a float, a str) raises ValueError naming
+    the argument; jobs <= 0 ranks in this process, like jobs = 1.
     """
     if mode not in ("all", "min_depth"):
         raise ValueError("mode must be 'all' or 'min_depth'")
+    cap, jobs = _integer(cap, "cap"), _integer(jobs, "jobs")
     system = build_system(code, spec)
     count = solution_count(code)
     if count > cap:

@@ -291,7 +291,7 @@ def _check_spec(code, spec) -> None:
         cols = _transpose([s.x | s.z << m for s in code.stabilizers], 2 * m)
         for j, target in stab_images.items():
             t = target.x | target.z << m
-            coeffs = _echelon_solve({}, 0, [(c, t >> i & 1) for i, c in enumerate(cols)])
+            coeffs = _echelon_solve({}, [(c, t >> i & 1) for i, c in enumerate(cols)])
             if coeffs is None:
                 raise ValueError("mapS %d target %s is not a stabilizer-group "
                                  "element" % (j, to_label(target)))
@@ -334,8 +334,8 @@ def _sign_fix(code, spec, raw: Circuit) -> tuple[list, Circuit, PauliOperator, l
     # each input row gamma = [a | b] times Omega is [b | a]; the solve
     # gives the lex-min correction [c | d], packed with bit t for column t
     err = diff[2 * m + 1]
-    cd = _echelon_solve({}, 0, [(g.z | g.x << m, err >> r & 1)
-                                for r, (_, g, _) in enumerate(rows)])
+    cd = _echelon_solve({}, [(g.z | g.x << m, err >> r & 1)
+                             for r, (_, g, _) in enumerate(rows)])
     if cd is None:
         raise RuntimeError("no Pauli correction exists: the code's rows are "
                            "not independent")

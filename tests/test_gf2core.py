@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sympcliff as sc
-from sympcliff.gf2core import _echelon_insert, _echelon_solve, _pack, _unpack
-from helpers import bits, hamming_parity, ref_nullspace
+from sympcliff.gf2core import (_augment, _echelon_insert, _echelon_solve, _pack,
+                               _unpack)
+from helpers import bits, hamming_parity, ref_coset_leader, ref_nullspace
 
 
 @st.composite
@@ -212,6 +213,11 @@ def test_solve_linear_is_lex_min_over_every_solution(data):
     assert len(spans) == 1 << ns.shape[0]
 
 
+def _lex(width):
+    """Sort key of a packed row: lex order, column 0 most significant."""
+    return lambda w: [w >> c & 1 for c in range(width)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_echelon_solve_matches_solve_linear(data):
@@ -225,7 +231,13 @@ def test_echelon_solve_matches_solve_linear(data):
     for top, e in ech.items():
         assert top == e.bit_length()
     assert len(ech) == sc.rank(_unpack(inserted, width))
-    y = data.draw(word)
+    # the stored rows, augmented with right-hand sides that some y meets
+    # (y = 0: the homogeneous form the transvection chain keeps)
+    y = data.draw(st.just(0) | word)
+    stored = [(row, (row & y).bit_count() & 1) for row in inserted]
+    aug = {}
+    assert _augment(aug, stored)
+    before = dict(aug)
     extra = []
     for _ in range(2):
         # a combination of earlier rows, plus possibly a random word: the
@@ -237,13 +249,18 @@ def test_echelon_solve_matches_solve_linear(data):
         for r in itertools.compress(pool, pick):
             row ^= r
         extra.append((row, data.draw(st.integers(0, 1))))
-    got = _echelon_solve(ech, y, extra)
-    rows = [row for row, _ in extra] + inserted
-    rhs = [b for _, b in extra] + [(row & y).bit_count() & 1 for row in inserted]
-    want = sc.solve_linear(_unpack(rows, width), np.array(rhs, np.uint8))
-    assert (got is None) == (want is None)
+    free = data.draw(word)
+    got, lex_min = _echelon_solve(aug, extra, free), _echelon_solve(aug, extra)
+    assert aug == before  # the stored form is not changed
+    rows, rhs = zip(*(extra + stored))
+    want = sc.solve_linear(_unpack(list(rows), width), np.array(rhs, np.uint8))
+    assert (got is None) == (lex_min is None) == (want is None)
     if want is not None:
-        assert np.array_equal(_unpack([got], width)[0], want[0])
+        x, null = want
+        assert np.array_equal(_unpack([lex_min], width)[0], x)
+        # got ^ free is the smallest of s ^ free over the solutions s
+        leader = ref_coset_leader(x ^ _unpack([free], width)[0], null)
+        assert np.array_equal(_unpack([got ^ free], width)[0], leader)
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,15 +271,15 @@ def test_echelon_solve_is_lex_min_over_every_w(data):
     stored = data.draw(st.lists(word, max_size=width + 2))
     extra = data.draw(st.lists(st.tuples(word, st.integers(0, 1)), max_size=width + 2))
     y = data.draw(word)
-    ech = {}
-    for row in stored:
-        _echelon_insert(ech, row)
+    free = data.draw(word)
+    aug = {}
+    assert _augment(aug, [(row, (row & y).bit_count() & 1) for row in stored])
     hits = [w for w in range(1 << width)
             if all((e & w).bit_count() % 2 == (e & y).bit_count() % 2 for e in stored)
             and all((row & w).bit_count() % 2 == rhs for row, rhs in extra)]
-    # lex order, column 0 most significant
-    want = min(hits, key=lambda w: [w >> c & 1 for c in range(width)], default=None)
-    assert _echelon_solve(ech, y, extra) == want
+    assert _echelon_solve(aug, extra) == min(hits, key=_lex(width), default=None)
+    want = min(hits, key=lambda w: _lex(width)(w ^ free), default=None)
+    assert _echelon_solve(aug, extra, free) == want
 
 
 @pytest.mark.parametrize("r", (3, 4, 5))
@@ -281,7 +298,7 @@ def test_echelon_solve_on_the_sign_fix_systems_of_hamming_codes(r):
     rng = np.random.default_rng(r)
     for _ in range(20):
         rhs = rng.integers(0, 2, size=len(given)).tolist()
-        got = _echelon_solve({}, 0, list(zip(given, rhs)))
+        got = _echelon_solve({}, list(zip(given, rhs)))
         # the rows are independent, so every right-hand side is reachable
         assert got is not None
         assert [(row & got).bit_count() & 1 for row in given] == rhs

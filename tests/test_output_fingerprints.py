@@ -1,14 +1,15 @@
-"""Output guard: a fixed handful of benchmark inputs must give the output
-digests recorded in perfbench/data/fingerprints.json.
+"""Output guard: every benchmark input that any seed can draw must give the
+output digest recorded in perfbench/data/fingerprints.json.
 
 The inputs are built and run by the benchmark's own workload code in
-perfbench/workloads.py, which this test imports and does not change: four
-``hamming_single`` universe triples (one solution each on the [[7,1,3]],
-[[15,7,3]] and [[31,21,3]] Hamming codes), the ``hadamard5q`` input of
-``min513`` (min-depth over 1024 solutions of the [[5,1,3]] code) and one
-``min513`` universe input from each of the six classes of Sp(2, F2), the
-workload's own stratification.  A digest covers every output bit: circuit
-text, Pauli correction and depth.
+perfbench/workloads.py, which this test imports and does not change: all
+96 ``hamming_single`` universe triples (one solution each on the [[7,1,3]],
+[[15,7,3]] and [[31,21,3]] Hamming codes) and all 25 ``min513`` universe
+inputs (min-depth over 1024 solutions of the [[5,1,3]] code): the
+``hadamard5q`` input and 24 drawn specs, which cover all six classes of
+Sp(2, F2), the workload's own stratification.  Each universe must be
+exactly the set of recorded inputs.  A digest covers every output bit:
+circuit text, Pauli correction and depth.
 
 ``cli642_all`` is left out on purpose: its recorded digests predate the
 S-index order in which ``mode="all"`` lists (and numbers) the solutions, so
@@ -22,10 +23,7 @@ from pathlib import Path
 
 import pytest
 
-import sympcliff as sc
-
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-HAMMING_TRIPLES = (0, 17, 58, 95)
 
 
 @pytest.fixture(scope="module")
@@ -37,35 +35,26 @@ def bench():
     return workloads, recorded
 
 
-def test_hamming_single_triples_match_recorded_digests(bench):
+def _universe_digests(workloads, wl, tmp_path) -> dict[str, str]:
+    wl.universe_setup(tmp_path)
+    return {wl.key(item): workloads.digest(wl.canonical(item, wl.run(item)))
+            for item in wl.pool}
+
+
+def test_hamming_single_triples_match_recorded_digests(bench, tmp_path):
     workloads, recorded = bench
     wl = workloads.HammingSingle()
-    wl.codes = wl._codes()
-    for idx in HAMMING_TRIPLES:
-        item = wl._triple(idx)
-        got = workloads.digest(wl.canonical(item, wl.run(item)))
-        assert got == recorded[wl.name][wl.key(item)], "universe triple %d" % idx
+    got = _universe_digests(workloads, wl, tmp_path)
+    assert len(got) == 96
+    assert got == recorded[wl.name]
 
 
-def test_min513_hadamard5q_matches_recorded_digest(bench):
+def test_min513_universe_matches_recorded_digests(bench, tmp_path):
     workloads, recorded = bench
     wl = workloads.Min513()
-    wl.code = wl._code()
-    text = (workloads.DATA / "hadamard5q.spec").read_text()
-    item = (text, sc.load_spec(text))
-    got = workloads.digest(wl.canonical(item, wl.run(item)))
-    assert got == recorded[wl.name][wl.key(item)]
-
-
-def test_min513_one_input_per_class_matches_recorded_digests(bench, tmp_path):
-    workloads, recorded = bench
-    wl = workloads.Min513()
-    wl.universe_setup(tmp_path)
-    firsts = {}
-    for item in wl.pool:
-        if item[1].name != "hadamard5q":  # tested above; _action reads drawn specs
-            firsts.setdefault(wl._action(item[0]), item)
-    assert len(firsts) == 6
-    for action, item in sorted(firsts.items()):
-        got = workloads.digest(wl.canonical(item, wl.run(item)))
-        assert got == recorded[wl.name][wl.key(item)], action
+    got = _universe_digests(workloads, wl, tmp_path)
+    assert len(got) == 25
+    assert "hadamard5q" in {item[1].name for item in wl.pool}
+    assert len({wl._action(text) for text, spec in wl.pool
+                if spec.name != "hadamard5q"}) == 6
+    assert got == recorded[wl.name]

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import random
+import re
+from functools import reduce
+from operator import xor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import sympcliff as sc
 from sympcliff import sympsolve
-from helpers import (as_set, golden_solution_sets, hamming_parity,
+from helpers import (_ref_step, as_set, golden_solution_sets, hamming_parity,
                      random_logical_spec, ref_find_symplectic, symplectic)
 
 
@@ -380,3 +385,132 @@ def test_enumerate_matches_brute_force_on_random_sources(sp2, sp4):
             assert len(sols) == len(brute)
             assert sympsolve._count(sympsolve._frame(system)[2]) == len(brute)
     assert unmatched >= 5
+
+
+# The chain holds F in slots whose width is the smallest power of two, at
+# least 8, that holds 2m bits: these widths sit on either side of 8, 16,
+# 32, 64 and 128 bits, where a byte-aligned width (24, 72, 136 bits at
+# m = 9, 33, 65) would break the in-slot parity fold.
+SLOT_EDGES = (1, 4, 5, 8, 9, 31, 32, 33, 64, 65)
+
+
+def _swapped(v, m):
+    return v >> m | (v & ((1 << m) - 1)) << m
+
+
+def _random_symplectic(rng, m, fixing=0):
+    """Packed rows of a product of 2m + 2 random transvections, each
+    orthogonal to fixing, so that the product fixes it."""
+    rows = [1 << c for c in range(2 * m)]
+    done = 0
+    while done < 2 * m + 2:
+        h = rng.getrandbits(2 * m)
+        if not (h & _swapped(fixing, m)).bit_count() & 1:
+            hw = _swapped(h, m)
+            rows = [r ^ h if (r & hw).bit_count() & 1 else r for r in rows]
+            done += 1
+    return rows
+
+
+def _times(x, rows):
+    return reduce(xor, (r for c, r in enumerate(rows) if x >> c & 1), 0)
+
+
+def _edge_systems(m):
+    """Seeded systems at width m: t = 0, 1, m and 2m constraints, sources
+    from the rows of a random symplectic matrix in random order, targets
+    their images under another; then a full system whose first target
+    equals its source, and (m >= 2, where two distinct nonzero vectors can
+    be orthogonal) one whose first step takes two transvections."""
+    rng = random.Random(m)
+    out = []
+    for t in sorted({0, 1, m, 2 * m}):
+        basis, g = _random_symplectic(rng, m), _random_symplectic(rng, m)
+        xs = rng.sample(basis, t)
+        out.append((xs, [_times(x, g) for x in xs]))
+    xs = rng.sample(_random_symplectic(rng, m), 2 * m)
+    g = _random_symplectic(rng, m, fixing=xs[0])
+    out.append((xs, [_times(x, g) for x in xs]))
+    assert out[-1][1][0] == xs[0]
+    if m >= 2:
+        y0 = xs[0]
+        while y0 == xs[0] or (_swapped(xs[0], m) & y0).bit_count() & 1:
+            g = _random_symplectic(rng, m)
+            y0 = _times(xs[0], g)
+        out.append((xs, [_times(x, g) for x in xs]))
+    return out
+
+
+@pytest.mark.parametrize("m", SLOT_EDGES)
+def test_chain_matches_the_oracle_at_slot_width_edges(m, monkeypatch):
+    steps = []
+    step = sympsolve._step
+
+    def recorded(xt, y, aug, m_):
+        hs = step(xt, y, aug, m_)
+        steps.append((len(hs), len(aug)))
+        return hs
+
+    monkeypatch.setattr(sympsolve, "_step", recorded)
+    for xs, ys in _edge_systems(m):
+        system = sc.SymplecticSystem(m, xs, ys)
+        f, hs = sc.find_symplectic(system, return_transvections=True)
+        ref_f, ref_hs = ref_find_symplectic(system, return_transvections=True)
+        assert f.tobytes() == ref_f.tobytes()
+        assert [h.tobytes() for h in hs] == [h.tobytes() for h in ref_hs]
+    # a step where x F already equals y, one transvection, and (m >= 2)
+    # two transvections with earlier targets to keep fixed
+    assert {0, 1} <= {n for n, _ in steps}
+    assert m < 2 or any(n == 2 and stored for n, stored in steps)
+
+
+@pytest.mark.parametrize("m", SLOT_EDGES)
+def test_map_vector_matches_the_reference_step_at_slot_width_edges(m):
+    rng = np.random.default_rng(100 + m)
+    kinds = set()
+    for trial in range(24):
+        x = rng.integers(0, 2, 2 * m, dtype=np.uint8)
+        y = x.copy() if trial == 0 else rng.integers(0, 2, 2 * m, dtype=np.uint8)
+        if not x.any() or not y.any():
+            continue
+        got = sc.map_vector(x, y)
+        want = _ref_step(x, y, [])
+        assert [h.tobytes() for h in got] == [h.tobytes() for h in want]
+        kinds.add(len(want))
+    assert kinds == ({0, 1} if m == 1 else {0, 1, 2})
+
+
+@pytest.mark.parametrize("cap", (2.5, "8", None))
+def test_enumerate_reads_cap_as_an_integer_before_any_work(cap, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(sympsolve, "_frame", refuse)
+    with pytest.raises(ValueError, match="^cap must be an integer, got %s$"
+                       % re.escape(repr(cap))):
+        sc.enumerate_all(sc.SymplecticSystem(1, [], []), cap=cap)
+
+
+def test_enumerate_keeps_the_meaning_of_an_integer_cap():
+    system = sc.SymplecticSystem(1, [], [])  # |Sp(2, F2)| = 6
+    assert len(sc.enumerate_all(system, cap=np.int64(6))) == 6
+    with pytest.raises(ValueError, match="^solution count exceeds cap 5$"):
+        sc.enumerate_all(system, cap=np.int64(5))
+
+
+@pytest.mark.parametrize("side", ("source", "target"))
+@pytest.mark.parametrize("row", ["10", None, 1.0, np.float64(1), [1, 0, 1],
+                                 np.array(["1", "0"]), [[1], [0, 1]], {}],
+                         ids=["str", "None", "float", "np.float64", "3 bits",
+                              "str array", "ragged", "dict"])
+def test_system_refuses_a_row_that_is_neither_a_packed_int_nor_2m_bits(row, side):
+    rows = {"source": [1, 2], "target": [1, 2]}
+    rows[side][1] = row
+    message = "^%s row 1 must be a packed int or an array of 2m = 2 bits, got " % side
+    with pytest.raises(ValueError, match=message):
+        sc.SymplecticSystem(1, rows["source"], rows["target"])
+
+
+def test_system_names_the_position_of_a_packed_row_out_of_range():
+    with pytest.raises(ValueError, match="^target row 2: packed constraint rows"):
+        sc.SymplecticSystem(2, [1, 2, 4], [1, 2, 16])

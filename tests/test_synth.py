@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -777,3 +778,30 @@ def test_min_depth_on_a_code_wider_than_64_columns():
     want = min((_min_depth_key(sc.realize(code, spec, f).circuit), f.tobytes())
                for f in fs)
     assert (_min_depth_key(best.circuit), best.f.tobytes()) == want
+
+
+@pytest.mark.parametrize("mode", ("all", "min_depth"))
+@pytest.mark.parametrize("arg, value", [
+    ("cap", 2.5), ("cap", "8"), ("jobs", "2"), ("jobs", 2.5)])
+def test_synthesize_reads_cap_and_jobs_as_integers(code642, mode, arg, value,
+                                                   monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    # refused before any work, in both modes
+    monkeypatch.setattr(synth, "build_system", refuse)
+    message = "%s must be an integer, got %r" % (arg, value)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        sc.synthesize(code642, _spec("cz12"), mode=mode, **{arg: value})
+
+
+@pytest.mark.parametrize("mode", ("all", "min_depth"))
+def test_synthesize_keeps_the_meaning_of_integer_cap_and_jobs(code642, mode):
+    spec = _spec("cz12")
+    want = [sc.serialize(r.circuit) for r in sc.synthesize(code642, spec, mode=mode)]
+    # 8 solutions: cap 8 takes them, cap 7 refuses; jobs <= 0 runs here
+    for cap, jobs in ((np.int64(8), np.int64(1)), (8, 0), (8, -3)):
+        got = sc.synthesize(code642, spec, mode=mode, cap=cap, jobs=jobs)
+        assert [sc.serialize(r.circuit) for r in got] == want
+    with pytest.raises(ValueError, match="^solution count exceeds cap 7$"):
+        sc.synthesize(code642, spec, mode=mode, cap=7)

@@ -49,12 +49,32 @@ def test_hamming_single_triples_match_recorded_digests(bench, tmp_path):
     assert got == recorded[wl.name]
 
 
-def test_min513_universe_matches_recorded_digests(bench, tmp_path):
+@pytest.fixture(scope="module")
+def min513(bench, tmp_path_factory):
     workloads, recorded = bench
     wl = workloads.Min513()
-    got = _universe_digests(workloads, wl, tmp_path)
+    got = _universe_digests(workloads, wl, tmp_path_factory.mktemp("min513"))
+    return wl, got, recorded[wl.name]
+
+
+def test_min513_hadamard5q_matches_recorded_digest(min513):
+    wl, got, recorded = min513
+    (item,) = [item for item in wl.pool if item[1].name == "hadamard5q"]
+    assert got[wl.key(item)] == recorded[wl.key(item)]
+
+
+def test_min513_one_input_per_class_matches_recorded_digests(min513):
+    wl, got, recorded = min513
+    firsts = {}
+    for item in wl.pool:
+        if item[1].name != "hadamard5q":  # _action reads drawn specs only
+            firsts.setdefault(wl._action(item[0]), item)
+    assert len(firsts) == 6
+    for action, item in sorted(firsts.items()):
+        assert got[wl.key(item)] == recorded[wl.key(item)], action
+
+
+def test_min513_universe_matches_recorded_digests(min513):
+    wl, got, recorded = min513
     assert len(got) == 25
-    assert "hadamard5q" in {item[1].name for item in wl.pool}
-    assert len({wl._action(text) for text, spec in wl.pool
-                if spec.name != "hadamard5q"}) == 6
-    assert got == recorded[wl.name]
+    assert got == recorded

@@ -202,18 +202,28 @@ def parse(text: str, m: int | None = None) -> Circuit:
 def depth(c: Circuit) -> int:
     """Greedy stage count: a gate starts right after the latest prior gate
     sharing one of its qubits (a PERMUTE lists, and so shares, every
-    qubit).  No commutation-based reordering."""
-    stage: dict[int, int] = {}
-    get = stage.get
+    qubit).  No commutation-based reordering.
+
+    stage[q] is qubit q's stage so far; Circuit keeps every qubit in 1..m.
+    One- and two-qubit gates, PERMUTE on m <= 2 too, take a branch each,
+    and only a longer PERMUTE loops over its qubits."""
+    stage = [0] * (c.m + 1)
     deepest = 0
     for _, qs in c.gates:
-        s = 1
-        for q in qs:
-            t = get(q, 0)
-            if t >= s:
-                s = t + 1
-        for q in qs:
-            stage[q] = s
+        n = len(qs)
+        if n == 2:
+            q, r = qs
+            s = stage[q]
+            if stage[r] > s:
+                s = stage[r]
+            stage[q] = stage[r] = s = s + 1
+        elif n == 1:
+            q, = qs
+            stage[q] = s = stage[q] + 1
+        else:
+            s = max([stage[q] for q in qs], default=0) + 1
+            for q in qs:
+                stage[q] = s
         if s > deepest:
             deepest = s
     return deepest

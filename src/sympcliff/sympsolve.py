@@ -7,15 +7,18 @@ arrays appear only at the public edge.  One solution comes from a chain of
 at most 2t transvections (t = constraint count).  F's rows and the
 sources' images are one int of power-of-two-width slots, one row per slot,
 so a transvection is a few whole-int operations: a parity fold inside
-every slot and one multiply.  The intermediate vectors are read off one
-echelon form of the targets, with right-hand side 0, that grows by one row
-per constraint.  The full solution set comes from a depth-first sweep over
+every slot and one multiply.  One echelon pass over the targets (their
+rows times Omega, right-hand side 0) both checks their rank and gives each
+target's reduced row; the intermediate vectors are read off the form made
+of the first rows of that pass, which grows by one stored row per
+constraint.  The full solution set comes from a depth-first sweep over
 the images of the unconstrained half of a hyperbolic basis containing the
 x_i.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -23,10 +26,10 @@ from operator import index, xor
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve,
-                      _gram_mismatch, _hyperbolic, _inverse, _mul_rows,
-                      _pack, _rank, _slotted, _solve, _swap, _unpack,
-                      _unslotted, asbits, eye, mul, omega, sp_group_order)
+from .gf2core import (InfeasibleError, _echelon_insert, _gram_mismatch,
+                      _hyperbolic, _inverse, _mul_rows, _pack, _rank, _slotted,
+                      _solve, _substitute, _swap, _unpack, _unslotted, asbits,
+                      eye, mul, omega, sp_group_order)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -58,10 +61,11 @@ def map_vector(x, y) -> list[np.ndarray]:
     if not x.any() or not y.any():
         raise InfeasibleError("transvections move only nonzero vectors")
     px, py = _pack(np.vstack([x, y]))
-    return list(_unpack(_step(px, py, {}, x.shape[0] // 2), x.shape[0]))
+    return list(_unpack(_step(px, py, {}, [], x.shape[0] // 2), x.shape[0]))
 
 
-def _step(xt: int, y: int, aug: dict[int, int], m: int) -> list[int]:
+def _step(xt: int, y: int, aug: dict[int, int], pivots: list[tuple[int, int]],
+          m: int) -> list[int]:
     """Packed transvection vectors taking xt to y while fixing the earlier
     targets y_j: [] when xt == y, [xt + y] when <xt, y> = 1, else
     [w + y, xt + w] for the smallest w with <xt, w> = <y, w> = 1 and
@@ -70,16 +74,30 @@ def _step(xt: int, y: int, aug: dict[int, int], m: int) -> list[int]:
     In z = w + y those conditions are homogeneous in the y_j: <y_j, z> = 0,
     and <xt, z> = <y, z> = 1 since <xt, y> = <y, y> = 0 here.  So aug holds
     the rows y_j Omega once, as an augmented echelon form with right-hand
-    side 0, and the smallest w is the z whose free columns are y's
-    (_echelon_solve)."""
+    side 0 (gf2core._augment), and pivots lists its items in ascending order.
+    The two extra rows are reduced against aug and each other as _augment
+    would insert them, but into a form of their own, so aug is not
+    changed; they are placed among a copy of the pivots (bisect.insort),
+    and the smallest w is the z whose free columns are y's, by one
+    back-substitution from y (gf2core._substitute)."""
     if xt == y:
         return []
     yw = _swap(y, m)
     if (xt & yw).bit_count() & 1:
         return [xt ^ y]
-    z = _echelon_solve(aug, [(_swap(xt, m), 1), (yw, 1)], y)
-    if z is None:
-        raise RuntimeError("intermediate vector system is not solvable")
+    added: dict[int, int] = {}
+    pivots = pivots.copy()
+    for row in (_swap(xt, m) << 1 | 1, yw << 1 | 1):
+        while row:
+            top = row.bit_length()
+            if (e := aug.get(top) or added.get(top)) is None:
+                added[top] = row
+                insort(pivots, (top, row))
+                break
+            row ^= e
+        if row == 1:  # the bare right-hand side: inconsistent
+            raise RuntimeError("intermediate vector system is not solvable")
+    z = _substitute(pivots, y << 1 | 1)
     return [z, xt ^ y ^ z]
 
 
@@ -153,15 +171,6 @@ class SymplecticSystem:
         return len(self._xs)
 
 
-def _validate(system: SymplecticSystem) -> None:
-    for rows, side in ((system._xs, "source"), (system._ys, "target")):
-        if _rank(rows) != len(system):
-            raise InfeasibleError("%s vectors are linearly dependent" % side)
-    if system._mismatch is not None:
-        raise InfeasibleError("constraints %d and %d have incompatible inner products"
-                              % system._mismatch)
-
-
 def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
     """find_symplectic on packed rows: F's rows and the transvections.
 
@@ -175,9 +184,25 @@ def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
     in one multiply.  After the step for k, bits [0, k) of each slot hold
     bits of that slot only, which is why w must be a power of two.  F is
     unslotted once, for the final check.
+
+    The targets go through one echelon pass (_echelon_insert on y_j Omega,
+    right-hand side 0), which is their rank check and gives each one's
+    reduced row.  An insert never changes a stored row, so the form _step
+    solves against after j constraints is the first j rows of that pass:
+    after step j the chain stores row j as it is, and places it in the
+    ascending pivot list.  The checks run in the order sources, targets,
+    inner products.
     """
-    _validate(system)
     m = system.m
+    if _rank(system._xs) != len(system):
+        raise InfeasibleError("source vectors are linearly dependent")
+    ech: dict[int, int] = {}
+    rows = [_echelon_insert(ech, _swap(y, m) << 1) for y in system._ys]
+    if not all(rows):
+        raise InfeasibleError("target vectors are linearly dependent")
+    if system._mismatch is not None:
+        raise InfeasibleError("constraints %d and %d have incompatible inner products"
+                              % system._mismatch)
     n = 2 * m
     w = max(8, 1 << (n - 1).bit_length())
     full = (1 << w) - 1
@@ -185,16 +210,19 @@ def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
     # the identity (bit r of slot r), then the sources
     s = ((1 << n * (w + 1)) - 1) // ((2 << w) - 1) | _slotted(system._xs, w)[0] << n * w
     folds = [w >> i for i in range(1, w.bit_length())]
-    aug: dict[int, int] = {}  # y_j Omega with right-hand side 0 (_step)
+    aug: dict[int, int] = {}  # the first rows of the target pass (_step)
+    pivots: list[tuple[int, int]] = []  # aug's items, ascending
     hs: list[int] = []
-    for at, y in enumerate(system._ys, n):
-        for h in _step(s >> at * w & full, y, aug, m):
+    for at, (y, row) in enumerate(zip(system._ys, rows), n):
+        for h in _step(s >> at * w & full, y, aug, pivots, m):
             t = s & _swap(h, m) * ones
             for k in folds:
                 t ^= t >> k
             s ^= (t & ones) * h
             hs.append(h)
-        _echelon_insert(aug, _swap(y, m) << 1)
+        top = row.bit_length()
+        aug[top] = row
+        insort(pivots, (top, row))
     f = _unslotted(s, n, w)
     if _mul_rows(system._xs, f) != system._ys:
         raise RuntimeError("transvection chain does not satisfy the system")

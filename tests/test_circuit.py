@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 import re
 
 import numpy as np
@@ -202,6 +203,38 @@ def test_depth_permute_touches_everything():
     c = sc.circuit(3, [sc.gate("H", 1), sc.gate("PERMUTE", 2, 1, 3),
                        sc.gate("H", 2)])
     assert sc.depth(c) == 3
+
+
+def _seeded_gates(rng, m, count):
+    """count gates on m qubits, each kind drawn uniformly among those that
+    fit m (CZ and CNOT need two qubits), on uniformly drawn qubits."""
+    kinds = [k for k in GATE_KINDS if m >= 2 or k not in ("CZ", "CNOT")]
+    gates = []
+    for _ in range(count):
+        kind = rng.choice(kinds)
+        n = m if kind == "PERMUTE" else 2 if kind in ("CZ", "CNOT") else 1
+        gates.append(sc.gate(kind, *rng.sample(range(1, m + 1), n)))
+    return gates
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 31, 64))
+def test_depth_matches_the_reference_on_seeded_circuits(m):
+    rng = random.Random(m)
+    circuits = [sc.circuit(m, [])] + [sc.circuit(m, _seeded_gates(rng, m, count))
+                                      for count in (1, 2, 3, 8, 40, 300)]
+    for c in circuits:
+        assert sc.depth(c) == ref_depth(c)
+    # every kind that fits m, CNOT both ways, and PERMUTE with m entries
+    gates = {g for c in circuits for g in c.gates}
+    assert {kind for kind, _ in gates} == \
+        {k for k in GATE_KINDS if m >= 2 or k not in ("CZ", "CNOT")}
+    assert m < 2 or {qs[0] < qs[1] for kind, qs in gates if kind == "CNOT"} == {True, False}
+    assert {len(qs) for kind, qs in gates if kind == "PERMUTE"} == {m}
+
+
+def test_depth_of_a_permute_on_zero_qubits_is_one():
+    c = sc.circuit(0, [sc.gate("PERMUTE")])
+    assert sc.depth(c) == ref_depth(c) == 1
 
 
 def test_gate_equals_and_hashes_as_its_kind_qubits_tuple():

@@ -8,7 +8,10 @@ give dependent rows, zero rows and empty columns.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -158,7 +161,8 @@ ASBITS_ELEMENTS = {
     np.bool_: st.booleans(),
     np.int8: st.integers(-128, 127),
     np.int64: st.integers(-2**62, 2**62),
-    np.float64: st.floats(-1e6, 1e6),
+    # integral floats read as integers; any other float is refused
+    np.float64: st.floats(-1e6, 1e6) | st.integers(-2**53, 2**53).map(float),
 }
 
 
@@ -185,8 +189,15 @@ def asbits_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(asbits_inputs())
 def test_asbits_matches_mod_2(x):
+    arr = np.asarray(x)
+    if not np.array_equal(np.trunc(arr), arr):  # a float that is not an integer
+        first = arr[np.trunc(arr) != arr].tolist()[0]
+        with pytest.raises(ValueError, match=r"^bit value %s is not an integer$"
+                           % re.escape(repr(first))):
+            sc.asbits(x)
+        return
     got = sc.asbits(x)
-    want = np.mod(np.asarray(x), 2).astype(np.uint8)
+    want = np.mod(arr, 2).astype(np.uint8)
     # a 0-d input may come back as a numpy scalar on either side
     assert (got.dtype, got.shape) == (want.dtype, want.shape)
     assert np.array_equal(got, want)

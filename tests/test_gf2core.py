@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -444,3 +446,33 @@ def test_symplectic_inner_rejects_odd_or_mismatched_rows():
 def test_sp_group_order_rejects_negative_m():
     with pytest.raises(ValueError, match="nonnegative"):
         sc.sp_group_order(-1)
+
+
+# Each public entry that reads bits through asbits, with a value placed
+# first in one of its bit arrays
+BIT_ENTRIES = {
+    "asbits": lambda v: sc.asbits([v, 1]),
+    "gram": lambda v: sc.gram([[v, 1], [0, 1]]),
+    "mul": lambda v: sc.mul(np.eye(2, dtype=np.uint8), [[v, 1], [0, 1]]),
+    "rref": lambda v: sc.rref([[v, 1], [0, 1]]),
+    "solve_linear matrix": lambda v: sc.solve_linear([[v, 1], [0, 1]], [1, 0]),
+    "solve_linear rhs": lambda v: sc.solve_linear(np.eye(2, dtype=np.uint8), [v, 1]),
+    "PauliOperator": lambda v: sc.PauliOperator(2, 0, [v, 1], [0, 1]),
+    "pauli_e": lambda v: sc.pauli_e([0, 1], [v, 1]),
+    "from_gamma": lambda v: sc.from_gamma([v, 1, 0, 1]),
+}
+NOT_INTEGERS = [2.5, -0.5, float("nan"), float("inf"), float("-inf"), 1 + 2j, "1",
+                None, object(), Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("entry", BIT_ENTRIES)
+def test_a_bit_that_is_not_an_integer_is_refused_naming_it(entry):
+    call = BIT_ENTRIES[entry]
+    # integral floats and bools read as the integers they equal
+    for value, same in ((3.0, 1), (-2.0, 0), (np.float32(5), 1), (True, 1),
+                        (np.False_, 0), (Fraction(4, 2), 0), (2**70 + 1, 1)):
+        assert repr(call(value)) == repr(call(same)), (value, same)
+    for value in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^bit value %s is not an integer$"
+                           % re.escape(repr(value))):
+            call(value)

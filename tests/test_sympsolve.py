@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from fractions import Fraction
 from functools import reduce
 from operator import xor
 
@@ -320,6 +321,8 @@ def test_system_rejects_packed_rows_out_of_range():
 def test_system_takes_numpy_integers_as_packed_rows():
     system = sc.SymplecticSystem(1, [np.int64(1)], [np.uint8(2)])
     assert system == sc.SymplecticSystem(1, [1], [2])
+    # bits given as integral floats or bools read as those integers
+    assert sc.SymplecticSystem(1, [[3.0, 0.0]], [[False, True]]) == system
     assert [type(v) for v in system._xs + system._ys] == [int, int]
     with pytest.raises(ValueError, match="packed constraint rows"):
         sc.SymplecticSystem(1, [np.int64(4)], [1])
@@ -446,8 +449,10 @@ def test_chain_matches_the_oracle_at_slot_width_edges(m, monkeypatch):
     steps = []
     step = sympsolve._step
 
-    def recorded(xt, y, aug, m_):
-        hs = step(xt, y, aug, m_)
+    def recorded(xt, y, aug, pivots, m_):
+        # the chain's pivot list is its stored form's items, ascending
+        assert pivots == sorted(aug.items())
+        hs = step(xt, y, aug, pivots, m_)
         steps.append((len(hs), len(aug)))
         return hs
 
@@ -500,9 +505,12 @@ def test_enumerate_keeps_the_meaning_of_an_integer_cap():
 
 @pytest.mark.parametrize("side", ("source", "target"))
 @pytest.mark.parametrize("row", ["10", None, 1.0, np.float64(1), [1, 0, 1],
-                                 np.array(["1", "0"]), [[1], [0, 1]], {}],
+                                 np.array(["1", "0"]), [[1], [0, 1]], {},
+                                 [1, 2.5], [0.7, 1], [float("nan"), 1],
+                                 [float("inf"), 0], [Fraction(1, 2), 1]],
                          ids=["str", "None", "float", "np.float64", "3 bits",
-                              "str array", "ragged", "dict"])
+                              "str array", "ragged", "dict", "bit 2.5",
+                              "bit 0.7", "bit nan", "bit inf", "bit 1/2"])
 def test_system_refuses_a_row_that_is_neither_a_packed_int_nor_2m_bits(row, side):
     rows = {"source": [1, 2], "target": [1, 2]}
     rows[side][1] = row
@@ -514,3 +522,46 @@ def test_system_refuses_a_row_that_is_neither_a_packed_int_nor_2m_bits(row, side
 def test_system_names_the_position_of_a_packed_row_out_of_range():
     with pytest.raises(ValueError, match="^target row 2: packed constraint rows"):
         sc.SymplecticSystem(2, [1, 2, 4], [1, 2, 16])
+
+
+@pytest.mark.parametrize("r", (4, 5))
+def test_chain_errors_at_large_m_match_the_oracle(r, monkeypatch):
+    # [[15,7,3]] and [[31,21,3]]: seeded broken copies of a build_system
+    # system, past the m <= 4 of the hypothesis oracle above
+    code = sc.css_build(sc.CssSpec(hc=hamming_parity(r)))
+    system = sc.build_system(code, random_logical_spec(code, np.random.default_rng(r),
+                                                       "hamming%d" % r))
+    m, xs, ys, t = code.m, system._xs, system._ys, len(system)
+    steps = []  # (transvection count, constraint index) of each step
+    step = sympsolve._step
+
+    def recorded(xt, y, aug, pivots, m_):
+        hs = step(xt, y, aug, pivots, m_)
+        steps.append((len(hs), len(aug)))
+        return hs
+
+    monkeypatch.setattr(sympsolve, "_step", recorded)
+    sc.find_symplectic(system)
+    monkeypatch.undo()
+    first_pair = min(i for n, i in steps if n == 2)
+    assert first_pair < t - 1
+    rng = random.Random(r)
+
+    def sum_of_two(rows, j):  # rows[j] replaced by the sum of two rows before it
+        a, b = rng.sample(range(j), 2)
+        return rows[:j] + [rows[a] ^ rows[b]] + rows[j + 1:]
+
+    j = rng.randrange(first_pair + 1, t)  # after a two-transvection step
+    k = rng.randrange(1, t)
+    broken = {
+        "source": sc.SymplecticSystem(m, sum_of_two(xs, rng.randrange(2, t)), ys),
+        "target": sc.SymplecticSystem(m, xs, sum_of_two(ys, j)),
+        "commutation": sc.SymplecticSystem(m, xs, ys[:k] + [ys[k] ^ ys[0]] + ys[k + 1:]),
+    }
+    want = {"source": "source vectors are linearly dependent",
+            "target": "target vectors are linearly dependent",
+            "commutation": "constraints \\d+ and \\d+ have incompatible inner products"}
+    for name, bad in broken.items():
+        got = _outcome(sc.find_symplectic, bad)
+        assert got == _outcome(ref_find_symplectic, bad)
+        assert got[0] is sc.InfeasibleError and re.fullmatch(want[name], got[1]), name

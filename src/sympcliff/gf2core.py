@@ -20,11 +20,10 @@ bit_length, to that row (_echelon_insert).  _rank counts its rows.  Each
 solve puts its rows, each with its right-hand side in an extra low bit,
 through that forward elimination (_augment) and reads solutions off it by
 back-substitution (_substitute).  _echelon_solve adds a few rows to a copy
-of a stored form, which the sign fix leaves empty, and back-substitutes
-from a given start on the free columns (0 for the lex-min solution); the
-transvection chain does the same against the form it grows, with no copy
-(sympsolve._step).  _solve is the affine solve with its reduced nullspace
-basis.
+of a stored form, which the transvection chain keeps with right-hand side
+0 and the sign fix leaves empty, and back-substitutes from a given start
+on the free columns (0 for the lex-min solution); _solve is the affine
+solve with its reduced nullspace basis.
 """
 
 from __future__ import annotations
@@ -57,9 +56,9 @@ def _tokens(text: str):
 
 
 def _integral(v) -> bool:
-    """Whether v, one value of an array that holds neither ints nor floats,
+    """Whether v, one value of an array that holds neither bools nor ints,
     is an integer: an int of any type, a bool, or a finite real number
-    equal to one."""
+    (a float among them) equal to one."""
     if isinstance(v, (numbers.Integral, np.bool_)):
         return True
     return isinstance(v, numbers.Real) and math.isfinite(v) and v == int(v)
@@ -79,12 +78,8 @@ def asbits(data) -> np.ndarray:
     """
     arr = np.asarray(data)
     if arr.dtype != np.uint8 or arr.tobytes().translate(None, b"\x00\x01"):
-        kind = arr.dtype.kind
-        if kind not in "biu":
-            if kind == "f":
-                bad = arr[~(np.isfinite(arr) & (np.trunc(arr) == arr))].tolist()
-            else:
-                bad = [v for v in arr.ravel().tolist() if not _integral(v)]
+        if arr.dtype.kind not in "biu":
+            bad = [v for v in arr.ravel().tolist() if not _integral(v)]
             if bad:
                 raise ValueError("bit value %r is not an integer" % (bad[0],))
         arr = np.mod(arr, 2).astype(np.uint8)

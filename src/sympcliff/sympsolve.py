@@ -18,7 +18,6 @@ x_i.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
@@ -26,10 +25,10 @@ from operator import index, xor
 
 import numpy as np
 
-from .gf2core import (InfeasibleError, _echelon_insert, _gram_mismatch,
-                      _hyperbolic, _inverse, _mul_rows, _pack, _rank, _slotted,
-                      _solve, _substitute, _swap, _unpack, _unslotted, asbits,
-                      eye, mul, omega, sp_group_order)
+from .gf2core import (InfeasibleError, _echelon_insert, _echelon_solve,
+                      _gram_mismatch, _hyperbolic, _inverse, _mul_rows,
+                      _pack, _rank, _slotted, _solve, _swap, _unpack,
+                      _unslotted, asbits, eye, mul, omega, sp_group_order)
 
 
 def transvection_matrix(h) -> np.ndarray:
@@ -61,11 +60,10 @@ def map_vector(x, y) -> list[np.ndarray]:
     if not x.any() or not y.any():
         raise InfeasibleError("transvections move only nonzero vectors")
     px, py = _pack(np.vstack([x, y]))
-    return list(_unpack(_step(px, py, {}, [], x.shape[0] // 2), x.shape[0]))
+    return list(_unpack(_step(px, py, {}, x.shape[0] // 2), x.shape[0]))
 
 
-def _step(xt: int, y: int, aug: dict[int, int], pivots: list[tuple[int, int]],
-          m: int) -> list[int]:
+def _step(xt: int, y: int, aug: dict[int, int], m: int) -> list[int]:
     """Packed transvection vectors taking xt to y while fixing the earlier
     targets y_j: [] when xt == y, [xt + y] when <xt, y> = 1, else
     [w + y, xt + w] for the smallest w with <xt, w> = <y, w> = 1 and
@@ -74,30 +72,16 @@ def _step(xt: int, y: int, aug: dict[int, int], pivots: list[tuple[int, int]],
     In z = w + y those conditions are homogeneous in the y_j: <y_j, z> = 0,
     and <xt, z> = <y, z> = 1 since <xt, y> = <y, y> = 0 here.  So aug holds
     the rows y_j Omega once, as an augmented echelon form with right-hand
-    side 0 (gf2core._augment), and pivots lists its items in ascending order.
-    The two extra rows are reduced against aug and each other as _augment
-    would insert them, but into a form of their own, so aug is not
-    changed; they are placed among a copy of the pivots (bisect.insort),
-    and the smallest w is the z whose free columns are y's, by one
-    back-substitution from y (gf2core._substitute)."""
+    side 0, and the smallest w is the z whose free columns are y's
+    (_echelon_solve)."""
     if xt == y:
         return []
     yw = _swap(y, m)
     if (xt & yw).bit_count() & 1:
         return [xt ^ y]
-    added: dict[int, int] = {}
-    pivots = pivots.copy()
-    for row in (_swap(xt, m) << 1 | 1, yw << 1 | 1):
-        while row:
-            top = row.bit_length()
-            if (e := aug.get(top) or added.get(top)) is None:
-                added[top] = row
-                insort(pivots, (top, row))
-                break
-            row ^= e
-        if row == 1:  # the bare right-hand side: inconsistent
-            raise RuntimeError("intermediate vector system is not solvable")
-    z = _substitute(pivots, y << 1 | 1)
+    z = _echelon_solve(aug, [(_swap(xt, m), 1), (yw, 1)], y)
+    if z is None:
+        raise RuntimeError("intermediate vector system is not solvable")
     return [z, xt ^ y ^ z]
 
 
@@ -188,10 +172,9 @@ def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
     The targets go through one echelon pass (_echelon_insert on y_j Omega,
     right-hand side 0), which is their rank check and gives each one's
     reduced row.  An insert never changes a stored row, so the form _step
-    solves against after j constraints is the first j rows of that pass:
-    after step j the chain stores row j as it is, and places it in the
-    ascending pivot list.  The checks run in the order sources, targets,
-    inner products.
+    solves against after j constraints is the first j rows of that pass,
+    and after step j the chain stores row j as it is.  The checks run in
+    the order sources, targets, inner products.
     """
     m = system.m
     if _rank(system._xs) != len(system):
@@ -211,18 +194,15 @@ def _chain(system: SymplecticSystem) -> tuple[list[int], list[int]]:
     s = ((1 << n * (w + 1)) - 1) // ((2 << w) - 1) | _slotted(system._xs, w)[0] << n * w
     folds = [w >> i for i in range(1, w.bit_length())]
     aug: dict[int, int] = {}  # the first rows of the target pass (_step)
-    pivots: list[tuple[int, int]] = []  # aug's items, ascending
     hs: list[int] = []
     for at, (y, row) in enumerate(zip(system._ys, rows), n):
-        for h in _step(s >> at * w & full, y, aug, pivots, m):
+        for h in _step(s >> at * w & full, y, aug, m):
             t = s & _swap(h, m) * ones
             for k in folds:
                 t ^= t >> k
             s ^= (t & ones) * h
             hs.append(h)
-        top = row.bit_length()
-        aug[top] = row
-        insort(pivots, (top, row))
+        aug[row.bit_length()] = row
     f = _unslotted(s, n, w)
     if _mul_rows(system._xs, f) != system._ys:
         raise RuntimeError("transvection chain does not satisfy the system")

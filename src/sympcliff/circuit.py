@@ -3,7 +3,12 @@
 Gate order in a circuit is execution order (leftmost acts first on states).
 Qubits are numbered 1..m, and a Circuit checks every gate when it is made,
 by the one gate rule (_checked) that gate() and parse also check through.
-The text form is one gate per line, e.g.
+The package's own emitters (decompose's, the sign fix) check nothing per
+gate: they pick their gates from one table (_table) whose entries each
+passed the rule once, when the table was built, and make their circuits
+through one trusted constructor (_trusted).  A circuit that a user makes,
+by circuit(), Circuit(...), dataclasses.replace or parse, is still checked
+on every gate.  The text form is one gate per line, e.g.
 
     P 2
     CZ 2 6
@@ -114,8 +119,9 @@ def gate(kind: str, *qubits: int) -> Gate:
 @dataclass(frozen=True)
 class Circuit:
     """Gates on qubits 1..m in execution order, each checked here by the one
-    gate rule, _checked, however the circuit is made (ValueError otherwise);
-    every reader trusts them.  They are stored as a tuple in gate()'s form."""
+    gate rule, _checked, however a caller makes the circuit (ValueError
+    otherwise); every reader trusts them.  They are stored as a tuple in
+    gate()'s form.  The package's emitters build theirs with _trusted."""
 
     m: int
     gates: tuple[Gate, ...]
@@ -138,16 +144,56 @@ def circuit(m: int, gates) -> Circuit:
     return Circuit(m, gates)
 
 
+def _trusted(m: int, gates: tuple[Gate, ...]) -> Circuit:
+    """The Circuit of a tuple of gates that already passed the gate rule on
+    m qubits: _table's entries on qubits 1..m and the gates of circuits on
+    m qubits.  Only m is checked, as every Circuit checks it; no gate is
+    checked again."""
+    c = Circuit(m, ())
+    object.__setattr__(c, "gates", gates)
+    return c
+
+
 def _join(a: Circuit, b: Circuit) -> Circuit:
-    """a's gates, then b's, as one circuit.  Both were checked when they
-    were made, so no gate is checked again; their qubit counts must agree
+    """a's gates, then b's, as one circuit; their qubit counts must agree
     (ValueError otherwise)."""
     if a.m != b.m:
         raise ValueError("cannot join circuits on %d and %d qubits" % (a.m, b.m))
-    joined = object.__new__(Circuit)
-    object.__setattr__(joined, "m", a.m)
-    object.__setattr__(joined, "gates", a.gates + b.gates)
-    return joined
+    return _trusted(a.m, a.gates + b.gates)
+
+
+_TABLE: dict[str, list] = {}  # _table's; built at its first use, not at import
+
+
+def _table(m: int) -> dict[str, list]:
+    """The gate table (see _table_on) on at least m qubits.  A table on
+    fewer is replaced by one built for m, so the table only grows, and only
+    when a circuit has more qubits than any before it.  The caller gets the
+    table it tested, so a rebuild in another thread cannot hand it a
+    smaller one."""
+    global _TABLE
+    table = _TABLE
+    if len(table.get("H", ())) <= m:
+        table = _TABLE = _table_on(m)
+    return table
+
+
+def _table_on(m: int) -> dict[str, list]:
+    """Every one- and two-qubit gate on m qubits, indexed by its qubits:
+    table[k][q] is the Gate k on qubit q for H, P, X, Y and Z, and
+    table[k][q][r] the Gate k on (q, r) for CZ with q < r and CNOT with
+    q != r; every other slot holds None.  One _checked call over all their
+    (kind, qubits) pairs makes the entries, so each passes the gate rule
+    once, here."""
+    qs = range(1, m + 1)
+    pairs = [(k, (q,)) for k in sorted(_ONE_QUBIT) for q in qs]
+    pairs += [(k, (q, r)) for k in sorted(_TWO_QUBIT) for q in qs for r in qs
+              if q < r or k == "CNOT" and q != r]
+    entry = {g: g for g in _checked(pairs, m)}
+    table = {k: [None] + [entry[k, (q,)] for q in qs] for k in sorted(_ONE_QUBIT)}
+    for k in sorted(_TWO_QUBIT):
+        table[k] = [None] + [[entry.get((k, (q, r))) for r in range(m + 1)] for q in qs]
+    return table
 
 
 def serialize(c: Circuit) -> str:

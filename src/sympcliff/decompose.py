@@ -20,7 +20,12 @@ on packed rows in one place, _left, which gives the factor times the rows;
 expand and every product of factors are that action on the identity.  With
 the rows split into a top half X and a bottom half Z, Omega swaps X and Z,
 G_k swaps their first k rows, T_R adds R Z onto X, and A_Q maps (X, Z) to
-(Q X, Q^-T Z).  One emitter, _emit, turns factors into Gates.
+(Q X, Q^-T Z).  One emitter, _emit, turns factors into Gates.  It picks
+them from circuit's gate table, whose entries each passed the gate rule
+once, when the table was built, and factors_to_circuit makes its Circuit
+with circuit's trusted constructor, so no emitted gate is checked again;
+the lane core's per-lane read-off (_lane_gates) picks from the same table.
+A circuit that a user makes from gates is still checked on every gate.
 
 Each factor is a function of F = [[A, B], [C, D]] alone, read off in closed
 form.  One elimination of [A | I] gives A's pivot columns and the row
@@ -52,11 +57,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import and_, getitem, index, or_, xor
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _new, circuit
+from .circuit import Circuit, Gate, _checked, _table, _trusted
 from .gf2core import (SingularMatrixError, _eliminate, _frozen, _gram_mismatch,
                       _inverse, _lu, _mul_rows, _pack, _transpose, _unpack,
                       asbits)
@@ -273,55 +279,68 @@ def decompose(f_in) -> list[ElementaryFactor]:
     return _factor(_pack(f), m)
 
 
-def _emit(factors):
-    """Gates realizing factors, in circuit order.
+def _emit(factors) -> list[Gate]:
+    """Gates realizing factors, in circuit order, as entries of the gate
+    table (circuit._table): each row's set bits pick a run of one table
+    row, so no gate is built or checked here.
 
     Omega is H on every qubit, G_k H on the first k, T_R P on its diagonal
     then CZ on its upper triangle row by row, and A_Q a PERMUTE for its row
-    pivots followed by CNOTs for its LU factors.
+    pivots followed by CNOTs for its LU factors.  A PERMUTE is not in the
+    table and passes the gate rule when it is made.
     """
+    out = []
     for f in factors:
         m = f.m
+        table = _table(m)
         if f.kind == "OMEGA" or f.kind == "GK":
-            for q in range(1, (m if f.kind == "OMEGA" else f.k) + 1):
-                yield _new(Gate, ("H", (q,)))
+            out += table["H"][1:(m if f.kind == "OMEGA" else f.k) + 1]
         elif f.kind == "TR":
+            phase, cz = table["P"], table["CZ"]
+            out += [phase[i + 1] for i, r in enumerate(f.rows) if r >> i & 1]
             for i, r in enumerate(f.rows):
-                if r >> i & 1:
-                    yield _new(Gate, ("P", (i + 1,)))
-            for i, r in enumerate(f.rows):
-                for j in _bits(r >> (i + 1)):
-                    yield _new(Gate, ("CZ", (i + 1, i + j + 2)))
+                out += _picked(cz[i + 1], r >> i + 1 << i + 2)
         else:
             perm, low, up = _lu(f.rows, m)
             image = [0] * m
             for i, p in enumerate(perm):
                 image[p] = i + 1
             if perm != list(range(m)):
-                yield _new(Gate, ("PERMUTE", tuple(image)))
+                out += _checked([("PERMUTE", tuple(image))], m)
             # CNOT matrix I + E_ct adds the control coordinate onto the
             # target; emitting L's entries with controls ascending multiplies
             # out to L exactly, and U's with controls descending to U
+            cnot = table["CNOT"]
             for c in range(1, m):
-                for t in _bits(low[c] & ((1 << c) - 1)):
-                    yield _new(Gate, ("CNOT", (c + 1, t + 1)))
+                out += _picked(cnot[c + 1], (low[c] & (1 << c) - 1) << 1)
             for c in range(m - 2, -1, -1):
-                for t in _bits(up[c] >> (c + 1)):
-                    yield _new(Gate, ("CNOT", (c + 1, c + t + 2)))
+                out += _picked(cnot[c + 1], up[c] >> c + 1 << c + 2)
+    return out
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _picked(row: list, x: int):
+    """row[q] for each set bit q of x, ascending, where row is one row of
+    the gate table and x a packed row shifted so that bit q is qubit q."""
+    return compress(row, bin(x)[:1:-1].encode().translate(_BITS))
 
 
 def factor_to_gates(f: ElementaryFactor) -> list[Gate]:
     """Physical gates realizing one factor; circuit order is product order."""
-    return list(_emit([f]))
+    return _emit([f])
 
 
 def factors_to_circuit(factors, m: int) -> Circuit:
     """The circuit of factors in product order, on m qubits; raises
-    ValueError when a factor acts on another number of qubits."""
+    ValueError when a factor acts on another number of qubits.  Its gates
+    are _emit's table entries, so the circuit is made by circuit._trusted
+    and no gate is checked again."""
     factors = tuple(factors)
     if any(f.m != m for f in factors):
         raise ValueError("every factor must act on the circuit's %d qubits" % m)
-    return circuit(m, _emit(factors))
+    return _trusted(m, tuple(_emit(factors)))
 
 
 # The lane core (see the module docstring).  A sliced matrix, as
@@ -519,13 +538,18 @@ def _emit_lanes(factors, full: int) -> list[tuple]:
     return out
 
 
-def _lane_gates(gates, lane: int) -> list[Gate]:
-    """One lane's gates out of an _emit_lanes template."""
+def _lane_gates(gates, lane: int, m: int) -> list[Gate]:
+    """One lane's gates out of an _emit_lanes template on m qubits, as
+    entries of the gate table, as _emit gives them; a PERMUTE passes the
+    gate rule when it is made."""
+    table = _table(m)
     out = []
     for kind, qs, mask in gates:
         if mask >> lane & 1:
             if kind == "PERMUTE":  # row i holds qubit p's image i + 1
-                qs = tuple(i + 1 for col in zip(*qs) for i, x in enumerate(col)
-                           if x >> lane & 1)
-            out.append(_new(Gate, (kind, qs)))
+                image = tuple(i + 1 for col in zip(*qs) for i, x in enumerate(col)
+                              if x >> lane & 1)
+                out += _checked([(kind, image)], m)
+            else:
+                out.append(reduce(getitem, qs, table[kind]))
     return out

@@ -74,7 +74,9 @@ def asbits(data) -> np.ndarray:
     integers only: ints of any type, bools, and floats equal to an integer
     read as those integers.  A value that is not one (a fraction, NaN, inf,
     a complex number, a str, any other object) raises ValueError naming
-    the first such value.
+    the first such value.  An array of any other dtype than bool, int,
+    float or object that has no such value (an empty str array, unit-less
+    timedeltas) raises ValueError naming its dtype.
     """
     arr = np.asarray(data)
     if arr.dtype != np.uint8 or arr.tobytes().translate(None, b"\x00\x01"):
@@ -82,6 +84,8 @@ def asbits(data) -> np.ndarray:
             bad = [v for v in arr.ravel().tolist() if not _integral(v)]
             if bad:
                 raise ValueError("bit value %r is not an integer" % (bad[0],))
+            if arr.dtype.kind not in "fO":
+                raise ValueError("bit dtype %s is not an integer type" % arr.dtype)
         arr = np.mod(arr, 2).astype(np.uint8)
     return arr
 

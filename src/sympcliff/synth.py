@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .circuit import Circuit, _score_planes, circuit, depth, serialize
+from .circuit import Circuit, _score_planes, _trusted, depth, serialize
 from .codes import (StabilizerCode, logical_x_gamma, logical_z_gamma,
                     stab_gamma)
 from .decompose import (ElementaryFactor, _bits, _emit_lanes, _factor_lanes,
@@ -240,7 +240,8 @@ def _rank(code: StabilizerCode, spec: CliffordSpec, f0, deltas, idx, best=None):
     for lane in np.lexsort((counts, depths)).tolist():
         if best is not None and (depths[lane], counts[lane]) > best[0][:2]:
             break
-        key = _min_depth_key(fix_signs(code, spec, circuit(m, _lane_gates(gates, lane)))[0])
+        raw = _trusted(m, tuple(_lane_gates(gates, lane, m)))
+        key = _min_depth_key(fix_signs(code, spec, raw)[0])
         if best is None or key < best[0]:
             best = (key, idx[lane])
     return best

@@ -6,10 +6,10 @@ each qubit column is a pair of Python ints x_q, z_q whose bit r is row r's
 bit, and one int holds every row's sign.  The per-gate rules are exact for
 the Hermitian form E(a, b) of ``pauli``: a Clifford gate maps E(a, b) to
 +/- E(a', b'), so it flips only bit 1 of the phase exponent kappa, and bit 0
-is carried through unchanged; the gates were checked when their Circuit
-was made.  synth's sign fix runs on one such pass (_sign_fix), and realize
-builds its report from that pass.  A dense-matrix oracle (m <= 12) is
-available for cross-checks.
+is carried through unchanged; every gate passed the gate rule, when its
+Circuit was made or as an entry of circuit's gate table.  synth's sign fix
+runs on one such pass (_sign_fix), and realize builds its report from that
+pass.  A dense-matrix oracle (m <= 12) is available for cross-checks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from operator import or_, xor
 
 import numpy as np
 
-from .circuit import Circuit, Gate, _join, _new
+from .circuit import Circuit, _join, _table, _trusted
 from .gf2core import _echelon_solve, _transpose, _unpack
 from .pauli import PauliOperator, dense, identity, multiply, to_label
 
@@ -340,8 +340,9 @@ def _sign_fix(code, spec, raw: Circuit) -> tuple[list, Circuit, PauliOperator, l
         raise RuntimeError("no Pauli correction exists: the code's rows are "
                            "not independent")
     correction = PauliOperator(m, 0, cd & ((1 << m) - 1), cd >> m)
-    fix = Circuit(m, tuple(_new(Gate, (kind, (t + 1,)))
-                           for t, kind in enumerate(to_label(correction)) if kind != "I"))
+    table = _table(m)
+    fix = _trusted(m, tuple(table[kind][t + 1]
+                            for t, kind in enumerate(to_label(correction)) if kind != "I"))
     images[2 * m + 1] ^= _tableau(fix, given[:m], given[m:2 * m], 0)[2]
     return rows, _join(fix, raw), correction, images
 

@@ -209,7 +209,7 @@ def _sliced_outputs(sliced, n, m):
     full = (1 << n) - 1
     gates = _emit_lanes(_factor_lanes(sliced, full), full)
     depths, counts = _score_planes(gates, m, n)
-    return [(_lane_gates(gates, lane), (depths[lane], counts[lane]))
+    return [(_lane_gates(gates, lane, m), (depths[lane], counts[lane]))
             for lane in range(n)]
 
 

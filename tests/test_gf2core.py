@@ -476,3 +476,15 @@ def test_a_bit_that_is_not_an_integer_is_refused_naming_it(entry):
         with pytest.raises(ValueError, match="^bit value %s is not an integer$"
                            % re.escape(repr(value))):
             call(value)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([], dtype=str), np.array([np.timedelta64(1)]), np.array([], dtype=bytes),
+    np.array([], dtype=complex), np.array([], dtype="datetime64[s]"),
+    np.zeros(0, dtype="V4")], ids=lambda a: str(a.dtype))
+def test_an_array_kind_without_integers_is_refused_naming_its_dtype(arr):
+    # nothing in an empty str array to name, and a unit-less timedelta reads
+    # as a plain int; both are refused before np.mod, by their dtype
+    with pytest.raises(ValueError, match="^bit dtype %s is not an integer type$"
+                       % re.escape(str(arr.dtype))):
+        sc.asbits(arr)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import random
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -12,10 +13,13 @@ from hypothesis import strategies as st
 
 import sympcliff as sc
 from sympcliff import synth, verify
+from sympcliff.circuit import _table
 from sympcliff.synth import _min_depth_key, _rank
 from conftest import FIXTURES
 from helpers import (as_set, bits, golden_solution_sets, ref_slice,
                      ref_solutions, ref_unsigned, symplectic)
+
+DECOMPOSE = importlib.import_module("sympcliff.decompose")
 
 
 def _spec(name):
@@ -532,6 +536,43 @@ def test_min_depth_verifies_only_the_returned_circuit(code642, monkeypatch):
     res, = sc.synthesize(code642, _spec("hadamard1"), mode="min_depth")
     assert res.report.passed
     assert reports == [(res.circuit, res.report)]
+
+
+def test_a_wrong_emitted_gate_is_refused_by_the_sign_fix(code642, monkeypatch):
+    # emitted circuits are not checked again: one H emitted as P gives a
+    # raw circuit of another symplectic map, which _sign_fix must refuse
+    spec = _spec("hadamard1")
+    f = sc.find_symplectic(sc.build_system(code642, spec))
+    real = DECOMPOSE._emit
+    assert any(g.kind == "H" for g in real(sc.decompose(f)))
+
+    def one_wrong(factors):
+        gates = real(factors)
+        i = next(i for i, g in enumerate(gates) if g.kind == "H")
+        gates[i] = _table(6)["P"][gates[i].qubits[0]]
+        return gates
+
+    monkeypatch.setattr(DECOMPOSE, "_emit", one_wrong)
+    with pytest.raises(ValueError, match="^row [^:]+: circuit does not realize the "
+                                         "requested symplectic map$"):
+        sc.realize(code642, spec, f)
+
+
+def test_a_failed_report_row_stops_realize(code642, monkeypatch):
+    # realize's last guard: a report row that fails raises, naming the row
+    spec = _spec("cz12")
+    f = sc.find_symplectic(sc.build_system(code642, spec))
+    real = synth._report
+
+    def last_row_failed(rows, outs, circ, dense_check):
+        report = real(rows, outs, circ, dense_check)
+        bad = dataclasses.replace(report.rows[-1], ok=False)
+        return verify.ConjugationReport(report.rows[:-1] + (bad,))
+
+    monkeypatch.setattr(synth, "_report", last_row_failed)
+    with pytest.raises(RuntimeError, match="^synthesized circuit failed verification:\n") as err:
+        sc.realize(code642, spec, f)
+    assert str(err.value).count("FAIL") == 1
 
 
 @pytest.mark.parametrize("mode", ["all", "min_depth"])
